@@ -67,13 +67,15 @@ def _resolve(args: argparse.Namespace, file_values: dict[str, str], key: str):
 
 
 def _build_settings(get) -> SolverSettings:
-    defaults = SolverSettings()
-    return SolverSettings(
-        abs_tol=get("tol") or defaults.abs_tol,
-        quad_order=get("quad_order") or defaults.quad_order,
-        mc_samples=get("samples") or defaults.mc_samples,
-        seed=get("seed") if get("seed") is not None else defaults.seed,
-    )
+    """Settings from the given values; an absent one keeps its default, and
+    every given one, 0 included, is validated by SolverSettings."""
+    given = {
+        "abs_tol": get("tol"),
+        "quad_order": get("quad_order"),
+        "mc_samples": get("samples"),
+        "seed": get("seed"),
+    }
+    return SolverSettings(**{key: value for key, value in given.items() if value is not None})
 
 
 def _schemes(get) -> tuple[str, ...]:

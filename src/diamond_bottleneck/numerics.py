@@ -220,42 +220,91 @@ def _branch_min(rho1, rho2, c1, c2, r1, r2):
     return np.minimum(np.minimum(both, cut1), np.minimum(cut2, cut12))
 
 
-def _inner_best_r2(rho1, rho2, c1, c2, r1):
-    """Closed-form maximizer over r2 of the branch minimum at fixed r1.
+def _probe(lanes, r1, work):
+    """Branch minimum at r1, with r2 at its closed-form inner maximizer.
 
-    The two branches that decrease in r2 share the line m + c2 - r2 with
-    m = min(log2(1+rho1 u1), c1 - r1); each increasing branch crosses that
-    line at an explicit point in the variable v = 2^-r2, and the max-min
-    sits at the larger of the two crossings, clamped into [0, c2].
+    The inner solve: the two branches that decrease in r2 share the line
+    m + c2 - r2 with m = min(log2(1+rho1 u1), c1 - r1); each increasing
+    branch crosses that line at an explicit point in the variable
+    v = 2^-r2, and the max-min sits at the larger of the two crossings,
+    clamped into [0, c2].  rho1 u1, c1 - r1 and m + c2 are computed once
+    and shared with the branch minimum, whose two branches that fall with
+    r2 are taken as one, (m + c2) - r2: rounding is monotone, so
+    min(x + c, y + c) and min(x, y) + c are the same float.  Likewise
+    (-rho)(-u) stands in for rho u with the same bits.
+
+    `lanes` holds the per-lane constants (-rho1, rho2, -rho2, 1 + rho2,
+    c1, c2).  Every array in `work` has the shape of r1 and is overwritten;
+    the returned (value, r2) are two of them.  The caller holds the error
+    state that lets 2^x overflow and log2(0) diverge.
     """
-    u1 = -np.expm1(-r1 * _LN2)
-    a1 = _log2_1p(rho1 * u1)
-    m = np.minimum(a1, c1 - r1)
-    with np.errstate(over="ignore", divide="ignore"):
-        v_both = (1.0 + rho1 * u1 + rho2) / (np.exp2(m + c2) + rho2)
-        v_cut1 = (1.0 + rho2) / (np.exp2(m + c2 - (c1 - r1)) + rho2)
-        v = np.minimum(v_both, v_cut1)
-        r2 = -np.log2(v)
-    return np.clip(r2, 0.0, c2)
+    neg_rho1, rho2, neg_rho2, rho2_plus_1, c1, c2 = lanes
+    t1, d1, m, v, w, r2 = work
+    np.multiply(r1, -_LN2, out=t1)  # t1 = rho1 u1 with u1 = -expm1(-r1 ln2)
+    np.expm1(t1, out=t1)
+    np.multiply(neg_rho1, t1, out=t1)
+    np.log1p(t1, out=m)  # m + c2
+    np.divide(m, _LN2, out=m)
+    np.subtract(c1, r1, out=d1)
+    np.minimum(m, d1, out=m)
+    np.add(m, c2, out=m)
+    np.add(1.0, t1, out=v)  # v_both = (1 + rho1 u1 + rho2) / (2^(m+c2) + rho2)
+    np.add(v, rho2, out=v)
+    np.exp2(m, out=w)
+    np.add(w, rho2, out=w)
+    np.divide(v, w, out=v)
+    np.subtract(m, d1, out=w)  # v_cut1 = (1 + rho2) / (2^(m+c2-(c1-r1)) + rho2)
+    np.exp2(w, out=w)
+    np.add(w, rho2, out=w)
+    np.divide(rho2_plus_1, w, out=w)
+    np.minimum(v, w, out=v)
+    np.log2(v, out=r2)
+    np.negative(r2, out=r2)
+    np.maximum(r2, 0.0, out=r2)
+    np.minimum(r2, c2, out=r2)
+
+    np.multiply(r2, -_LN2, out=w)  # w = rho2 u2 from here on
+    np.expm1(w, out=w)
+    np.multiply(neg_rho2, w, out=w)
+    np.add(t1, w, out=v)  # both = log2(1 + rho1 u1 + rho2 u2)
+    np.log1p(v, out=v)
+    np.divide(v, _LN2, out=v)
+    np.log1p(w, out=w)  # cut1 = c1 - r1 + log2(1 + rho2 u2)
+    np.divide(w, _LN2, out=w)
+    np.add(d1, w, out=w)
+    np.minimum(v, w, out=v)
+    np.subtract(m, r2, out=m)  # min(cut2, cut12) = (m + c2) - r2
+    np.minimum(v, m, out=v)
+    return v, r2
 
 
 def _maxmin_general(rho1, rho2, c1, c2):
-    """Golden-section over r1 with the exact inner solve; both SNRs positive."""
+    """Golden-section over r1 with the exact inner solve; both SNRs positive.
+
+    The two probes of a step share one (2, n) evaluation, and every
+    temporary lives in a buffer allocated once per call.
+    """
+    n = c1.shape[0]
+    lanes = (-rho1, rho2, -rho2, 1.0 + rho2, c1, c2)
     lo = np.zeros_like(c1)
     hi = c1.copy()
-    for _ in range(_GOLDEN_ITERS):
-        gap = hi - lo
-        x1 = hi - _INVPHI * gap
-        x2 = lo + _INVPHI * gap
-        probes = np.stack([x1, x2])
-        r2 = _inner_best_r2(rho1, rho2, c1, c2, probes)
-        values = _branch_min(rho1, rho2, c1, c2, probes, r2)
-        take_upper = values[0] < values[1]
-        lo = np.where(take_upper, x1, lo)
-        hi = np.where(take_upper, hi, x2)
-    r1 = 0.5 * (lo + hi)
-    r2 = _inner_best_r2(rho1, rho2, c1, c2, r1)
-    value = _branch_min(rho1, rho2, c1, c2, r1, r2)
+    step = np.empty_like(c1)
+    probes = np.empty((2, n))
+    work = np.empty((6, 2, n))
+    upper = np.empty(n, dtype=bool)
+    with np.errstate(over="ignore", divide="ignore"):
+        for _ in range(_GOLDEN_ITERS):
+            np.subtract(hi, lo, out=step)
+            np.multiply(_INVPHI, step, out=step)
+            np.subtract(hi, step, out=probes[0])
+            np.add(lo, step, out=probes[1])
+            values, _ = _probe(lanes, probes, work)
+            np.less(values[0], values[1], out=upper)
+            np.copyto(lo, probes[0], where=upper)
+            np.logical_not(upper, out=upper)
+            np.copyto(hi, probes[1], where=upper)
+        r1 = 0.5 * (lo + hi)
+        value, r2 = _probe(lanes, r1, work[:, 0])
     return value, r1, r2
 
 

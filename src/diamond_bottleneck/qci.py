@@ -111,92 +111,91 @@ def cell_rate(
 
 
 class _Objective:
-    """Batched evaluation of the allocation objective and its FD gradient."""
+    """Allocation objective and its finite-difference gradient, one solver call.
+
+    The m x m interior cells and the 4 m x m gradient probes go to the
+    max-min kernel as one batch of 5 m^2 lanes, and the edge cells with
+    their probes to the one-relay closed form as one batch.
+    """
 
     def __init__(self, grid: QuantizationGrid):
         self.J = grid.size
         self.m = self.J - 1
         self.rho = np.asarray(grid.snr_levels[: self.m])
         self.cell_weight = 1.0 / self.J**2
-
-    def interior(self, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        r1 = self.rho[:, None]
-        r2 = self.rho[None, :]
-        value, _, _ = _maxmin_batch(r1, r2, c1[:, None], c2[None, :])
-        return value
-
-    def value(self, c1: np.ndarray, c2: np.ndarray) -> tuple[float, np.ndarray]:
-        J = self.J
-        rates = np.zeros((J, J))
-        rates[: self.m, : self.m] = self.interior(c1, c2)
-        rates[: self.m, self.m] = _one_relay_value(self.rho, c1)
-        rates[self.m, : self.m] = _one_relay_value(self.rho, c2)
-        total = float(rates.sum()) * self.cell_weight
-        return total, rates
-
-    def gradient(self, c1: np.ndarray, c2: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Central finite differences, one-sided where a budget sits near 0.
-
-        Perturbing one relay's cell budget touches only that cell's row (or
-        column) of the rate matrix plus its one-sided edge cell, so all
-        probes for all parameters batch into a single solver call.
-        """
         m = self.m
-        down1 = np.minimum(h, c1)
-        down2 = np.minimum(h, c2)
-
-        # lane block layout: [c1 plus, c1 minus, c2 plus, c2 minus],
-        # each (m, m): axis 0 is the perturbed cell, axis 1 the partner cell
+        # lane block layout: [value, c1 plus, c1 minus, c2 plus, c2 minus],
+        # each (m, m).  Value block: axis 0 is relay 1's cell, axis 1 relay
+        # 2's.  Probe blocks: axis 0 is the perturbed cell, axis 1 its partner.
         rho_self = np.broadcast_to(self.rho[:, None], (m, m))
         rho_partner = np.broadcast_to(self.rho[None, :], (m, m))
-        lane_rho1 = np.concatenate([rho_self, rho_self, rho_partner, rho_partner])
-        lane_rho2 = np.concatenate([rho_partner, rho_partner, rho_self, rho_self])
-        c1_rows = np.broadcast_to(c1[:, None], (m, m))
-        c2_rows = np.broadcast_to(c2[:, None], (m, m))
-        c1_cols = np.broadcast_to(c1[None, :], (m, m))
-        c2_cols = np.broadcast_to(c2[None, :], (m, m))
-        lane_c1 = np.concatenate([
-            (c1 + h)[:, None] + np.zeros((m, m)),
-            (c1 - down1)[:, None] + np.zeros((m, m)),
-            c1_cols,
-            c1_cols,
-        ])
-        lane_c2 = np.concatenate([
-            c2_cols,
-            c2_cols,
-            (c2 + h)[:, None] + np.zeros((m, m)),
-            (c2 - down2)[:, None] + np.zeros((m, m)),
-        ])
-        values, _, _ = _maxmin_batch(lane_rho1, lane_rho2, lane_c1, lane_c2)
-        blocks = values.reshape(4, m, m).sum(axis=2)
+        self.lane_rho1 = np.concatenate([rho_self, rho_self, rho_self, rho_partner, rho_partner])
+        self.lane_rho2 = np.concatenate([rho_partner, rho_partner, rho_partner, rho_self, rho_self])
+        self.edge_rho = np.tile(self.rho, 6)
 
-        edge1_plus = _one_relay_value(self.rho, c1 + h)
-        edge1_minus = _one_relay_value(self.rho, c1 - down1)
-        edge2_plus = _one_relay_value(self.rho, c2 + h)
-        edge2_minus = _one_relay_value(self.rho, c2 - down2)
+    def evaluate(
+        self, c1: np.ndarray, c2: np.ndarray, h: float,
+    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """Mean rate, rate matrix, and the gradient with FD step h.
 
-        g1 = (blocks[0] - blocks[1] + edge1_plus - edge1_minus) / (h + down1)
-        g2 = (blocks[2] - blocks[3] + edge2_plus - edge2_minus) / (h + down2)
-        return g1 * self.cell_weight, g2 * self.cell_weight
+        The gradient is central, one-sided where a budget sits within h of
+        0.  Perturbing one relay's cell budget touches only that cell's row
+        (or column) of the rate matrix plus its one-sided edge cell.
+        """
+        J, m = self.J, self.m
+        down1 = np.minimum(h, c1)
+        down2 = np.minimum(h, c2)
+        c1_up, c1_down, c2_up, c2_down = c1 + h, c1 - down1, c2 + h, c2 - down2
+
+        def rows(v):
+            return np.broadcast_to(v[:, None], (m, m))
+
+        c1_cols = np.broadcast_to(c1, (m, m))
+        c2_cols = np.broadcast_to(c2, (m, m))
+        values, _, _ = _maxmin_batch(
+            self.lane_rho1,
+            self.lane_rho2,
+            np.concatenate([rows(c1), rows(c1_up), rows(c1_down), c1_cols, c1_cols]),
+            np.concatenate([c2_cols, c2_cols, c2_cols, rows(c2_up), rows(c2_down)]),
+        )
+        blocks = values.reshape(5, m, m)
+        edges = _one_relay_value(
+            self.edge_rho, np.concatenate([c1, c2, c1_up, c1_down, c2_up, c2_down])
+        ).reshape(6, m)
+
+        rates = np.zeros((J, J))
+        rates[:m, :m] = blocks[0]
+        rates[:m, m] = edges[0]
+        rates[m, :m] = edges[1]
+        total = float(rates.sum()) * self.cell_weight
+
+        sums = blocks[1:].sum(axis=2)
+        g1 = (sums[0] - sums[1] + edges[2] - edges[3]) / (h + down1)
+        g2 = (sums[2] - sums[3] + edges[4] - edges[5]) / (h + down2)
+        return total, rates, g1 * self.cell_weight, g2 * self.cell_weight
 
 
 def _project_budget(x: np.ndarray, p: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {c >= 0, p . c <= budget}."""
+    """Euclidean projection onto {c >= 0, p . c <= budget}.
+
+    The result is max(x - theta p, 0) with theta >= 0 the root of the
+    piecewise-linear spend curve theta -> p . max(0, x - theta p).  Its
+    breakpoints are x / p: with the k largest of them active, theta is
+    (p_k . x_k - budget) / (p_k . p_k), and the active set is the largest
+    k whose smallest breakpoint still exceeds that theta (Duchi et al.,
+    ICML 2008).
+    """
     c = np.maximum(x, 0.0)
     spend = float(p @ c)
     if spend <= budget:
         return c
-    # root of the piecewise-linear spend curve theta -> p . max(0, x - theta p)
-    lo, hi = 0.0, float(np.max(x / p))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if p @ np.maximum(x - mid * p, 0.0) > budget:
-            lo = mid
-        else:
-            hi = mid
-    active = x - hi * p > 0.0
-    if not np.any(active):
+    order = np.argsort(-(x / p), kind="stable")
+    xs, ps = x[order], p[order]
+    thetas = (np.cumsum(ps * xs) - budget) / np.cumsum(ps * ps)
+    above = np.flatnonzero(xs - thetas * ps > 0.0)
+    if above.size == 0:
         return np.zeros_like(x)
+    active = x - thetas[above[-1]] * p > 0.0
     theta = (float(p[active] @ x[active]) - budget) / float(p[active] @ p[active])
     return np.maximum(x - max(theta, 0.0) * p, 0.0)
 
@@ -241,7 +240,9 @@ def optimize_allocation(
         c1 = np.full(m, residual1 * J / m)
         c2 = np.full(m, residual2 * J / m)
 
-    best, rates = objective.value(c1, c2)
+    # Every evaluation also yields the gradient at _FD_STEP, so an accepted
+    # candidate brings the next iteration's gradient along.
+    best, rates, g1, g2 = objective.evaluate(c1, c2, _FD_STEP)
     step = 2.0 * J
     stalls = 0
     last_gain = math.inf
@@ -249,7 +250,8 @@ def optimize_allocation(
     for iterations in range(1, settings.max_iter + 1):
         moved = False
         for h in (_FD_STEP, _FD_STEP * 1e-2):
-            g1, g2 = objective.gradient(c1, c2, h)
+            if h != _FD_STEP:
+                _, _, g1, g2 = objective.evaluate(c1, c2, h)
             trial_step = step
             for _ in range(40):
                 cand1 = _project_budget(c1 + trial_step * g1, p, residual1)
@@ -257,11 +259,14 @@ def optimize_allocation(
                 gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
                 if gap <= 0.0:
                     break
-                cand_value, cand_rates = objective.value(cand1, cand2)
+                cand_value, cand_rates, cand_g1, cand_g2 = objective.evaluate(
+                    cand1, cand2, _FD_STEP
+                )
                 if cand_value >= best + _ARMIJO_SLOPE * gap:
                     last_gain = cand_value - best
                     c1, c2 = cand1, cand2
                     best, rates = cand_value, cand_rates
+                    g1, g2 = cand_g1, cand_g2
                     step = trial_step * 2.0
                     moved = True
                     break

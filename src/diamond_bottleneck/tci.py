@@ -74,25 +74,38 @@ def _effective_budget(c: float, header: float, p_active: float) -> float:
     return max(c - header, 0.0) / p_active
 
 
+def _tci_points(thresholds, config: SystemConfig) -> list[TciPoint]:
+    """Bound values at shared thresholds, one solver call for all of them.
+
+    The conditional statistics and the rate mixture stay scalar; only the
+    one-relay and two-relay rates are batched over the thresholds.
+    """
+    stats = [conditional_stats(threshold, config) for threshold in thresholds]
+    rho = np.array([s.cond_snr for s in stats])
+    b1 = np.array([_effective_budget(config.c1, s.header_bits, s.p_active) for s in stats])
+    b2 = np.array([_effective_budget(config.c2, s.header_bits, s.p_active) for s in stats])
+    only1 = _one_relay_value(rho, b1)
+    only2 = _one_relay_value(rho, b2)
+    both, _, _ = _maxmin_batch(rho, rho, b1, b2)
+    points = []
+    lanes = zip(thresholds, stats, only1.tolist(), only2.tolist(), both.tolist())
+    for threshold, s, one1, one2, two in lanes:
+        p = s.p_active
+        rate = p * (1.0 - p) * (one1 + one2) + p * p * two
+        points.append(TciPoint(
+            threshold=threshold,
+            p_active=s.p_active,
+            header_bits=s.header_bits,
+            cond_noise=s.cond_noise,
+            cond_snr=s.cond_snr,
+            rate=rate,
+        ))
+    return points
+
+
 def tci_rate(threshold: float, config: SystemConfig, settings: SolverSettings) -> TciPoint:
     """Bound value at one shared threshold for both relays."""
-    stats = conditional_stats(threshold, config)
-    b1 = _effective_budget(config.c1, stats.header_bits, stats.p_active)
-    b2 = _effective_budget(config.c2, stats.header_bits, stats.p_active)
-    rho = stats.cond_snr
-    only1 = float(_one_relay_value(np.asarray(rho), np.asarray(b1)))
-    only2 = float(_one_relay_value(np.asarray(rho), np.asarray(b2)))
-    both, _, _ = _maxmin_batch(rho, rho, b1, b2)
-    p = stats.p_active
-    rate = p * (1.0 - p) * (only1 + only2) + p * p * float(both)
-    return TciPoint(
-        threshold=threshold,
-        p_active=stats.p_active,
-        header_bits=stats.header_bits,
-        cond_noise=stats.cond_noise,
-        cond_snr=stats.cond_snr,
-        rate=rate,
-    )
+    return _tci_points((threshold,), config)[0]
 
 
 def tci_rate_per_relay(
@@ -117,9 +130,4 @@ def tci_rate_per_relay(
 
 def tci_best(config: SystemConfig, settings: SolverSettings) -> TciPoint:
     """Best point over the fixed threshold grid; ties go to the smaller one."""
-    best: TciPoint | None = None
-    for threshold in THRESHOLD_GRID:
-        point = tci_rate(threshold, config, settings)
-        if best is None or point.rate > best.rate:
-            best = point
-    return best
+    return max(_tci_points(THRESHOLD_GRID, config), key=lambda point: point.rate)

@@ -12,8 +12,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import diamond_bottleneck
+
+# Property tests draw the same examples on every run, so the gate stays
+# deterministic; no example database is written.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 CLI = [sys.executable, "-m", "diamond_bottleneck"]
 

@@ -19,6 +19,7 @@ from diamond_bottleneck.numerics import (
     SolverSettings,
     _branch_min,
     _lattice_max_bruteforce,
+    _maxmin_batch,
     bisect,
     exp_integral_e1,
     integrate_semiinfinite,
@@ -275,3 +276,67 @@ class TestGridOracle:
             fast = maxmin_grid_oracle(problem, settings)
             brute = _lattice_max_bruteforce(problem, settings)
             assert fast == pytest.approx(brute, abs=1e-12)
+
+
+# (rho1, rho2, c1, c2, value, r1, r2) with the results as float.hex, recorded
+# from the unfused kernel that preceded the current one.  The kernel is a
+# fixed floating-point schedule, so any change of its operations or of their
+# order shows here as a changed bit.
+PINNED_MAXMIN = [
+    (0.001, 0.001, 1.0, 1.0, '0x1.79d0ecabe7a5bp-10', '0x1.ffa18bab19034p-1', '0x1.ffa18bde9108ep-1'),
+    (0.001, 5.0, 30.0, 0.5, '0x1.9ec698d7876e6p-2', '0x1.dff9375c76d50p+4', '0x1.8acda1a07d3c5p-4'),
+    (0.5, 2.0, 3.0, 7.0, '0x1.c20c0f26e095fp+0', '0x1.66fd12b8d5404p+1', '0x1.5bfe72d9dd3a6p+2'),
+    (1.0, 1.0, 1.0, 1.0, '0x1.86bf2c918364bp-1', '0x1.3ca069bf1bf1cp-1', '0x1.3ca069af60a97p-1'),
+    (10.0, 10.0, 30.0, 30.0, '0x1.191bba82d3338p+2', '0x1.bcd8e0a0b4624p+4', '0x1.bce030be96d0ep+4'),
+    (37.5, 0.2, 4.25, 12.0, '0x1.efaa260e7f823p+1', '0x1.47fa9e342e20ep-1', '0x1.7795cc991d3d6p+3'),
+    (1000.0, 1000.0, 10.0, 10.0, '0x1.5ce9a0dc72c51p+3', '0x1.23165dfcd3fb2p+2', '0x1.2316604a467acp+2'),
+    (25000.0, 300.0, 0.75, 22.0, '0x1.1f197fa8931f7p+3', '0x1.7ddfab5c2a0d5p-7', '0x1.b887086c95d61p+3'),
+    (1e6, 1e6, 20.0, 5.0, '0x1.494892818615ap+4', '0x1.1addb43a08144p+1', '0x1.1addb7b9c73f4p+1'),
+    (3e7, 1e9, 15.0, 15.0, '0x1.cf271f3a63f84p+4', '0x1.9cd9b9c4a34f2p-10', '0x1.0d26d5eb4f531p+0'),
+    (1e9, 1e9, 30.0, 30.0, '0x1.ee5b4fa8ece92p+4', '0x1.d1a4928c522dap+3', '0x1.d1a4ce21d4004p+3'),
+    (1e9, 0.004, 25.0, 2.0, '0x1.8f4e148b86ea1p+4', '0x1.8734ef1c937e1p-5', '0x1.fee50fceacc2bp+0'),
+    (8.0, 3.0, 0.0, 6.0, '0x1.ef14c7605d606p+0', '0x0.0p+0', '0x1.043ace27e8a7ep+2'),
+    (0.0, 50.0, 9.0, 9.0, '0x1.626e9372ecb75p+2', '0x0.0p+0', '0x1.bb22d91a26916p+1'),
+]
+
+
+def _bits(arrays):
+    return np.stack([np.asarray(a, dtype=float).reshape(-1).view(np.int64) for a in arrays])
+
+
+class TestMaxMinKernelBits:
+    def test_pinned_instances_batched(self):
+        inputs = np.array([case[:4] for case in PINNED_MAXMIN]).T
+        value, r1, r2 = _maxmin_batch(*inputs)
+        got = [(v.hex(), a.hex(), b.hex()) for v, a, b in zip(
+            value.tolist(), r1.tolist(), r2.tolist()
+        )]
+        assert got == [case[4:] for case in PINNED_MAXMIN]
+
+    def test_pinned_instances_one_at_a_time(self):
+        for case in PINNED_MAXMIN:
+            value, r1, r2 = _maxmin_batch(*case[:4])
+            assert (float(value).hex(), float(r1).hex(), float(r2).hex()) == case[4:]
+
+    def test_lane_chunk_invariance(self):
+        # QCI merges its value and gradient lanes into one call and TCI its
+        # whole threshold grid; both rely on a lane's bits not depending on
+        # the other lanes of the call.
+        rng = np.random.default_rng(12)
+        n = 60
+        rho1 = 10.0 ** rng.uniform(-3.0, 9.0, n)
+        rho2 = 10.0 ** rng.uniform(-3.0, 9.0, n)
+        c1 = rng.uniform(0.0, 30.0, n)
+        c2 = rng.uniform(0.0, 30.0, n)
+        rho1[::11] = 0.0
+        c2[::13] = 0.0
+        c2[5::9] = c1[5::9]
+        whole = _bits(_maxmin_batch(rho1, rho2, c1, c2))
+        for size in (1, 7):
+            parts = [
+                _bits(_maxmin_batch(rho1[k:k + size], rho2[k:k + size], c1[k:k + size], c2[k:k + size]))
+                for k in range(0, n, size)
+            ]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole)
+        grid = _bits(_maxmin_batch(*(a.reshape(6, 10) for a in (rho1, rho2, c1, c2))))
+        assert np.array_equal(grid, whole)

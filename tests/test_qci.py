@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diamond_bottleneck.channel import SystemConfig
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.numerics import MaxMinProblem, SolverSettings, solve_maxmin
 from diamond_bottleneck.qci import (
+    _project_budget,
     build_grid,
     cell_rate,
     optimize_allocation,
@@ -218,3 +221,56 @@ class TestOptimizeAllocation:
         b = qci_lower_bound(4, config, SETTINGS)
         assert a.lower_bound == b.lower_bound
         assert np.array_equal(a.c, b.c)
+
+
+@st.composite
+def projection_inputs(draw):
+    """(x, p, budget): a point, positive cell weights, a bit budget."""
+    n = draw(st.integers(1, 8))
+    coords = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
+    x = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        p = np.full(n, 1.0 / draw(st.sampled_from([2, 4, 8, 3, 5])))
+    else:
+        p = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    budget = draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+    return x, p, budget
+
+
+def _scale(x, p, budget):
+    return max(1.0, budget, float(p @ np.abs(x)))
+
+
+class TestProjectBudgetProperties:
+    @given(projection_inputs())
+    def test_feasible(self, case):
+        x, p, budget = case
+        c = _project_budget(x, p, budget)
+        assert np.all(c >= 0.0)
+        assert float(p @ c) <= budget + 1e-12 * _scale(x, p, budget)
+
+    @given(projection_inputs())
+    def test_shrinks_along_p(self, case):
+        # c = max(x - theta p, 0) for one theta >= 0
+        x, p, budget = case
+        c = _project_budget(x, p, budget)
+        live = c > 0.0
+        if not np.any(live):
+            theta = max(float(np.max(x / p)), 0.0)
+        else:
+            thetas = (x[live] - c[live]) / p[live]
+            theta = float(np.median(thetas))
+            assert np.allclose(thetas, theta, rtol=0.0, atol=1e-9 * _scale(x, p, budget))
+        assert theta >= -1e-12 * _scale(x, p, budget)
+        expected = np.maximum(x - max(theta, 0.0) * p, 0.0)
+        assert np.allclose(c, expected, rtol=0.0, atol=1e-9 * _scale(x, p, budget))
+
+    @given(projection_inputs())
+    def test_spends_whole_budget_when_it_binds(self, case):
+        # theta > 0 exactly when max(x, 0) overspends; then p . c = budget
+        x, p, budget = case
+        c = _project_budget(x, p, budget)
+        if float(p @ np.maximum(x, 0.0)) <= budget:
+            assert np.array_equal(c, np.maximum(x, 0.0))
+        else:
+            assert float(p @ c) == pytest.approx(budget, rel=0.0, abs=1e-12 * _scale(x, p, budget))

@@ -2,6 +2,7 @@
 command-line front end."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from diamond_bottleneck.sweeps import (
 from diamond_bottleneck.channel import SystemConfig
 
 SETTINGS = SolverSettings()
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def single_spec(snr_db, c1, c2=None, schemes=("ub", "tci")):
@@ -232,6 +234,18 @@ class TestCommandLine:
         rows = parse_csv(result.stdout.encode())
         assert rows[0]["rho_db"] == pytest.approx(20.0, abs=1e-9)
 
+    @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
+    def test_zero_setting_exits_2(self, tmp_path, flag):
+        result = run_cli(["bound", "--scheme", "ub", flag, "0"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "error:" in result.stderr
+
+    def test_seed_zero_accepted(self, tmp_path):
+        result = run_cli(["bound", "--scheme", "ub", "--seed", "0"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert len(parse_csv(result.stdout.encode())) == 1
+
     def test_bound_out_writes_csv(self, tmp_path):
         result = run_cli(
             ["bound", "--scheme", "ub", "--c1", "3", "--out", "point.csv"], tmp_path
@@ -337,3 +351,34 @@ class TestCommandLine:
         assert result.returncode == 1, result.stderr
         assert "FAIL" in result.stdout
         assert "No module named" not in result.stderr
+
+
+# Every column of the preset CSVs except mmse and its half-width, which come
+# from a seeded Monte Carlo estimate.
+DETERMINISTIC_COLUMNS = (
+    "rho_db", "c_bits", "ub", "qci_J2", "qci_J4", "qci_J8", "tci",
+    "ub_residual", "qci_J2_iters", "qci_J4_iters", "qci_J8_iters", "tci_threshold",
+)
+
+
+def deterministic_columns(data: bytes) -> bytes:
+    lines = data.decode("utf-8").splitlines()
+    header = lines[0].split(",")
+    keep = [header.index(name) for name in DETERMINISTIC_COLUMNS]
+    return "".join(
+        ",".join(line.split(",")[k] for k in keep) + "\n" for line in lines
+    ).encode("utf-8")
+
+
+class TestPresetGolden:
+    """The deterministic preset columns, byte for byte, against a recording
+    (tests/data/*_deterministic.csv): a speed-up of the solvers must not move
+    a single digit of the curves."""
+
+    def test_fig2(self, fig2_runs):
+        golden = (DATA / "fig2_deterministic.csv").read_bytes()
+        assert deterministic_columns(fig2_runs[0]) == golden
+
+    def test_fig3(self, fig3_run):
+        golden = (DATA / "fig3_deterministic.csv").read_bytes()
+        assert deterministic_columns(fig3_run[0]) == golden
