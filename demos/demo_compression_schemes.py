@@ -57,10 +57,10 @@ def main() -> None:
     print(f"  best grid threshold {best.threshold:.1f} -> {best.rate:.4f} bits")
 
     print()
-    print("Estimate forwarding: Monte Carlo joint term, closed-form corrections")
+    print("Estimate forwarding: quadrature over both fading gains")
     result = mmse_rate(config, SETTINGS)
     print(
-        f"  rate {result.rate:.4f} bits  (95% half-width {result.mc_halfwidth:.2e}; "
+        f"  rate {result.rate:.4f} bits  (quadrature error {result.error_estimate:.1e}; "
         f"description rates check out at {result.constraint_check[0]:.6f} and "
         f"{result.constraint_check[1]:.6f} bits)"
     )

@@ -48,7 +48,7 @@ def main() -> None:
     print()
     print("Columns: axis pair, one rate column per bound, then per-bound")
     print("diagnostics (constraint residual, ascent iterations, chosen")
-    print("threshold, Monte Carlo half-width).  Rates are bits per complex")
+    print("threshold, quadrature error estimate).  Rates are bits per complex")
     print("channel use; empty cells would mark a failed scheme at that point.")
 
 

@@ -216,10 +216,12 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"scheme to evaluate, repeatable or comma-separated; "
                              f"one of {', '.join(SCHEMES)} (default: all)")
     parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    parser.add_argument("--samples", type=int, help="Monte Carlo draws (default 1000000)")
+    parser.add_argument("--seed", type=int, help="RNG seed of the verify oracles (default 0)")
+    parser.add_argument("--samples", type=int,
+                        help="Monte Carlo draws of the verify oracles (default 1000000)")
     parser.add_argument("--quad-order", type=int, dest="quad_order",
-                        help="base quadrature order (default 64)")
+                        help="base Gauss-Laguerre order of the verify quadrature "
+                             "checks (default 64)")
     parser.add_argument("--tol", type=float, help="absolute solver tolerance (default 1e-9)")
 
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .errors import BracketError, DomainError, InvalidArgument, NonConvergent
 
@@ -36,8 +35,9 @@ class SolverSettings:
     max_iter     iteration cap for bisection and the allocation ascent
     quad_order   base Gauss-Laguerre order; doubled on fallback
     grid_points  lattice density per dimension for the grid oracle
-    mc_samples   Monte Carlo draw count
-    seed         RNG seed; equal seeds give byte-identical runs
+    mc_samples   Monte Carlo draw count of the `verify` oracles
+    seed         RNG seed of the `verify` oracles; no bound computation
+                 draws random numbers
     """
 
     abs_tol: float = 1e-9
@@ -69,8 +69,11 @@ def _laguerre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     The exp(x_i) factor folds the e^{-x} kernel back out, so the rule applies
     to plain integrals over [0, inf).  The product is formed in log space:
     weights underflow near the largest nodes, and there the integrands we
-    meet have decayed far below double precision anyway.
+    meet have decayed far below double precision anyway.  SciPy is imported
+    here, not at module level, so that importing the package does not load it.
     """
+    from scipy.special import roots_laguerre
+
     nodes, weights = roots_laguerre(order)
     with np.errstate(divide="ignore"):
         scaled = np.exp(np.log(weights) + nodes)

@@ -4,8 +4,8 @@ A sweep walks one axis (SNR in dB, or per-relay budget in bits), evaluates
 the requested bounds at every point, and writes one CSV row per point:
 axis columns first, then one rate column per scheme, then one diagnostic
 column per scheme.  Failed schemes leave their cells empty and report on
-stderr; the other columns of the row are unaffected.  Equal seeds and specs
-give byte-identical files.
+stderr; the other columns of the row are unaffected.  Specs that differ
+at most in their seed give byte-identical files.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -183,7 +183,7 @@ def compute_point(
             elif scheme == "mmse":
                 outcome = mmse_rate(config, settings)
                 results.append(BoundResult(
-                    scheme, outcome.rate, {"mmse_halfwidth": outcome.mc_halfwidth},
+                    scheme, outcome.rate, {"mmse_halfwidth": outcome.error_estimate},
                 ))
             else:
                 raise InvalidArgument(f"unknown scheme {scheme!r}")

@@ -2,11 +2,13 @@
 command-line front end."""
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import parse_csv, run_cli
+from conftest import _child_env, parse_csv, run_cli
 
 import diamond_bottleneck.sweeps as sweeps
 from diamond_bottleneck.errors import InvalidArgument
@@ -346,6 +348,17 @@ class TestCommandLine:
         assert "PASS" in result.stdout
         assert "FAIL" not in result.stdout
 
+    @pytest.mark.parametrize("module", ["diamond_bottleneck", "diamond_bottleneck.cli"])
+    def test_import_does_not_load_scipy(self, module, tmp_path):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_verify_detects_seeded_fault(self, tmp_path):
         result = run_cli(["verify", "--break-determinism"], tmp_path)
         assert result.returncode == 1, result.stderr
@@ -353,32 +366,59 @@ class TestCommandLine:
         assert "No module named" not in result.stderr
 
 
-# Every column of the preset CSVs except mmse and its half-width, which come
-# from a seeded Monte Carlo estimate.
+# Every column of the preset CSVs: no scheme draws random numbers, so the
+# seed changes none of them.
 DETERMINISTIC_COLUMNS = (
-    "rho_db", "c_bits", "ub", "qci_J2", "qci_J4", "qci_J8", "tci",
+    "rho_db", "c_bits", "ub", "qci_J2", "qci_J4", "qci_J8", "tci", "mmse",
     "ub_residual", "qci_J2_iters", "qci_J4_iters", "qci_J8_iters", "tci_threshold",
+    "mmse_halfwidth",
 )
+# The mmse columns of the presets at seed 7 when mmse was a Monte Carlo
+# estimate: its value and 95% half-width.
+MONTE_CARLO_COLUMNS = ("rho_db", "c_bits", "mmse", "mmse_halfwidth")
 
 
-def deterministic_columns(data: bytes) -> bytes:
+def select_columns(data: bytes, names: tuple[str, ...] = DETERMINISTIC_COLUMNS) -> bytes:
     lines = data.decode("utf-8").splitlines()
     header = lines[0].split(",")
-    keep = [header.index(name) for name in DETERMINISTIC_COLUMNS]
+    keep = [header.index(name) for name in names]
     return "".join(
         ",".join(line.split(",")[k] for k in keep) + "\n" for line in lines
     ).encode("utf-8")
 
 
 class TestPresetGolden:
-    """The deterministic preset columns, byte for byte, against a recording
+    """The preset columns, byte for byte, against a recording
     (tests/data/*_deterministic.csv): a speed-up of the solvers must not move
     a single digit of the curves."""
 
     def test_fig2(self, fig2_runs):
         golden = (DATA / "fig2_deterministic.csv").read_bytes()
-        assert deterministic_columns(fig2_runs[0]) == golden
+        assert select_columns(fig2_runs[0]) == golden
 
     def test_fig3(self, fig3_run):
         golden = (DATA / "fig3_deterministic.csv").read_bytes()
-        assert deterministic_columns(fig3_run[0]) == golden
+        assert select_columns(fig3_run[0]) == golden
+
+
+class TestMmseAgainstMonteCarlo:
+    """Every mmse value lies within three half-widths of the Monte Carlo
+    estimate it replaced (tests/data/*_monte_carlo.csv), the bound of
+    criterion 1, and its own error estimate is at most 1e-9."""
+
+    @staticmethod
+    def check(data: bytes, recording: str) -> None:
+        new = parse_csv(select_columns(data, MONTE_CARLO_COLUMNS))
+        old = parse_csv((DATA / recording).read_bytes())
+        assert [(r["rho_db"], r["c_bits"]) for r in new] == [
+            (r["rho_db"], r["c_bits"]) for r in old
+        ]
+        for now, then in zip(new, old):
+            assert abs(now["mmse"] - then["mmse"]) <= 3.0 * then["mmse_halfwidth"], then
+            assert 0.0 <= now["mmse_halfwidth"] <= 1e-9, now
+
+    def test_fig2(self, fig2_runs):
+        self.check(fig2_runs[0], "fig2_monte_carlo.csv")
+
+    def test_fig3(self, fig3_run):
+        self.check(fig3_run[0], "fig3_monte_carlo.csv")
