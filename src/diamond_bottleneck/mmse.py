@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import DegenerateBudget
-from .numerics import SolverSettings, _e1_scaled
+from .numerics import _LN2, SolverSettings, _e1_scaled
 
 # Not called here.  The benchmark's tracer (bench/tracer.py) wraps these two
 # attributes of this module by name, and its smoke test expects them to
@@ -45,7 +45,6 @@ from .numerics import SolverSettings, _e1_scaled
 from .channel import sample_gains  # noqa: F401
 from .numerics import integrate_semiinfinite  # noqa: F401
 
-_LN2 = math.log(2.0)
 # The probability mass of ln g outside this interval is below 3e-20.
 _LOG_GAIN_RANGE = (-45.0, 4.0)
 # The rate comes from the last order; the gap to the first is the error estimate.

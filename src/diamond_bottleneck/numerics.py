@@ -19,12 +19,13 @@ from .errors import BracketError, DomainError, InvalidArgument, NonConvergent
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.577215664901532860606512
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Fixed iteration counts for the nested max-min search.  72 golden steps
-# shrink the bracket by 0.618**72 ~ 1e-15 relative, so the answer is
-# limited by float64, not by the iteration budget.
-_GOLDEN_ITERS = 72
+# The max-min outer search probes _SECTION_PROBES equally spaced interior
+# points of every bracket per step and keeps the two sections around the
+# best, so _SECTION_STEPS steps shrink it by (2/12)**20 ~ 2.7e-16 relative:
+# the answer is limited by float64, not by the step count.
+_SECTION_PROBES = 11
+_SECTION_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -191,11 +192,8 @@ class MaxMinProblem:
 
     snrs: tuple[float, float]
     budgets: tuple[float, float]
-    relay_count: int = 2
 
     def __post_init__(self) -> None:
-        if self.relay_count != 2:
-            raise InvalidArgument("only the two-relay problem is supported")
         if len(self.snrs) != 2 or len(self.budgets) != 2:
             raise InvalidArgument("snrs and budgets must both have two entries")
         for value in (*self.snrs, *self.budgets):
@@ -210,6 +208,13 @@ def _log2_1p(x: np.ndarray) -> np.ndarray:
 def _one_relay_value(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Single-relay compress-and-forward rate log2((1+rho)/(1+rho 2^-c))."""
     return (np.log1p(rho) - np.log1p(rho * np.exp2(-c))) / _LN2
+
+
+def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Compression rate at the single-relay optimum, where log2(1 + rho u)
+    meets c - r: r = log2(1 + (2^c - 1)/(1 + rho)), clamped to c.  Unlike
+    c minus the value, it keeps its relative precision when r is tiny."""
+    return np.minimum(np.log1p(np.expm1(c * _LN2) / (1.0 + rho)) / _LN2, c)
 
 
 def _branch_min(rho1, rho2, c1, c2, r1, r2):
@@ -227,42 +232,49 @@ def _probe(lanes, r1, work):
     """Branch minimum at r1, with r2 at its closed-form inner maximizer.
 
     The inner solve: the two branches that decrease in r2 share the line
-    m + c2 - r2 with m = min(log2(1+rho1 u1), c1 - r1); each increasing
-    branch crosses that line at an explicit point in the variable
-    v = 2^-r2, and the max-min sits at the larger of the two crossings,
-    clamped into [0, c2].  rho1 u1, c1 - r1 and m + c2 are computed once
-    and shared with the branch minimum, whose two branches that fall with
-    r2 are taken as one, (m + c2) - r2: rounding is monotone, so
-    min(x + c, y + c) and min(x, y) + c are the same float.  Likewise
-    (-rho)(-u) stands in for rho u with the same bits.
+    M - r2 with M = min(L1, c1 - r1) + c2 and L1 = log2(1 + A), A = rho1 u1;
+    each increasing branch crosses that line at an explicit point, and the
+    max-min sits at the larger of the two crossings, clamped into [0, c2]:
+
+        r2_both = log2(1 + (1 + A) (2^(M - L1) - 1) / (1 + A + rho2))
+        r2_cut1 = log2(1 + (2^(M - d1) - 1) / (1 + rho2)),  d1 = c1 - r1.
+
+    Written with expm1 and log1p, neither crossing cancels when it is tiny
+    against a huge SNR, and log1p is monotone, so it is applied once, to
+    the larger argument.  A, d1 and M are shared with the branch minimum,
+    whose two branches that fall with r2 are taken as one, M - r2:
+    rounding is monotone, so min(x + c, y + c) and min(x, y) + c are the
+    same float.  Likewise (-rho)(-u) stands in for rho u with the same bits.
 
     `lanes` holds the per-lane constants (-rho1, rho2, -rho2, 1 + rho2,
     c1, c2).  Every array in `work` has the shape of r1 and is overwritten;
     the returned (value, r2) are two of them.  The caller holds the error
-    state that lets 2^x overflow and log2(0) diverge.
+    state that lets expm1 overflow and log1p(-1) diverge.
     """
     neg_rho1, rho2, neg_rho2, rho2_plus_1, c1, c2 = lanes
     t1, d1, m, v, w, r2 = work
-    np.multiply(r1, -_LN2, out=t1)  # t1 = rho1 u1 with u1 = -expm1(-r1 ln2)
+    np.multiply(r1, -_LN2, out=t1)  # t1 = A = rho1 u1 with u1 = -expm1(-r1 ln2)
     np.expm1(t1, out=t1)
     np.multiply(neg_rho1, t1, out=t1)
-    np.log1p(t1, out=m)  # m + c2
-    np.divide(m, _LN2, out=m)
+    np.log1p(t1, out=v)  # v = L1
+    np.divide(v, _LN2, out=v)
     np.subtract(c1, r1, out=d1)
-    np.minimum(m, d1, out=m)
+    np.minimum(v, d1, out=m)  # m = M
     np.add(m, c2, out=m)
-    np.add(1.0, t1, out=v)  # v_both = (1 + rho1 u1 + rho2) / (2^(m+c2) + rho2)
-    np.add(v, rho2, out=v)
-    np.exp2(m, out=w)
+    np.subtract(m, v, out=v)  # v = (1 + A) expm1((M - L1) ln2) / (1 + A + rho2)
+    np.multiply(v, _LN2, out=v)
+    np.expm1(v, out=v)
+    np.add(1.0, t1, out=w)
+    np.multiply(v, w, out=v)
     np.add(w, rho2, out=w)
     np.divide(v, w, out=v)
-    np.subtract(m, d1, out=w)  # v_cut1 = (1 + rho2) / (2^(m+c2-(c1-r1)) + rho2)
-    np.exp2(w, out=w)
-    np.add(w, rho2, out=w)
-    np.divide(rho2_plus_1, w, out=w)
-    np.minimum(v, w, out=v)
-    np.log2(v, out=r2)
-    np.negative(r2, out=r2)
+    np.subtract(m, d1, out=w)  # w = expm1((M - d1) ln2) / (1 + rho2)
+    np.multiply(w, _LN2, out=w)
+    np.expm1(w, out=w)
+    np.divide(w, rho2_plus_1, out=w)
+    np.maximum(v, w, out=r2)
+    np.log1p(r2, out=r2)
+    np.divide(r2, _LN2, out=r2)
     np.maximum(r2, 0.0, out=r2)
     np.minimum(r2, c2, out=r2)
 
@@ -276,36 +288,40 @@ def _probe(lanes, r1, work):
     np.divide(w, _LN2, out=w)
     np.add(d1, w, out=w)
     np.minimum(v, w, out=v)
-    np.subtract(m, r2, out=m)  # min(cut2, cut12) = (m + c2) - r2
+    np.subtract(m, r2, out=m)  # min(cut2, cut12) = M - r2
     np.minimum(v, m, out=v)
     return v, r2
 
 
 def _maxmin_general(rho1, rho2, c1, c2):
-    """Golden-section over r1 with the exact inner solve; both SNRs positive.
+    """K-probe section search over r1 with the exact inner solve; both SNRs
+    positive.
 
-    The two probes of a step share one (2, n) evaluation, and every
-    temporary lives in a buffer allocated once per call.
+    The value is concave in r1, so with the best of the K equally spaced
+    interior probes p_1..p_K of [lo, hi] at p_i (first on ties; p_0 = lo,
+    p_(K+1) = hi), the maximizer lies in [p_(i-1), p_(i+1)].  All K probes
+    of a step share one (K, n) evaluation, and every temporary lives in a
+    buffer allocated once per call.
     """
     n = c1.shape[0]
     lanes = (-rho1, rho2, -rho2, 1.0 + rho2, c1, c2)
-    lo = np.zeros_like(c1)
-    hi = c1.copy()
-    step = np.empty_like(c1)
-    probes = np.empty((2, n))
-    work = np.empty((6, 2, n))
-    upper = np.empty(n, dtype=bool)
+    grid = np.empty((_SECTION_PROBES + 2, n))
+    lo, inner, hi = grid[0], grid[1:-1], grid[-1]
+    lo.fill(0.0)
+    hi[:] = c1
+    fractions = (np.arange(1.0, _SECTION_PROBES + 1.0) / (_SECTION_PROBES + 1.0))[:, None]
+    width = np.empty(n)
+    columns = np.arange(n)
+    work = np.empty((6, _SECTION_PROBES, n))
     with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(_GOLDEN_ITERS):
-            np.subtract(hi, lo, out=step)
-            np.multiply(_INVPHI, step, out=step)
-            np.subtract(hi, step, out=probes[0])
-            np.add(lo, step, out=probes[1])
-            values, _ = _probe(lanes, probes, work)
-            np.less(values[0], values[1], out=upper)
-            np.copyto(lo, probes[0], where=upper)
-            np.logical_not(upper, out=upper)
-            np.copyto(hi, probes[1], where=upper)
+        for _ in range(_SECTION_STEPS):
+            np.subtract(hi, lo, out=width)
+            np.multiply(fractions, width, out=inner)
+            np.add(inner, lo, out=inner)
+            values, _ = _probe(lanes, inner, work)
+            best = np.argmax(values, axis=0)
+            hi[:] = grid[best + 2, columns]
+            lo[:] = grid[best, columns]
         r1 = 0.5 * (lo + hi)
         value, r2 = _probe(lanes, r1, work[:, 0])
     return value, r1, r2
@@ -332,15 +348,13 @@ def _maxmin_batch(rho1, rho2, c1, c2):
 
     only1 = live1 & ~live2
     if np.any(only1):
-        v = _one_relay_value(rho1[only1], c1[only1])
-        value[only1] = v
-        r1[only1] = np.maximum(c1[only1] - v, 0.0)
+        value[only1] = _one_relay_value(rho1[only1], c1[only1])
+        r1[only1] = _one_relay_rate(rho1[only1], c1[only1])
 
     only2 = live2 & ~live1
     if np.any(only2):
-        v = _one_relay_value(rho2[only2], c2[only2])
-        value[only2] = v
-        r2[only2] = np.maximum(c2[only2] - v, 0.0)
+        value[only2] = _one_relay_value(rho2[only2], c2[only2])
+        r2[only2] = _one_relay_rate(rho2[only2], c2[only2])
 
     both = live1 & live2
     if np.any(both):
@@ -359,9 +373,10 @@ def solve_maxmin(
 ) -> tuple[float, tuple[float, float]]:
     """Max-min compression-rate value and its maximizer for one instance.
 
-    The outer search is a golden-section scan of the concave value function
-    of r1; the inner maximization over r2 is solved in closed form at every
-    probe, so the returned value is exact to float64 rounding.
+    The outer search is a K-probe section search of the concave value
+    function of r1; the inner maximization over r2 is solved in closed form,
+    without cancellation, at every probe, so the returned value is exact to
+    float64 rounding.
     """
     rho1, rho2 = problem.snrs
     c1, c2 = problem.budgets

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 from .channel import SystemConfig
 from .errors import BracketError
-from .numerics import SolverSettings, _e1_scaled, bisect, exp_integral_e1
-
-_LN2 = math.log(2.0)
+from .numerics import _LN2, SolverSettings, _e1_scaled, bisect, exp_integral_e1
 
 
 @dataclass(frozen=True)

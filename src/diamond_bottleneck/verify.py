@@ -20,6 +20,7 @@ from .channel import SnrPair, SystemConfig, sample_gains, xi_quantile
 from .fixed_rate import fixed_rate
 from .mmse import calibrate
 from .numerics import (
+    _LN2,
     MaxMinProblem,
     SolverSettings,
     exp_integral_e1,
@@ -30,8 +31,6 @@ from .numerics import (
 from .qci import build_grid, cell_rate, optimize_allocation
 from .sweeps import SweepSpec, render_rows
 from .upper_bound import budget_integral, rate_at_level, upper_bound
-
-_LN2 = math.log(2.0)
 
 
 def _one_relay_closed_form(rho: float, c: float) -> float:
@@ -71,8 +70,21 @@ def _check_solver_vs_grid(settings: SolverSettings):
         oracle = maxmin_grid_oracle(problem, replace(settings, grid_points=density))
         worst_gap = max(worst_gap, abs(value - oracle))
         worst_under = max(worst_under, oracle - value)
-    ok = worst_gap <= 1e-3 and worst_under <= 1e-6
-    return ok, f"max gap {worst_gap:.2e}, max undershoot {worst_under:.2e}"
+    # SNR from -60 to 150 dB and budgets to 60 bits, on a fixed lattice: too
+    # coarse to bound the gap, but the solver must still never fall below it.
+    wide = replace(settings, grid_points=2000)
+    wide_under = 0.0
+    for _ in range(10):
+        snrs = tuple(10.0 ** rng.uniform(-6.0, 15.0, 2))
+        budgets = tuple(rng.uniform(0.0, 60.0, 2))
+        problem = MaxMinProblem(snrs=snrs, budgets=budgets)
+        value, _ = solve_maxmin(problem, settings)
+        wide_under = max(wide_under, maxmin_grid_oracle(problem, wide) - value)
+    ok = worst_gap <= 1e-3 and worst_under <= 1e-6 and wide_under <= 1e-9
+    return ok, (
+        f"max gap {worst_gap:.2e}, max undershoot {worst_under:.2e}, "
+        f"to 150 dB {wide_under:.2e}"
+    )
 
 
 def _check_one_relay(settings: SolverSettings):

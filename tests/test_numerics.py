@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import exp1
 
 from diamond_bottleneck.channel import SnrPair
@@ -26,6 +28,7 @@ from diamond_bottleneck.numerics import (
     maxmin_grid_oracle,
     solve_maxmin,
 )
+from diamond_bottleneck.verify import _check_solver_vs_grid
 
 SETTINGS = SolverSettings()
 
@@ -144,7 +147,8 @@ class TestBisect:
 class TestMaxMinProblem:
     def test_valid_construction(self):
         problem = MaxMinProblem(snrs=(1.0, 2.0), budgets=(3.0, 4.0))
-        assert problem.relay_count == 2
+        assert problem.snrs == (1.0, 2.0)
+        assert problem.budgets == (3.0, 4.0)
 
     def test_accepts_snr_pair(self):
         problem = MaxMinProblem(snrs=SnrPair(1.0, 2.0), budgets=(3.0, 4.0))
@@ -158,7 +162,6 @@ class TestMaxMinProblem:
             {"snrs": (-1.0, 1.0), "budgets": (1.0, 1.0)},
             {"snrs": (1.0, 1.0), "budgets": (1.0, float("nan"))},
             {"snrs": (1.0, 1.0), "budgets": (1.0, float("inf"))},
-            {"snrs": (1.0, 1.0), "budgets": (1.0, 1.0), "relay_count": 3},
         ],
     )
     def test_invalid_construction(self, kwargs):
@@ -242,6 +245,35 @@ class TestSolveMaxmin:
             oracle = maxmin_grid_oracle(problem, SolverSettings(grid_points=2000))
             assert value >= oracle - 1e-6
 
+    def test_verify_check_reaches_high_snr(self):
+        # Seed 46 draws an instance above 140 dB where an inner solve that
+        # cancels falls 1e-3 bits below the 2000-point lattice.
+        ok, detail = _check_solver_vs_grid(SolverSettings(seed=46))
+        assert ok, detail
+
+
+# SNR from -60 to 150 dB, log-uniform, plus a silent relay; budgets 0..60 bits.
+SNRS = st.one_of(st.just(0.0), st.floats(-6.0, 15.0).map(lambda e: 10.0**e))
+BUDGETS = st.floats(0.0, 60.0)
+
+
+class TestMaxMinInvariants:
+    # Two instances where an inner solve that cancels falls below the
+    # lattice, and relays at -300 dB whose crossings round past the budget.
+    @given(SNRS, SNRS, BUDGETS, BUDGETS)
+    @example(8.24, 1.51e14, 35.631, 0.111)
+    @example(6.87e14, 0.0256, 3.864, 42.814)
+    @example(1e6, 1e-30, 20.0, 15.0)
+    @example(1e-30, 0.0, 0.23, 0.0)
+    def test_never_below_lattice_and_consistent(self, rho1, rho2, c1, c2):
+        value, r1, r2 = (float(x) for x in _maxmin_batch(rho1, rho2, c1, c2))
+        oracle = maxmin_grid_oracle(MaxMinProblem((rho1, rho2), (c1, c2)), SETTINGS)
+        assert value >= oracle - 1e-12
+        assert 0.0 <= r1 <= c1
+        assert 0.0 <= r2 <= c2
+        at_r = max(float(_branch_min(rho1, rho2, c1, c2, r1, r2)), 0.0)
+        assert value == pytest.approx(at_r, abs=1e-12)
+
 
 class TestGridOracle:
     def test_zero_snr(self):
@@ -279,24 +311,44 @@ class TestGridOracle:
 
 
 # (rho1, rho2, c1, c2, value, r1, r2) with the results as float.hex, recorded
-# from the unfused kernel that preceded the current one.  The kernel is a
-# fixed floating-point schedule, so any change of its operations or of their
-# order shows here as a changed bit.
+# from the K-probe section search with the cancellation-free inner solve.
+# The kernel is a fixed floating-point schedule, so any change of its
+# operations or of their order shows here as a changed bit.
 PINNED_MAXMIN = [
-    (0.001, 0.001, 1.0, 1.0, '0x1.79d0ecabe7a5bp-10', '0x1.ffa18bab19034p-1', '0x1.ffa18bde9108ep-1'),
-    (0.001, 5.0, 30.0, 0.5, '0x1.9ec698d7876e6p-2', '0x1.dff9375c76d50p+4', '0x1.8acda1a07d3c5p-4'),
-    (0.5, 2.0, 3.0, 7.0, '0x1.c20c0f26e095fp+0', '0x1.66fd12b8d5404p+1', '0x1.5bfe72d9dd3a6p+2'),
-    (1.0, 1.0, 1.0, 1.0, '0x1.86bf2c918364bp-1', '0x1.3ca069bf1bf1cp-1', '0x1.3ca069af60a97p-1'),
-    (10.0, 10.0, 30.0, 30.0, '0x1.191bba82d3338p+2', '0x1.bcd8e0a0b4624p+4', '0x1.bce030be96d0ep+4'),
-    (37.5, 0.2, 4.25, 12.0, '0x1.efaa260e7f823p+1', '0x1.47fa9e342e20ep-1', '0x1.7795cc991d3d6p+3'),
-    (1000.0, 1000.0, 10.0, 10.0, '0x1.5ce9a0dc72c51p+3', '0x1.23165dfcd3fb2p+2', '0x1.2316604a467acp+2'),
-    (25000.0, 300.0, 0.75, 22.0, '0x1.1f197fa8931f7p+3', '0x1.7ddfab5c2a0d5p-7', '0x1.b887086c95d61p+3'),
-    (1e6, 1e6, 20.0, 5.0, '0x1.494892818615ap+4', '0x1.1addb43a08144p+1', '0x1.1addb7b9c73f4p+1'),
-    (3e7, 1e9, 15.0, 15.0, '0x1.cf271f3a63f84p+4', '0x1.9cd9b9c4a34f2p-10', '0x1.0d26d5eb4f531p+0'),
-    (1e9, 1e9, 30.0, 30.0, '0x1.ee5b4fa8ece92p+4', '0x1.d1a4928c522dap+3', '0x1.d1a4ce21d4004p+3'),
-    (1e9, 0.004, 25.0, 2.0, '0x1.8f4e148b86ea1p+4', '0x1.8734ef1c937e1p-5', '0x1.fee50fceacc2bp+0'),
+    (0.001, 0.001, 1.0, 1.0, '0x1.79d0ecabe7a5bp-10', '0x1.ffa18b1c02c2ap-1', '0x1.ffa18c6da7498p-1'),
+    (0.001, 5.0, 30.0, 0.5, '0x1.9ec698d7876edp-2', '0x1.dff9ebdcb897cp+4', '0x1.8acda1a07d3cbp-4'),
+    (0.5, 2.0, 3.0, 7.0, '0x1.c20c0f26e095fp+0', '0x1.66fd12b8d5403p+1', '0x1.5bfe72d9dd3a6p+2'),
+    (1.0, 1.0, 1.0, 1.0, '0x1.86bf2c918364bp-1', '0x1.3ca068cf6039ep-1', '0x1.3ca06a9f1c617p-1'),
+    (10.0, 10.0, 30.0, 30.0, '0x1.191bba82d333bp+2', '0x1.bcd8fa4bde492p+4', '0x1.bce017136ce9fp+4'),
+    (37.5, 0.2, 4.25, 12.0, '0x1.efaa260e7f825p+1', '0x1.47fa9e342e202p-1', '0x1.7795cc991d3d6p+3'),
+    (1000.0, 1000.0, 10.0, 10.0, '0x1.5ce9a0dc72c52p+3', '0x1.23165dea2aba6p+2', '0x1.2316605cefbb7p+2'),
+    (25000.0, 300.0, 0.75, 22.0, '0x1.1f197fa8931f7p+3', '0x1.7ddfab5c2a056p-7', '0x1.b887086c95d61p+3'),
+    (1e6, 1e6, 20.0, 5.0, '0x1.494892818615ap+4', '0x1.1addb43108b84p+1', '0x1.1addb7c2c69b1p+1'),
+    (3e7, 1e9, 15.0, 15.0, '0x1.cf271f3a63f85p+4', '0x1.9cd9b9c49d14ep-10', '0x1.0d26d5eb4f536p+0'),
+    (1e9, 1e9, 30.0, 30.0, '0x1.ee5b4fa8ece93p+4', '0x1.d1a4afc6144dbp+3', '0x1.d1a4b0e811dfep+3'),
+    (1e9, 0.004, 25.0, 2.0, '0x1.8f4e148b86ea2p+4', '0x1.8734ef1c936aep-5', '0x1.fee50fceacc2cp+0'),
     (8.0, 3.0, 0.0, 6.0, '0x1.ef14c7605d606p+0', '0x0.0p+0', '0x1.043ace27e8a7ep+2'),
-    (0.0, 50.0, 9.0, 9.0, '0x1.626e9372ecb75p+2', '0x0.0p+0', '0x1.bb22d91a26916p+1'),
+    (0.0, 50.0, 9.0, 9.0, '0x1.626e9372ecb75p+2', '0x0.0p+0', '0x1.bb22d91a26915p+1'),
+]
+
+# The values of the same instances, as float.hex, from the golden-section
+# kernel with the inner solve r2 = -log2(min(v_both, v_cut1)) that preceded
+# it.  Where that solve did not cancel, the two agree to a few ulps.
+PREVIOUS_MAXMIN_VALUES = [
+    '0x1.79d0ecabe7a5bp-10',  # 0.001, 0.001, 1.0, 1.0
+    '0x1.9ec698d7876e6p-2',  # 0.001, 5.0, 30.0, 0.5
+    '0x1.c20c0f26e095fp+0',  # 0.5, 2.0, 3.0, 7.0
+    '0x1.86bf2c918364bp-1',  # 1.0, 1.0, 1.0, 1.0
+    '0x1.191bba82d3338p+2',  # 10.0, 10.0, 30.0, 30.0
+    '0x1.efaa260e7f823p+1',  # 37.5, 0.2, 4.25, 12.0
+    '0x1.5ce9a0dc72c51p+3',  # 1000.0, 1000.0, 10.0, 10.0
+    '0x1.1f197fa8931f7p+3',  # 25000.0, 300.0, 0.75, 22.0
+    '0x1.494892818615ap+4',  # 1e6, 1e6, 20.0, 5.0
+    '0x1.cf271f3a63f84p+4',  # 3e7, 1e9, 15.0, 15.0
+    '0x1.ee5b4fa8ece92p+4',  # 1e9, 1e9, 30.0, 30.0
+    '0x1.8f4e148b86ea1p+4',  # 1e9, 0.004, 25.0, 2.0
+    '0x1.ef14c7605d606p+0',  # 8.0, 3.0, 0.0, 6.0
+    '0x1.626e9372ecb75p+2',  # 0.0, 50.0, 9.0, 9.0
 ]
 
 
@@ -317,6 +369,12 @@ class TestMaxMinKernelBits:
         for case in PINNED_MAXMIN:
             value, r1, r2 = _maxmin_batch(*case[:4])
             assert (float(value).hex(), float(r1).hex(), float(r2).hex()) == case[4:]
+
+    def test_values_near_previous_kernel(self):
+        inputs = np.array([case[:4] for case in PINNED_MAXMIN]).T
+        value, _, _ = _maxmin_batch(*inputs)
+        previous = np.array([float.fromhex(h) for h in PREVIOUS_MAXMIN_VALUES])
+        assert np.max(np.abs(value - previous)) <= 2e-14
 
     def test_lane_chunk_invariance(self):
         # QCI merges its value and gradient lanes into one call and TCI its
