@@ -21,9 +21,9 @@ from diamond_bottleneck import (
     mmse_rate,
     qci_lower_bound,
     tci_best,
-    tci_rate,
     upper_bound,
 )
+from diamond_bottleneck.tci import tci_rate
 
 SETTINGS = SolverSettings()
 
@@ -48,7 +48,7 @@ def main() -> None:
     print()
     print("Truncated inversion: the threshold trades activity against noise")
     for threshold in (0.1, 0.3, 0.6, 1.0, 1.5):
-        point = tci_rate(threshold, config, SETTINGS)
+        point = tci_rate(threshold, config)
         print(
             f"  threshold {threshold:3.1f}: active {100 * point.p_active:5.1f}% of the time, "
             f"conditional snr {point.cond_snr:9.1f}, rate {point.rate:8.4f} bits"

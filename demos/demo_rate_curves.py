@@ -13,7 +13,7 @@ Writes rate_vs_snr.csv and rate_vs_budget.csv into the working directory
 import sys
 from pathlib import Path
 
-from diamond_bottleneck import fig2_spec, fig3_spec, run_sweep
+from diamond_bottleneck.sweeps import fig2_spec, fig3_spec, run_sweep
 
 COLUMNS = ("ub", "qci_J2", "qci_J4", "qci_J8", "tci", "mmse")
 

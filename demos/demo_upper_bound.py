@@ -9,13 +9,8 @@ calibration have exponential-integral closed forms, so the bound is exact
 from tiny to huge budgets.
 """
 
-from diamond_bottleneck import (
-    SolverSettings,
-    SystemConfig,
-    budget_integral,
-    saturation_rate,
-    upper_bound,
-)
+from diamond_bottleneck import SolverSettings, SystemConfig, upper_bound
+from diamond_bottleneck.upper_bound import budget_integral, saturation_rate
 
 SETTINGS = SolverSettings()
 

@@ -6,17 +6,14 @@ state, and linear-estimator forwarding) for a Gaussian network in which
 two relays observe independently faded copies of one transmitted signal
 and forward descriptions over rate-limited error-free links.  All rates
 are in bits per complex channel use.
+
+The package root holds the library API: the problem and settings types,
+the four bounds, the fixed-fading max-min rate, their result types, and
+the error types.  Sweeps, self-checks and the building blocks of each
+scheme are imported from their submodules.
 """
 
-from .channel import (
-    ChannelState,
-    SnrPair,
-    SystemConfig,
-    eigen_density,
-    sample_gains,
-    sample_state,
-    xi_quantile,
-)
+from .channel import SnrPair, SystemConfig
 from .errors import (
     BracketError,
     DegenerateBudget,
@@ -24,113 +21,32 @@ from .errors import (
     InvalidArgument,
     NonConvergent,
 )
-from .fixed_rate import FixedRateResult, branch_minimum, fixed_rate
-from .mmse import MmseCalibration, MmseResult, calibrate, mmse_rate
-from .numerics import (
-    MaxMinProblem,
-    SolverSettings,
-    bisect,
-    exp_integral_e1,
-    integrate_semiinfinite,
-    maxmin_grid_oracle,
-    solve_maxmin,
-)
-from .qci import (
-    QciAllocation,
-    QuantizationGrid,
-    build_grid,
-    cell_rate,
-    optimize_allocation,
-    qci_lower_bound,
-)
-from .sweeps import (
-    SCHEMES,
-    BoundResult,
-    SweepSpec,
-    compute_point,
-    db_to_linear,
-    fig2_spec,
-    fig3_spec,
-    linear_to_db,
-    render_rows,
-    run_sweep,
-    sweep_points,
-)
-from .tci import (
-    THRESHOLD_GRID,
-    ConditionalStats,
-    TciPoint,
-    conditional_stats,
-    tci_best,
-    tci_rate,
-    tci_rate_per_relay,
-)
-from .upper_bound import (
-    UpperBoundResult,
-    budget_integral,
-    rate_at_level,
-    saturation_rate,
-    upper_bound,
-)
-from .verify import verify
+from .fixed_rate import FixedRateResult, fixed_rate
+from .mmse import MmseResult, mmse_rate
+from .numerics import SolverSettings
+from .qci import QciAllocation, qci_lower_bound
+from .tci import TciPoint, tci_best
+from .upper_bound import UpperBoundResult, upper_bound
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BoundResult",
     "BracketError",
-    "ChannelState",
-    "ConditionalStats",
     "DegenerateBudget",
     "DomainError",
     "FixedRateResult",
     "InvalidArgument",
-    "MaxMinProblem",
-    "MmseCalibration",
     "MmseResult",
     "NonConvergent",
     "QciAllocation",
-    "QuantizationGrid",
-    "SCHEMES",
     "SnrPair",
     "SolverSettings",
-    "SweepSpec",
     "SystemConfig",
-    "THRESHOLD_GRID",
     "TciPoint",
     "UpperBoundResult",
-    "bisect",
-    "branch_minimum",
-    "budget_integral",
-    "build_grid",
-    "calibrate",
-    "cell_rate",
-    "compute_point",
-    "conditional_stats",
-    "db_to_linear",
-    "eigen_density",
-    "exp_integral_e1",
-    "fig2_spec",
-    "fig3_spec",
     "fixed_rate",
-    "integrate_semiinfinite",
-    "linear_to_db",
-    "maxmin_grid_oracle",
     "mmse_rate",
-    "optimize_allocation",
     "qci_lower_bound",
-    "rate_at_level",
-    "render_rows",
-    "run_sweep",
-    "sample_gains",
-    "sample_state",
-    "saturation_rate",
-    "solve_maxmin",
-    "sweep_points",
     "tci_best",
-    "tci_rate",
-    "tci_rate_per_relay",
     "upper_bound",
-    "verify",
-    "xi_quantile",
 ]

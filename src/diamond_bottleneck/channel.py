@@ -38,22 +38,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class ChannelState:
-    """One joint fading realization; phases ride along in the complex values."""
-
-    s1: complex
-    s2: complex
-
-    @property
-    def gains(self) -> tuple[float, float]:
-        return (abs(self.s1) ** 2, abs(self.s2) ** 2)
-
-    def snrs(self, config: SystemConfig) -> "SnrPair":
-        g1, g2 = self.gains
-        return SnrPair(g1 / config.noise_power, g2 / config.noise_power)
-
-
-@dataclass(frozen=True)
 class SnrPair:
     """Per-realization linear SNRs of the two source-relay channels."""
 
@@ -65,48 +49,19 @@ class SnrPair:
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidArgument(f"SNRs must be finite and nonnegative, got {value}")
 
-    def __iter__(self):
-        return iter((self.rho1, self.rho2))
-
-    def __len__(self) -> int:
-        return 2
-
-    def __getitem__(self, index: int) -> float:
-        return (self.rho1, self.rho2)[index]
-
-
-def sample_state(random_source: np.random.Generator, config: SystemConfig) -> ChannelState:
-    """Draw one independent fading pair; real and imaginary parts N(0, 1/2)."""
-    parts = random_source.normal(0.0, math.sqrt(0.5), size=4)
-    return ChannelState(
-        s1=complex(parts[0], parts[1]),
-        s2=complex(parts[2], parts[3]),
-    )
-
 
 def sample_gains(random_source: np.random.Generator, count: int) -> np.ndarray:
     """count squared-gain draws |s|^2 for one relay, i.e. unit-mean exponentials.
 
-    Sampled through the complex-Gaussian route rather than rng.exponential so
-    the law matches sample_state by construction rather than by a separate
-    distributional argument.
+    Sampled through the complex-Gaussian route, real and imaginary parts
+    N(0, 1/2), rather than rng.exponential, so the law follows from the
+    fading model by construction rather than by a separate distributional
+    argument.
     """
     if count < 1:
         raise InvalidArgument("count must be positive")
     parts = random_source.normal(0.0, math.sqrt(0.5), size=(count, 2))
     return parts[:, 0] ** 2 + parts[:, 1] ** 2
-
-
-def eigen_density(lam):
-    """Density lam * exp(-lam) of the one positive eigenvalue of the combined
-    fading outer product, i.e. of the summed squared gains of both relays."""
-    arr = np.asarray(lam, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("eigenvalue density is defined on [0, inf)")
-    out = arr * np.exp(-arr)
-    if np.isscalar(lam) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def xi_quantile(p: float) -> float:

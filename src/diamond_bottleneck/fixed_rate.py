@@ -1,19 +1,17 @@
 """Max-min achievable rate for one fixed SNR pair and one budget pair.
 
-Thin wrapper over the numerics solver that also reports which of the four
-cut-set branches are tight at the optimum.  Reused by the quantized and
-truncated inversion schemes with their effective SNRs and budgets.
+The scalar entry point into the batched max-min kernel: it solves one
+instance and reports which of the four cut-set branches are tight at the
+optimum.  The quantized and truncated inversion schemes call the kernel
+directly, batched over their cells and thresholds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import SnrPair
-from .numerics import MaxMinProblem, SolverSettings, _branch_min, solve_maxmin
+from .numerics import MaxMinProblem, _branches, _maxmin_batch
 
 # Branch labels name the set of relays whose leftover-budget term is active.
 _SUBSET_LABELS = ("{}", "{1}", "{2}", "{1,2}")
@@ -28,49 +26,19 @@ class FixedRateResult:
     active_subsets: tuple[str, ...]
 
 
-def _branch_values(rho1, rho2, c1, c2, r1, r2) -> tuple[float, float, float, float]:
-    ln2 = math.log(2.0)
-    u1 = -math.expm1(-r1 * ln2)
-    u2 = -math.expm1(-r2 * ln2)
-    return (
-        math.log1p(rho1 * u1 + rho2 * u2) / ln2,
-        c1 - r1 + math.log1p(rho2 * u2) / ln2,
-        math.log1p(rho1 * u1) / ln2 + c2 - r2,
-        c1 - r1 + c2 - r2,
-    )
-
-
-def fixed_rate(
-    snrs: SnrPair,
-    budgets: tuple[float, float],
-    settings: SolverSettings,
-) -> FixedRateResult:
+def fixed_rate(snrs: SnrPair, budgets: tuple[float, float]) -> FixedRateResult:
     """Solve the two-relay max-min rate and label the tight branches.
 
     A branch is reported active when its value at the optimizer is within
     1e-6 of the branch minimum.
     """
     problem = MaxMinProblem(snrs=(snrs.rho1, snrs.rho2), budgets=tuple(budgets))
-    value, r_opt = solve_maxmin(problem, settings)
-    branches = _branch_values(snrs.rho1, snrs.rho2, budgets[0], budgets[1], *r_opt)
+    value, r1, r2 = (float(x) for x in _maxmin_batch(*problem.snrs, *problem.budgets))
+    branches = [float(b) for b in _branches(*problem.snrs, *problem.budgets, r1, r2)]
     floor = min(branches)
     active = tuple(
         label
         for label, branch in zip(_SUBSET_LABELS, branches)
         if branch - floor <= _ACTIVE_TOL
     )
-    return FixedRateResult(rate=value, r_opt=r_opt, active_subsets=active)
-
-
-def branch_minimum(
-    snrs: SnrPair,
-    budgets: tuple[float, float],
-    r: tuple[float, float],
-) -> float:
-    """Objective value at a given compression-rate pair; no optimization."""
-    value = _branch_min(
-        np.asarray(snrs.rho1), np.asarray(snrs.rho2),
-        np.asarray(budgets[0]), np.asarray(budgets[1]),
-        np.asarray(r[0]), np.asarray(r[1]),
-    )
-    return float(value)
+    return FixedRateResult(rate=value, r_opt=(r1, r2), active_subsets=active)

@@ -70,7 +70,7 @@ class MmseResult:
     degenerate: bool = False
 
 
-def calibrate(config: SystemConfig, settings: SolverSettings) -> MmseCalibration:
+def calibrate(config: SystemConfig) -> MmseCalibration:
     """Closed-form moments of the estimator gain and the matched distortions."""
     if config.c1 <= 0.0 or config.c2 <= 0.0:
         raise DegenerateBudget("calibration needs strictly positive budgets on both links")
@@ -156,7 +156,7 @@ def mmse_rate(config: SystemConfig, settings: SolverSettings) -> MmseResult:
             constraint_check=(0.0, 0.0),
             degenerate=True,
         )
-    cal = calibrate(config, settings)
+    cal = calibrate(config)
     coarse, rate = (_rate_at_order(order, config.noise_power, cal) for order in _ORDERS)
     checks = tuple(
         math.log1p(cal.est_power[k] / cal.distortion[k]) / _LN2 for k in (0, 1)

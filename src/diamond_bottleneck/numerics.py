@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -217,14 +217,21 @@ def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.minimum(np.log1p(np.expm1(c * _LN2) / (1.0 + rho)) / _LN2, c)
 
 
-def _branch_min(rho1, rho2, c1, c2, r1, r2):
-    """Minimum over the four cut branches at compression rates (r1, r2)."""
+def _branches(rho1, rho2, c1, c2, r1, r2):
+    """The four cut branches at compression rates (r1, r2): no cut, and the
+    leftover-budget terms of relay 1, of relay 2 and of both."""
     u1 = -np.expm1(-r1 * _LN2)
     u2 = -np.expm1(-r2 * _LN2)
     both = _log2_1p(rho1 * u1 + rho2 * u2)
     cut1 = c1 - r1 + _log2_1p(rho2 * u2)
     cut2 = _log2_1p(rho1 * u1) + c2 - r2
     cut12 = c1 - r1 + c2 - r2
+    return both, cut1, cut2, cut12
+
+
+def _branch_min(rho1, rho2, c1, c2, r1, r2):
+    """Minimum over the four cut branches at compression rates (r1, r2)."""
+    both, cut1, cut2, cut12 = _branches(rho1, rho2, c1, c2, r1, r2)
     return np.minimum(np.minimum(both, cut1), np.minimum(cut2, cut12))
 
 
@@ -367,23 +374,6 @@ def _maxmin_batch(rho1, rho2, c1, c2):
     return value.reshape(shape), r1.reshape(shape), r2.reshape(shape)
 
 
-def solve_maxmin(
-    problem: MaxMinProblem,
-    settings: SolverSettings,
-) -> tuple[float, tuple[float, float]]:
-    """Max-min compression-rate value and its maximizer for one instance.
-
-    The outer search is a K-probe section search of the concave value
-    function of r1; the inner maximization over r2 is solved in closed form,
-    without cancellation, at every probe, so the returned value is exact to
-    float64 rounding.
-    """
-    rho1, rho2 = problem.snrs
-    c1, c2 = problem.budgets
-    value, r1, r2 = _maxmin_batch(rho1, rho2, c1, c2)
-    return float(value), (float(r1), float(r2))
-
-
 def maxmin_grid_oracle(problem: MaxMinProblem, settings: SolverSettings) -> float:
     """Lattice maximum of the branch-minimum objective.
 
@@ -395,7 +385,7 @@ def maxmin_grid_oracle(problem: MaxMinProblem, settings: SolverSettings) -> floa
     never decreases in the second coordinate and a piece that never
     increases, so the row maximum sits at their crossing, located by a
     vectorized binary search.  Shares no solution machinery with
-    solve_maxmin, which makes it an independent cross-check.
+    _maxmin_batch, which makes it an independent cross-check.
     """
     rho1, rho2 = problem.snrs
     c1, c2 = problem.budgets

@@ -3,9 +3,10 @@
 A sweep walks one axis (SNR in dB, or per-relay budget in bits), evaluates
 the requested bounds at every point, and writes one CSV row per point:
 axis columns first, then one rate column per scheme, then one diagnostic
-column per scheme.  Failed schemes leave their cells empty and report on
-stderr; the other columns of the row are unaffected.  Specs that differ
-at most in their seed give byte-identical files.
+column per scheme.  Failed schemes, including those that return a
+non-finite rate, leave their cells empty and report on stderr; the other
+columns of the row are unaffected.  Specs that differ at most in their
+seed give byte-identical files.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -21,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .channel import SystemConfig
-from .errors import InvalidArgument
+from .errors import DomainError, InvalidArgument
 from .mmse import mmse_rate
 from .numerics import SolverSettings
 from .qci import qci_lower_bound
@@ -99,6 +100,8 @@ class SweepSpec:
         if rng is None:
             raise InvalidArgument(f"{name} is required for this mode")
         start, stop, step = rng
+        if not all(math.isfinite(value) for value in rng):
+            raise InvalidArgument(f"{name} start, stop and step must be finite")
         if not (step > 0.0):
             raise InvalidArgument(f"{name} step must be positive")
         if start > stop:
@@ -161,39 +164,42 @@ def compute_point(
         try:
             if scheme == "ub":
                 bound = upper_bound(config, settings)
-                results.append(BoundResult(
+                result = BoundResult(
                     scheme, bound.rate, {"ub_residual": bound.constraint_residual},
-                ))
+                )
             elif scheme.startswith("qci_J"):
                 cells = int(scheme[5:])
                 initial = warm_start.get(scheme) if warm_start is not None else None
                 allocation = qci_lower_bound(cells, config, settings, initial=initial)
                 if warm_start is not None and allocation.feasible:
                     warm_start[scheme] = allocation.c
-                results.append(BoundResult(
+                result = BoundResult(
                     scheme,
                     allocation.lower_bound,
                     {f"{scheme}_iters": float(allocation.iterations)},
-                ))
+                )
             elif scheme == "tci":
                 point = tci_best(config, settings)
-                results.append(BoundResult(
+                result = BoundResult(
                     scheme, point.rate, {"tci_threshold": point.threshold},
-                ))
+                )
             elif scheme == "mmse":
                 outcome = mmse_rate(config, settings)
-                results.append(BoundResult(
+                result = BoundResult(
                     scheme, outcome.rate, {"mmse_halfwidth": outcome.error_estimate},
-                ))
+                )
             else:
                 raise InvalidArgument(f"unknown scheme {scheme!r}")
+            if not math.isfinite(result.rate):
+                raise DomainError(f"non-finite rate {result.rate}")
         except Exception as error:  # noqa: BLE001 - row isolation is the contract
             print(
                 f"warning: scheme {scheme} failed at noise_power={config.noise_power:g}, "
                 f"c=({config.c1:g}, {config.c2:g}): {error}",
                 file=sys.stderr,
             )
-            results.append(BoundResult(scheme, None))
+            result = BoundResult(scheme, None)
+        results.append(result)
     return results
 
 

@@ -103,29 +103,9 @@ def _tci_points(thresholds, config: SystemConfig) -> list[TciPoint]:
     return points
 
 
-def tci_rate(threshold: float, config: SystemConfig, settings: SolverSettings) -> TciPoint:
+def tci_rate(threshold: float, config: SystemConfig) -> TciPoint:
     """Bound value at one shared threshold for both relays."""
     return _tci_points((threshold,), config)[0]
-
-
-def tci_rate_per_relay(
-    thresholds: tuple[float, float],
-    config: SystemConfig,
-    settings: SolverSettings,
-) -> float:
-    """Bound value with independent per-relay thresholds; rate only."""
-    s1 = conditional_stats(thresholds[0], config)
-    s2 = conditional_stats(thresholds[1], config)
-    b1 = _effective_budget(config.c1, s1.header_bits, s1.p_active)
-    b2 = _effective_budget(config.c2, s2.header_bits, s2.p_active)
-    only1 = float(_one_relay_value(np.asarray(s1.cond_snr), np.asarray(b1)))
-    only2 = float(_one_relay_value(np.asarray(s2.cond_snr), np.asarray(b2)))
-    both, _, _ = _maxmin_batch(s1.cond_snr, s2.cond_snr, b1, b2)
-    return (
-        s1.p_active * (1.0 - s2.p_active) * only1
-        + (1.0 - s1.p_active) * s2.p_active * only2
-        + s1.p_active * s2.p_active * float(both)
-    )
 
 
 def tci_best(config: SystemConfig, settings: SolverSettings) -> TciPoint:

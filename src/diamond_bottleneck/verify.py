@@ -26,7 +26,6 @@ from .numerics import (
     exp_integral_e1,
     integrate_semiinfinite,
     maxmin_grid_oracle,
-    solve_maxmin,
 )
 from .qci import build_grid, cell_rate, optimize_allocation
 from .sweeps import SweepSpec, render_rows
@@ -65,7 +64,7 @@ def _check_solver_vs_grid(settings: SolverSettings):
         snrs = tuple(rng.uniform(0.0, 100.0, 2))
         budgets = tuple(rng.uniform(0.0, 10.0, 2))
         problem = MaxMinProblem(snrs=snrs, budgets=budgets)
-        value, _ = solve_maxmin(problem, settings)
+        value = fixed_rate(SnrPair(*snrs), budgets).rate
         density = max(settings.grid_points, int(20000.0 * sum(budgets)) + 2)
         oracle = maxmin_grid_oracle(problem, replace(settings, grid_points=density))
         worst_gap = max(worst_gap, abs(value - oracle))
@@ -78,7 +77,7 @@ def _check_solver_vs_grid(settings: SolverSettings):
         snrs = tuple(10.0 ** rng.uniform(-6.0, 15.0, 2))
         budgets = tuple(rng.uniform(0.0, 60.0, 2))
         problem = MaxMinProblem(snrs=snrs, budgets=budgets)
-        value, _ = solve_maxmin(problem, settings)
+        value = fixed_rate(SnrPair(*snrs), budgets).rate
         wide_under = max(wide_under, maxmin_grid_oracle(problem, wide) - value)
     ok = worst_gap <= 1e-3 and worst_under <= 1e-6 and wide_under <= 1e-9
     return ok, (
@@ -93,7 +92,7 @@ def _check_one_relay(settings: SolverSettings):
     for _ in range(50):
         rho = float(rng.uniform(0.1, 1000.0))
         c = float(rng.uniform(0.1, 15.0))
-        result = fixed_rate(SnrPair(rho, 0.0), (c, 0.0), settings)
+        result = fixed_rate(SnrPair(rho, 0.0), (c, 0.0))
         worst = max(worst, abs(result.rate - _one_relay_closed_form(rho, c)))
     return worst <= 1e-5, f"max abs err {worst:.2e}"
 
@@ -215,7 +214,7 @@ def _check_qci_feasibility(settings: SolverSettings):
 
 def _check_mmse_calibration(settings: SolverSettings):
     config = SystemConfig(noise_power=1.0, c1=7.0, c2=3.0)
-    cal = calibrate(config, settings)
+    cal = calibrate(config)
     worst = max(
         abs(math.log1p(cal.est_power[0] / cal.distortion[0]) / _LN2 - config.c1),
         abs(math.log1p(cal.est_power[1] / cal.distortion[1]) / _LN2 - config.c2),

@@ -13,12 +13,7 @@ from scipy.special import exp1
 from diamond_bottleneck.channel import SnrPair, SystemConfig, sample_gains
 from diamond_bottleneck.fixed_rate import fixed_rate
 from diamond_bottleneck.mmse import calibrate
-from diamond_bottleneck.numerics import (
-    MaxMinProblem,
-    SolverSettings,
-    maxmin_grid_oracle,
-    solve_maxmin,
-)
+from diamond_bottleneck.numerics import MaxMinProblem, SolverSettings, maxmin_grid_oracle
 from diamond_bottleneck.qci import build_grid, qci_lower_bound
 from diamond_bottleneck.tci import conditional_stats
 from diamond_bottleneck.upper_bound import upper_bound
@@ -103,7 +98,7 @@ def test_criterion_4_one_relay_reduction():
     for _ in range(50):
         rho = rng.uniform(0.1, 1000.0)
         c = rng.uniform(0.1, 15.0)
-        result = fixed_rate(SnrPair(rho, 0.0), (c, 0.0), SETTINGS)
+        result = fixed_rate(SnrPair(rho, 0.0), (c, 0.0))
         closed = math.log2((1.0 + rho) / (1.0 + rho * 2.0**-c))
         worst = max(worst, abs(result.rate - closed))
     ok = worst <= 1e-5
@@ -118,7 +113,7 @@ def test_criterion_5_solver_vs_grid_oracle():
         rho = rng.uniform(0.0, 100.0, 2)
         c = rng.uniform(0.0, 10.0, 2)
         problem = MaxMinProblem(snrs=tuple(rho), budgets=tuple(c))
-        value, _ = solve_maxmin(problem, SETTINGS)
+        value = fixed_rate(SnrPair(*rho), tuple(c)).rate
         density = max(SETTINGS.grid_points, int(20000.0 * (c[0] + c[1])) + 2)
         oracle = maxmin_grid_oracle(problem, SolverSettings(grid_points=density))
         worst_gap = max(worst_gap, abs(value - oracle))
@@ -193,7 +188,7 @@ def test_criterion_7_distributional_oracles():
     gain = np.abs(s) ** 2
     estimate = np.conj(s) * y / (gain + s2)
     power = np.abs(estimate) ** 2
-    cal = calibrate(SystemConfig(s2, 5.0, 5.0), SETTINGS)
+    cal = calibrate(SystemConfig(s2, 5.0, 5.0))
     se = float(power.std(ddof=1)) / math.sqrt(n)
     worst_z = max(worst_z, abs(float(power.mean()) - cal.est_power[0]) / se)
 
@@ -221,7 +216,7 @@ def test_criterion_8_feasibility_and_calibration():
         worst = max(worst, float(-allocation.c.min()))
         worst = max(worst, float(np.abs(allocation.c[:, -1]).max()))
     for s2, c1, c2 in [(1e-4, 10.0, 10.0), (0.5, 3.0, 12.0)]:
-        cal = calibrate(SystemConfig(s2, c1, c2), SETTINGS)
+        cal = calibrate(SystemConfig(s2, c1, c2))
         for k, budget in enumerate((c1, c2)):
             described = math.log2(1.0 + cal.est_power[k] / cal.distortion[k])
             worst = max(worst, abs(described - budget))

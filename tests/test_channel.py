@@ -1,22 +1,13 @@
-"""System model: configuration validation, fading draws, gain density, and
-inverse-gain quantiles."""
+"""System model: configuration validation, fading draws, and inverse-gain
+quantiles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from diamond_bottleneck.channel import (
-    ChannelState,
-    SnrPair,
-    SystemConfig,
-    eigen_density,
-    sample_gains,
-    sample_state,
-    xi_quantile,
-)
+from diamond_bottleneck.channel import SnrPair, SystemConfig, sample_gains, xi_quantile
 from diamond_bottleneck.errors import DomainError, InvalidArgument
-from diamond_bottleneck.numerics import SolverSettings, integrate_semiinfinite
 
 # Hand-derived quantiles of the inverse squared gain: -1/ln(p).
 XI_QUARTER = 0.72134752044448
@@ -48,65 +39,11 @@ class TestSystemConfig:
         SystemConfig(noise_power=1.0, c1=0.0, c2=0.0)
 
 
-class TestChannelState:
-    def test_gains_and_snrs(self):
-        state = ChannelState(s1=3.0 + 4.0j, s2=1.0j)
-        assert state.gains == pytest.approx((25.0, 1.0))
-        snrs = state.snrs(SystemConfig(noise_power=0.5, c1=1.0, c2=1.0))
-        assert (snrs.rho1, snrs.rho2) == pytest.approx((50.0, 2.0))
-
-
 class TestSnrPair:
-    def test_sequence_behavior(self):
-        pair = SnrPair(1.5, 2.5)
-        assert len(pair) == 2
-        assert tuple(pair) == (1.5, 2.5)
-        assert pair[0] == 1.5 and pair[1] == 2.5
-
     @pytest.mark.parametrize("bad", [(-1.0, 1.0), (1.0, float("nan")), (float("inf"), 1.0)])
     def test_validation(self, bad):
         with pytest.raises(InvalidArgument):
             SnrPair(*bad)
-
-
-class TestSampleState:
-    CONFIG = SystemConfig(noise_power=1.0, c1=5.0, c2=5.0)
-
-    def test_same_seed_same_states(self):
-        a = [sample_state(np.random.default_rng(11), self.CONFIG) for _ in range(3)]
-        b = [sample_state(np.random.default_rng(11), self.CONFIG) for _ in range(3)]
-        assert a[0] == b[0]
-        draws_a = np.random.default_rng(12)
-        draws_b = np.random.default_rng(12)
-        for _ in range(5):
-            assert sample_state(draws_a, self.CONFIG) == sample_state(draws_b, self.CONFIG)
-
-    def test_gain_moments_at_one_million_draws(self):
-        rng = np.random.default_rng(13)
-        states = [sample_state(rng, self.CONFIG) for _ in range(1000)]
-        # per-state sampling is exercised above; moment checks use the
-        # vectorized path over 1e6 draws
-        gains = sample_gains(np.random.default_rng(14), 1_000_000)
-        assert 0.995 <= float(gains.mean()) <= 1.005
-        assert abs(float(np.mean(gains >= 1.0)) - math.exp(-1.0)) <= 0.002
-        assert abs(float(gains.var()) - 1.0) <= 0.02
-        first = states[0]
-        assert math.isfinite(first.s1.real) and math.isfinite(first.s2.imag)
-
-    def test_component_statistics(self):
-        rng = np.random.default_rng(15)
-        states = [sample_state(rng, self.CONFIG) for _ in range(20000)]
-        s1 = np.array([state.s1 for state in states])
-        s2 = np.array([state.s2 for state in states])
-        n = len(states)
-        bound = 4.0 / math.sqrt(n)  # ~4 standard errors for unit-variance parts
-        assert abs(complex(s1.mean())) <= bound
-        assert abs(complex(s2.mean())) <= bound
-        assert abs(float(np.mean(np.abs(s1) ** 2)) - 1.0) <= 0.02
-        assert abs(float(np.mean(np.abs(s2) ** 2)) - 1.0) <= 0.02
-        # the two fading branches are drawn independently
-        cross = float(np.mean((np.abs(s1) ** 2 - 1.0) * (np.abs(s2) ** 2 - 1.0)))
-        assert abs(cross) <= 0.05
 
 
 class TestSampleGains:
@@ -120,41 +57,11 @@ class TestSampleGains:
         b = sample_gains(np.random.default_rng(2), 1000)
         assert np.array_equal(a, b)
 
-
-class TestEigenDensity:
-    def test_boundary_and_unit_values(self):
-        assert eigen_density(0.0) == 0.0
-        assert eigen_density(1.0) == pytest.approx(math.exp(-1.0), abs=1e-14)
-
-    def test_normalization(self):
-        total = integrate_semiinfinite(eigen_density, 0.0, SolverSettings())
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_mean_is_two(self):
-        mean = integrate_semiinfinite(
-            lambda lam: lam * eigen_density(lam), 0.0, SolverSettings()
-        )
-        assert mean == pytest.approx(2.0, abs=1e-8)
-
-    def test_unimodal_with_peak_at_one(self):
-        grid = np.linspace(0.0, 10.0, 2001)
-        values = eigen_density(grid)
-        assert np.all(values >= 0.0)
-        peak = grid[int(np.argmax(values))]
-        assert peak == pytest.approx(1.0, abs=0.01)
-        diffs = np.diff(values)
-        switch = int(np.argmax(diffs < 0.0))
-        assert np.all(diffs[switch:] <= 1e-12)  # rises once, then falls
-
-    def test_array_input(self):
-        out = eigen_density(np.array([0.0, 1.0, 2.0]))
-        assert out.shape == (3,)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            eigen_density(-0.5)
-        with pytest.raises(DomainError):
-            eigen_density(np.array([0.5, -0.5]))
+    def test_moments_at_one_million_draws(self):
+        gains = sample_gains(np.random.default_rng(14), 1_000_000)
+        assert 0.995 <= float(gains.mean()) <= 1.005
+        assert abs(float(np.mean(gains >= 1.0)) - math.exp(-1.0)) <= 0.002
+        assert abs(float(gains.var()) - 1.0) <= 0.02
 
 
 class TestXiQuantile:

@@ -1,5 +1,6 @@
-"""Fixed-SNR max-min rate wrapper: delegation, active-branch labeling, and
-structural invariants."""
+"""Fixed-SNR max-min rate: delegation to the batched kernel, active-branch
+labeling, the branch values it reads them from, and structural
+invariants."""
 
 import math
 
@@ -7,20 +8,21 @@ import numpy as np
 import pytest
 
 from diamond_bottleneck.channel import SnrPair
-from diamond_bottleneck.fixed_rate import FixedRateResult, branch_minimum, fixed_rate
+from diamond_bottleneck.fixed_rate import FixedRateResult, fixed_rate
 from diamond_bottleneck.numerics import (
     MaxMinProblem,
     SolverSettings,
+    _branch_min,
+    _branches,
+    _maxmin_batch,
     maxmin_grid_oracle,
-    solve_maxmin,
 )
 
-SETTINGS = SolverSettings()
 LOG2_4_3 = 0.41503749927884
 
 
 def rate_of(rho1, rho2, c1, c2) -> FixedRateResult:
-    return fixed_rate(SnrPair(rho1, rho2), (c1, c2), SETTINGS)
+    return fixed_rate(SnrPair(rho1, rho2), (c1, c2))
 
 
 class TestFixedRate:
@@ -42,10 +44,8 @@ class TestFixedRate:
             rho = rng.uniform(0.0, 60.0, 2)
             c = rng.uniform(0.0, 8.0, 2)
             result = rate_of(rho[0], rho[1], c[0], c[1])
-            value, _ = solve_maxmin(
-                MaxMinProblem(snrs=tuple(rho), budgets=tuple(c)), SETTINGS
-            )
-            assert result.rate == pytest.approx(value, abs=1e-12)
+            value, r1, r2 = _maxmin_batch(rho[0], rho[1], c[0], c[1])
+            assert (result.rate, *result.r_opt) == (value, r1, r2)
 
     def test_relay_exchange_symmetry(self):
         rng = np.random.default_rng(22)
@@ -132,17 +132,17 @@ class TestActiveSubsets:
 class TestBranchMinimum:
     def test_value_at_optimizer_matches_rate(self):
         result = rate_of(7.0, 2.0, 3.0, 1.5)
-        value = branch_minimum(SnrPair(7.0, 2.0), (3.0, 1.5), tuple(result.r_opt))
+        value = _branch_min(7.0, 2.0, 3.0, 1.5, *result.r_opt)
         assert value == pytest.approx(result.rate, abs=1e-12)
 
     def test_zero_rates_give_zero(self):
-        assert branch_minimum(SnrPair(3.0, 1.0), (4.0, 4.0), (0.0, 0.0)) == 0.0
+        assert _branch_min(3.0, 1.0, 4.0, 4.0, 0.0, 0.0) == 0.0
 
     def test_full_budget_rates_give_zero(self):
-        assert branch_minimum(SnrPair(3.0, 1.0), (4.0, 4.0), (4.0, 4.0)) == 0.0
+        assert _branch_min(3.0, 1.0, 4.0, 4.0, 4.0, 4.0) == 0.0
 
     def test_hand_computed_minimum(self):
-        value = branch_minimum(SnrPair(3.0, 1.0), (4.0, 4.0), (2.0, 1.0))
+        value = _branch_min(3.0, 1.0, 4.0, 4.0, 2.0, 1.0)
         assert value == pytest.approx(math.log2(3.75), abs=1e-12)
 
     def test_agrees_with_hand_branches(self):
@@ -151,6 +151,8 @@ class TestBranchMinimum:
             rho = rng.uniform(0.0, 80.0, 2)
             c = rng.uniform(0.0, 8.0, 2)
             r = (rng.uniform(0.0, c[0]), rng.uniform(0.0, c[1]))
-            value = branch_minimum(SnrPair(rho[0], rho[1]), (c[0], c[1]), r)
-            expected = min(hand_branch_values(rho[0], rho[1], c[0], c[1], *r).values())
-            assert value == pytest.approx(expected, abs=1e-9)
+            hand = hand_branch_values(rho[0], rho[1], c[0], c[1], *r)
+            branches = _branches(rho[0], rho[1], c[0], c[1], *r)
+            assert branches == pytest.approx(tuple(hand.values()), abs=1e-9)
+            value = _branch_min(rho[0], rho[1], c[0], c[1], *r)
+            assert value == min(branches)

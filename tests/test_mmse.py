@@ -42,7 +42,7 @@ def marginal(u_var, v, order=_ORDERS[-1]):
 def direct_rate(config, order):
     """The rate as the joint log2 term minus both log2 corrections, each
     evaluated as written, without the cancellation _rate_at_order relies on."""
-    cal = calibrate(config, SETTINGS)
+    cal = calibrate(config)
     gains, weights = _gain_rule(order)
     s = config.noise_power
     u = gains / (gains + s)
@@ -55,14 +55,14 @@ def direct_rate(config, order):
 
 class TestCalibrate:
     def test_unit_noise_estimator_power(self):
-        cal = calibrate(SystemConfig(1.0, 5.0, 5.0), SETTINGS)
+        cal = calibrate(SystemConfig(1.0, 5.0, 5.0))
         assert cal.est_power[0] == pytest.approx(EST_POWER_AT_UNIT_NOISE, abs=1e-12)
         assert cal.est_power[0] == cal.est_power[1]
 
     def test_moment_closed_forms(self):
         # independent recomputation through scipy's exponential integral
         for s in (1.0, 0.3, 1e-2, 1e-4):
-            cal = calibrate(SystemConfig(s, 4.0, 6.0), SETTINGS)
+            cal = calibrate(SystemConfig(s, 4.0, 6.0))
             es = scaled_e1(s)
             mean, var = cal.u_moments[0]
             assert mean == pytest.approx(1.0 - s * es, rel=1e-12)
@@ -79,7 +79,7 @@ class TestCalibrate:
 
     def test_moments_against_monte_carlo(self):
         s = 0.1
-        cal = calibrate(SystemConfig(s, 4.0, 4.0), SETTINGS)
+        cal = calibrate(SystemConfig(s, 4.0, 4.0))
         rng = np.random.default_rng(99)
         g = rng.exponential(size=400_000)
         u = g / (g + s)
@@ -94,12 +94,12 @@ class TestCalibrate:
             assert abs(samples.mean() - truth) <= 4.0 * se
 
     def test_low_noise_limit(self):
-        cal = calibrate(SystemConfig(1e-8, 4.0, 4.0), SETTINGS)
+        cal = calibrate(SystemConfig(1e-8, 4.0, 4.0))
         assert cal.est_power[0] >= 1.0 - 1e-6
         assert cal.u_moments[0][1] <= 1e-6
 
     def test_distortion_meets_budget_identity(self):
-        cal = calibrate(SystemConfig(1e-3, 3.0, 11.0), SETTINGS)
+        cal = calibrate(SystemConfig(1e-3, 3.0, 11.0))
         assert math.log2(1.0 + cal.est_power[0] / cal.distortion[0]) == pytest.approx(
             3.0, abs=1e-12
         )
@@ -109,9 +109,9 @@ class TestCalibrate:
 
     def test_rejects_zero_budget(self):
         with pytest.raises(DegenerateBudget):
-            calibrate(SystemConfig(0.01, 0.0, 5.0), SETTINGS)
+            calibrate(SystemConfig(0.01, 0.0, 5.0))
         with pytest.raises(DegenerateBudget):
-            calibrate(SystemConfig(0.01, 5.0, 0.0), SETTINGS)
+            calibrate(SystemConfig(0.01, 5.0, 0.0))
 
 
 class TestGainRule:
@@ -199,7 +199,7 @@ class TestMmseRate:
     )
     def test_matches_direct_form(self, noise_power, c1, c2):
         config = SystemConfig(noise_power, c1, c2)
-        cal = calibrate(config, SETTINGS)
+        cal = calibrate(config)
         for order in _ORDERS:
             assert _rate_at_order(order, noise_power, cal) == pytest.approx(
                 direct_rate(config, order), abs=1e-11
@@ -216,7 +216,7 @@ class TestMmseRate:
     @pytest.mark.parametrize("noise_power", [1e-4, 1.0])
     def test_small_budgets_first_order(self, noise_power):
         # as both budgets go to 0 the rate is (c1 + c2) E[U] + O(c^2)
-        est_power = calibrate(SystemConfig(noise_power, 1.0, 1.0), SETTINGS).est_power[0]
+        est_power = calibrate(SystemConfig(noise_power, 1.0, 1.0)).est_power[0]
         result = mmse_rate(SystemConfig(noise_power, 1e-300, 3e-300), SETTINGS)
         assert result.rate == pytest.approx(4e-300 * est_power, rel=1e-9, abs=0.0)
 

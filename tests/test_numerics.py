@@ -9,7 +9,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from diamond_bottleneck.channel import SnrPair
 from diamond_bottleneck.errors import (
     BracketError,
     DomainError,
@@ -26,7 +25,6 @@ from diamond_bottleneck.numerics import (
     exp_integral_e1,
     integrate_semiinfinite,
     maxmin_grid_oracle,
-    solve_maxmin,
 )
 from diamond_bottleneck.verify import _check_solver_vs_grid
 
@@ -150,10 +148,6 @@ class TestMaxMinProblem:
         assert problem.snrs == (1.0, 2.0)
         assert problem.budgets == (3.0, 4.0)
 
-    def test_accepts_snr_pair(self):
-        problem = MaxMinProblem(snrs=SnrPair(1.0, 2.0), budgets=(3.0, 4.0))
-        assert tuple(problem.snrs) == (1.0, 2.0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -170,55 +164,42 @@ class TestMaxMinProblem:
 
 
 class TestSolveMaxmin:
+    """One max-min solve per instance through the batched kernel."""
+
     def test_no_signal_gives_zero(self):
-        value, r_opt = solve_maxmin(
-            MaxMinProblem(snrs=(0.0, 0.0), budgets=(5.0, 5.0)), SETTINGS
-        )
-        assert value == 0.0
-        assert len(r_opt) == 2
+        value, r1, r2 = _maxmin_batch(0.0, 0.0, 5.0, 5.0)
+        assert (value, r1, r2) == (0.0, 0.0, 0.0)
 
     def test_one_relay_closed_form(self):
-        value, _ = solve_maxmin(
-            MaxMinProblem(snrs=(1.0, 0.0), budgets=(1.0, 0.0)), SETTINGS
-        )
-        assert value == pytest.approx(LOG2_4_3, abs=1e-8)
+        value, _, _ = _maxmin_batch(1.0, 0.0, 1.0, 0.0)
+        assert float(value) == pytest.approx(LOG2_4_3, abs=1e-8)
 
     def test_large_budget_limit(self):
-        value, _ = solve_maxmin(
-            MaxMinProblem(snrs=(10.0, 10.0), budgets=(30.0, 30.0)), SETTINGS
-        )
-        assert value == pytest.approx(LOG2_21, abs=1e-3)
+        value, _, _ = _maxmin_batch(10.0, 10.0, 30.0, 30.0)
+        assert float(value) == pytest.approx(LOG2_21, abs=1e-3)
 
     def test_one_relay_reduction_random(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             rho = float(rng.uniform(0.01, 500.0))
             c = float(rng.uniform(0.01, 12.0))
-            value, _ = solve_maxmin(
-                MaxMinProblem(snrs=(rho, 0.0), budgets=(c, 0.0)), SETTINGS
-            )
+            value, _, _ = _maxmin_batch(rho, 0.0, c, 0.0)
             closed = math.log2(1.0 + rho) - math.log2(1.0 + rho * 2.0**-c)
-            assert value == pytest.approx(closed, abs=1e-5)
+            assert float(value) == pytest.approx(closed, abs=1e-5)
 
     def test_monotone_in_snr_and_budget(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             rho = rng.uniform(0.0, 50.0, 2)
             c = rng.uniform(0.0, 8.0, 2)
-            base, _ = solve_maxmin(
-                MaxMinProblem(snrs=tuple(rho), budgets=tuple(c)), SETTINGS
-            )
+            base, _, _ = _maxmin_batch(*rho, *c)
             bump = rng.integers(0, 2)
             rho_up = rho.copy()
             rho_up[bump] += rng.uniform(0.1, 5.0)
-            up_rho, _ = solve_maxmin(
-                MaxMinProblem(snrs=tuple(rho_up), budgets=tuple(c)), SETTINGS
-            )
+            up_rho, _, _ = _maxmin_batch(*rho_up, *c)
             c_up = c.copy()
             c_up[bump] += rng.uniform(0.1, 3.0)
-            up_c, _ = solve_maxmin(
-                MaxMinProblem(snrs=tuple(rho), budgets=tuple(c_up)), SETTINGS
-            )
+            up_c, _, _ = _maxmin_batch(*rho, *c_up)
             assert up_rho >= base - 1e-6
             assert up_c >= base - 1e-6
 
@@ -227,9 +208,7 @@ class TestSolveMaxmin:
         for _ in range(15):
             rho = rng.uniform(0.0, 80.0, 2)
             c = rng.uniform(0.0, 9.0, 2)
-            value, (r1, r2) = solve_maxmin(
-                MaxMinProblem(snrs=tuple(rho), budgets=tuple(c)), SETTINGS
-            )
+            value, r1, r2 = (float(x) for x in _maxmin_batch(*rho, *c))
             assert -1e-12 <= r1 <= c[0] + 1e-12
             assert -1e-12 <= r2 <= c[1] + 1e-12
             at_opt = float(_branch_min(rho[0], rho[1], c[0], c[1], r1, r2))
@@ -241,7 +220,7 @@ class TestSolveMaxmin:
             rho = rng.uniform(0.0, 100.0, 2)
             c = rng.uniform(0.0, 10.0, 2)
             problem = MaxMinProblem(snrs=tuple(rho), budgets=tuple(c))
-            value, _ = solve_maxmin(problem, SETTINGS)
+            value, _, _ = _maxmin_batch(*rho, *c)
             oracle = maxmin_grid_oracle(problem, SolverSettings(grid_points=2000))
             assert value >= oracle - 1e-6
 
@@ -282,7 +261,7 @@ class TestGridOracle:
 
     def test_oracle_below_solver_plus_spacing_slack(self):
         problem = MaxMinProblem(snrs=(3.0, 7.0), budgets=(2.0, 5.0))
-        value, _ = solve_maxmin(problem, SETTINGS)
+        value, _, _ = _maxmin_batch(3.0, 7.0, 2.0, 5.0)
         oracle = maxmin_grid_oracle(problem, SETTINGS)
         spacing_slack = sum(problem.budgets) / (SETTINGS.grid_points - 1)
         assert oracle <= value + 1e-9
@@ -290,9 +269,9 @@ class TestGridOracle:
 
     def test_unit_instance_close_to_solver(self):
         problem = MaxMinProblem(snrs=(1.0, 1.0), budgets=(1.0, 1.0))
-        value, _ = solve_maxmin(problem, SETTINGS)
+        value, _, _ = _maxmin_batch(1.0, 1.0, 1.0, 1.0)
         oracle = maxmin_grid_oracle(problem, SETTINGS)
-        assert oracle == pytest.approx(value, abs=1e-3)
+        assert oracle == pytest.approx(float(value), abs=1e-3)
 
     def test_crossing_search_equals_bruteforce(self):
         rng = np.random.default_rng(10)

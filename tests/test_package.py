@@ -1,0 +1,44 @@
+"""The package root's API, and the demo scripts that import past it."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diamond_bottleneck
+from conftest import _child_env
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+LIBRARY_API = {
+    # problem, settings, bounds and the fixed-fading rate
+    "SystemConfig", "SnrPair", "SolverSettings",
+    "upper_bound", "qci_lower_bound", "tci_best", "mmse_rate", "fixed_rate",
+    # their result types
+    "UpperBoundResult", "QciAllocation", "TciPoint", "MmseResult", "FixedRateResult",
+    # error types
+    "BracketError", "DegenerateBudget", "DomainError", "InvalidArgument", "NonConvergent",
+}
+
+
+def test_root_exports_library_api():
+    assert set(diamond_bottleneck.__all__) == LIBRARY_API
+    assert len(diamond_bottleneck.__all__) == len(LIBRARY_API)
+    for name in LIBRARY_API:
+        assert hasattr(diamond_bottleneck, name)
+
+
+def test_demos_found():
+    assert len(DEMOS) == 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    # demo_rate_curves writes its CSV files into the directory it is given
+    result = subprocess.run(
+        [sys.executable, str(demo), str(tmp_path)], cwd=tmp_path, env=_child_env(),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout

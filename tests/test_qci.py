@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diamond_bottleneck.channel import SystemConfig
+from diamond_bottleneck.channel import SnrPair, SystemConfig
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
-from diamond_bottleneck.numerics import MaxMinProblem, SolverSettings, solve_maxmin
+from diamond_bottleneck.fixed_rate import fixed_rate
+from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.qci import (
     _project_budget,
     build_grid,
@@ -100,9 +101,7 @@ class TestCellRate:
     def test_interior_matches_maxmin_solver(self):
         grid = build_grid(4, SystemConfig(0.01, 6.0, 6.0))
         rho = (grid.snr_levels[0], grid.snr_levels[2])
-        value, _ = solve_maxmin(
-            MaxMinProblem(snrs=rho, budgets=(2.0, 1.5)), SETTINGS
-        )
+        value = fixed_rate(SnrPair(*rho), (2.0, 1.5)).rate
         assert cell_rate(0, 2, grid, (2.0, 1.5), SETTINGS) == pytest.approx(
             value, abs=1e-9
         )

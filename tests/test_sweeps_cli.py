@@ -88,7 +88,11 @@ class TestSweepSpecValidation:
             )
 
     def test_bad_ranges(self):
-        for rng in [(0.0, 60.0, 0.0), (0.0, 60.0, -1.0), (10.0, 5.0, 1.0)]:
+        nan, inf = float("nan"), float("inf")
+        for rng in [
+            (0.0, 60.0, 0.0), (0.0, 60.0, -1.0), (10.0, 5.0, 1.0),
+            (nan, 60.0, 2.0), (0.0, inf, 2.0), (-inf, 60.0, 2.0), (0.0, 60.0, inf),
+        ]:
             with pytest.raises(InvalidArgument):
                 SweepSpec(
                     mode="snr_sweep", schemes=SCHEMES, settings=SETTINGS,
@@ -287,6 +291,32 @@ class TestCommandLine:
         result = run_cli(["bound", "--scheme", "magic"], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "unknown scheme" in result.stderr
+
+    def test_nonfinite_rate_leaves_cells_empty(self, tmp_path):
+        # mmse evaluates to NaN at -80 dB; the cell fails like an exception
+        result = run_cli(
+            ["bound", "--snr-db", "-80", "--c1", "5", "--scheme", "ub,mmse"], tmp_path
+        )
+        assert result.returncode == 0, result.stderr
+        row = parse_csv(result.stdout.encode())[0]
+        assert row["mmse"] is None and row["mmse_halfwidth"] is None
+        assert row["ub"] is not None and row["ub_residual"] is not None
+        assert "warning: scheme mmse failed" in result.stderr
+        assert "non-finite rate" in result.stderr
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            ["--sweep", "budget", "--start", "nan", "--stop", "2"],
+            ["--sweep", "snr", "--stop", "inf"],
+        ],
+    )
+    def test_nonfinite_sweep_axis_exits_2(self, tmp_path, axis):
+        result = run_cli(["sweep", *axis, "--scheme", "ub", "--out", "o.csv"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o.csv").exists()  # no point was evaluated
 
     def test_sweep_needs_mode(self, tmp_path):
         result = run_cli(["sweep"], tmp_path)

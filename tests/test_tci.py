@@ -5,16 +5,11 @@ import math
 
 import pytest
 
-from diamond_bottleneck.channel import SystemConfig
+from diamond_bottleneck.channel import SnrPair, SystemConfig
 from diamond_bottleneck.errors import DomainError
-from diamond_bottleneck.numerics import MaxMinProblem, SolverSettings, solve_maxmin
-from diamond_bottleneck.tci import (
-    THRESHOLD_GRID,
-    conditional_stats,
-    tci_best,
-    tci_rate,
-    tci_rate_per_relay,
-)
+from diamond_bottleneck.fixed_rate import fixed_rate
+from diamond_bottleneck.numerics import SolverSettings
+from diamond_bottleneck.tci import THRESHOLD_GRID, conditional_stats, tci_best, tci_rate
 from diamond_bottleneck.upper_bound import upper_bound
 
 SETTINGS = SolverSettings()
@@ -70,49 +65,36 @@ class TestConditionalStats:
 
 class TestTciRate:
     def test_budget_equal_header_gives_zero(self):
-        point = tci_rate(HALF_PROB_THRESHOLD, SystemConfig(0.01, 1.0, 1.0), SETTINGS)
+        point = tci_rate(HALF_PROB_THRESHOLD, SystemConfig(0.01, 1.0, 1.0))
         assert point.rate == 0.0
 
     def test_budget_below_header_clamps_to_zero(self):
-        point = tci_rate(HALF_PROB_THRESHOLD, SystemConfig(0.01, 0.5, 0.5), SETTINGS)
+        point = tci_rate(HALF_PROB_THRESHOLD, SystemConfig(0.01, 0.5, 0.5))
         assert point.rate == 0.0
 
     def test_hand_composed_mixture(self):
         config = SystemConfig(1.0, 10.0, 10.0)
-        point = tci_rate(1.0, config, SETTINGS)
+        point = tci_rate(1.0, config)
         p = math.exp(-1.0)
         header = binary_entropy(p)
         cond_snr = 1.0 / COND_NOISE_AT_1
         budget = (10.0 - header) / p
         only = math.log2((1.0 + cond_snr) / (1.0 + cond_snr * 2.0**-budget))
-        both, _ = solve_maxmin(
-            MaxMinProblem(snrs=(cond_snr, cond_snr), budgets=(budget, budget)),
-            SETTINGS,
-        )
+        both = fixed_rate(SnrPair(cond_snr, cond_snr), (budget, budget)).rate
         expected = p * (1.0 - p) * 2.0 * only + p * p * both
         assert point.rate == pytest.approx(expected, abs=1e-9)
         assert point.header_bits == pytest.approx(header, abs=1e-12)
 
     def test_budget_swap_symmetry(self):
-        a = tci_rate(0.5, SystemConfig(1e-3, 7.0, 3.0), SETTINGS)
-        b = tci_rate(0.5, SystemConfig(1e-3, 3.0, 7.0), SETTINGS)
+        a = tci_rate(0.5, SystemConfig(1e-3, 7.0, 3.0))
+        b = tci_rate(0.5, SystemConfig(1e-3, 3.0, 7.0))
         assert a.rate == pytest.approx(b.rate, abs=1e-9)
-
-    def test_per_relay_collapses_to_shared_threshold(self):
-        config = SystemConfig(1e-3, 6.0, 4.0)
-        shared = tci_rate(0.8, config, SETTINGS)
-        split = tci_rate_per_relay((0.8, 0.8), config, SETTINGS)
-        assert split == pytest.approx(shared.rate, abs=1e-12)
-
-    def test_per_relay_asymmetric_runs(self):
-        value = tci_rate_per_relay((0.3, 1.2), SystemConfig(1e-3, 6.0, 4.0), SETTINGS)
-        assert value >= 0.0
 
 
 class TestTciBest:
     def test_matches_explicit_grid_scan(self):
         config = SystemConfig(1e-4, 10.0, 10.0)
-        points = [tci_rate(t, config, SETTINGS) for t in THRESHOLD_GRID]
+        points = [tci_rate(t, config) for t in THRESHOLD_GRID]
         best = tci_best(config, SETTINGS)
         top = max(p.rate for p in points)
         assert best.rate == top
