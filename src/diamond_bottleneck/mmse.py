@@ -130,12 +130,16 @@ def _rate_at_order(order: int, noise_power: float, cal: MmseCalibration) -> floa
     spread = cal.u_moments[0][1] * gains + cal.residual
     total = 0.0
     ratios = []
-    for distortion in cal.distortion:
-        q = 1.0 / distortion
-        qr = q * r
-        total += float(weights @ (np.log1p(qr) - np.log1p(q * spread)))
-        ratios.append(u * u * q / (1.0 + qr))
-    joint = np.log1p(ratios[0][:, None] + ratios[1])
+    # Far below 0 dB the closed-form moments cancel and log1p may see an
+    # argument below -1.  Its NaN, not a NumPy warning, reports the failure:
+    # the caller treats a non-finite rate as a failed cell.
+    with np.errstate(invalid="ignore"):
+        for distortion in cal.distortion:
+            q = 1.0 / distortion
+            qr = q * r
+            total += float(weights @ (np.log1p(qr) - np.log1p(q * spread)))
+            ratios.append(u * u * q / (1.0 + qr))
+        joint = np.log1p(ratios[0][:, None] + ratios[1])
     return (total + float(weights @ joint @ weights)) / _LN2
 
 

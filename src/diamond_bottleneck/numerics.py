@@ -27,6 +27,11 @@ _EULER_GAMMA = 0.577215664901532860606512
 _SECTION_PROBES = 11
 _SECTION_STEPS = 20
 
+# 2^c overflows float64 past 1,024 bits, but beyond this budget a larger one
+# no longer moves the max-min value: rho 2^-1000 is far below an ulp of
+# log2(1 + rho) for any SNR under 2^900.
+_BUDGET_CAP = 1000.0
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -339,7 +344,8 @@ def _maxmin_batch(rho1, rho2, c1, c2):
 
     Returns (value, r1, r2) with the same shape as the broadcast inputs.
     Relays with zero SNR or zero budget are pinned at r = 0 and the problem
-    collapses to the single-relay closed form.
+    collapses to the single-relay closed form.  Budgets above _BUDGET_CAP
+    are solved at the cap, and the excess goes to the live relay's r.
     """
     rho1, rho2, c1, c2 = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (rho1, rho2, c1, c2))
@@ -352,6 +358,10 @@ def _maxmin_batch(rho1, rho2, c1, c2):
 
     live1 = (rho1 > 0.0) & (c1 > 0.0)
     live2 = (rho2 > 0.0) & (c2 > 0.0)
+    excess1 = np.maximum(c1 - _BUDGET_CAP, 0.0)
+    excess2 = np.maximum(c2 - _BUDGET_CAP, 0.0)
+    np.minimum(c1, _BUDGET_CAP, out=c1)
+    np.minimum(c2, _BUDGET_CAP, out=c2)
 
     only1 = live1 & ~live2
     if np.any(only1):
@@ -370,6 +380,8 @@ def _maxmin_batch(rho1, rho2, c1, c2):
         r1[both] = a
         r2[both] = b
 
+    r1[live1] += excess1[live1]
+    r2[live2] += excess2[live2]
     value = np.maximum(value, 0.0)
     return value.reshape(shape), r1.reshape(shape), r2.reshape(shape)
 

@@ -3,8 +3,8 @@
 Each relay inverts its channel, rounds the resulting inverse-gain noise
 level up to a fixed quantile grid by injecting artificial noise, spends
 header bits on the grid index, and splits the leftover budget across grid
-cells.  The cell rates are one-relay closed forms on the edges and two-relay
-max-min solves in the interior; the split itself is a concave allocation
+cells.  Every cell rate is a max-min solve, which reduces to the one-relay
+closed form where a relay is dead; the split itself is a concave allocation
 problem solved by projected gradient ascent with finite-difference
 gradients.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import SystemConfig, xi_quantile
 from .errors import InvalidArgument, NonConvergent
-from .numerics import SolverSettings, _maxmin_batch, _one_relay_value
+from .numerics import SolverSettings, _maxmin_batch
 
 _FD_STEP = 1e-4
 _ARMIJO_SLOPE = 1e-4
@@ -79,59 +79,39 @@ def build_grid(J: int, config: SystemConfig) -> QuantizationGrid:
     )
 
 
-def cell_rate(
-    j1: int,
-    j2: int,
-    grid: QuantizationGrid,
-    c: tuple[float, float],
-    settings: SolverSettings,
-) -> float:
-    """Rate of one grid cell (0-based indices; the last index is the dead cell).
-
-    Dead-dead is 0; one live relay uses the one-relay closed form with its
-    own budget; two live relays solve the two-relay max-min problem.
-    """
-    J = grid.size
-    if not (0 <= j1 < J and 0 <= j2 < J):
-        raise InvalidArgument(f"cell indices out of range for J={J}")
-    if c[0] < 0.0 or c[1] < 0.0:
-        raise InvalidArgument("cell budgets must be nonnegative")
-    rho1 = grid.snr_levels[j1]
-    rho2 = grid.snr_levels[j2]
-    dead1 = j1 == J - 1
-    dead2 = j2 == J - 1
-    if dead1 and dead2:
-        return 0.0
-    if dead1:
-        return float(_one_relay_value(np.asarray(rho2), np.asarray(c[1])))
-    if dead2:
-        return float(_one_relay_value(np.asarray(rho1), np.asarray(c[0])))
-    value, _, _ = _maxmin_batch(rho1, rho2, c[0], c[1])
-    return float(value)
-
-
 class _Objective:
     """Allocation objective and its finite-difference gradient, one solver call.
 
-    The m x m interior cells and the 4 m x m gradient probes go to the
-    max-min kernel as one batch of 5 m^2 lanes, and the edge cells with
-    their probes to the one-relay closed form as one batch.
+    The J x J rate matrix and the 4 m x J gradient probes go to the max-min
+    kernel as one batch.  The dead cell is a lane with SNR 0 and budget 0,
+    which the kernel solves by the one-relay closed form.
     """
 
     def __init__(self, grid: QuantizationGrid):
         self.J = grid.size
         self.m = self.J - 1
-        self.rho = np.asarray(grid.snr_levels[: self.m])
         self.cell_weight = 1.0 / self.J**2
-        m = self.m
-        # lane block layout: [value, c1 plus, c1 minus, c2 plus, c2 minus],
-        # each (m, m).  Value block: axis 0 is relay 1's cell, axis 1 relay
-        # 2's.  Probe blocks: axis 0 is the perturbed cell, axis 1 its partner.
-        rho_self = np.broadcast_to(self.rho[:, None], (m, m))
-        rho_partner = np.broadcast_to(self.rho[None, :], (m, m))
-        self.lane_rho1 = np.concatenate([rho_self, rho_self, rho_self, rho_partner, rho_partner])
-        self.lane_rho2 = np.concatenate([rho_partner, rho_partner, rho_partner, rho_self, rho_self])
-        self.edge_rho = np.tile(self.rho, 6)
+        rho = np.asarray(grid.snr_levels)
+        live = rho[: self.m]
+        self.lane_rho1, self.lane_rho2 = self._lanes(rho, live, live, rho, live, live)
+
+    def _lanes(self, full1, up1, down1, full2, up2, down2):
+        """Relay 1's and relay 2's lane arrays, blocks [value (J, J), c1
+        plus, c1 minus, c2 plus, c2 minus (m, J) each].  Value block: axis 0
+        is relay 1's cell, axis 1 relay 2's.  Probe blocks: axis 0 is the
+        perturbed live cell, axis 1 its partner, the dead cell last."""
+        J, m = self.J, self.m
+
+        def rows(v):
+            return np.broadcast_to(v[:, None], (v.size, J))
+
+        def cols(v, count=m):
+            return np.broadcast_to(v, (count, J))
+
+        return (
+            np.concatenate([rows(full1), rows(up1), rows(down1), cols(full1), cols(full1)]),
+            np.concatenate([cols(full2, J), cols(full2), cols(full2), rows(up2), rows(down2)]),
+        )
 
     def evaluate(
         self, c1: np.ndarray, c2: np.ndarray, h: float,
@@ -140,38 +120,25 @@ class _Objective:
 
         The gradient is central, one-sided where a budget sits within h of
         0.  Perturbing one relay's cell budget touches only that cell's row
-        (or column) of the rate matrix plus its one-sided edge cell.
+        (or column) of the rate matrix.
         """
         J, m = self.J, self.m
         down1 = np.minimum(h, c1)
         down2 = np.minimum(h, c2)
-        c1_up, c1_down, c2_up, c2_down = c1 + h, c1 - down1, c2 + h, c2 - down2
-
-        def rows(v):
-            return np.broadcast_to(v[:, None], (m, m))
-
-        c1_cols = np.broadcast_to(c1, (m, m))
-        c2_cols = np.broadcast_to(c2, (m, m))
-        values, _, _ = _maxmin_batch(
-            self.lane_rho1,
-            self.lane_rho2,
-            np.concatenate([rows(c1), rows(c1_up), rows(c1_down), c1_cols, c1_cols]),
-            np.concatenate([c2_cols, c2_cols, c2_cols, rows(c2_up), rows(c2_down)]),
+        budgets = self._lanes(
+            np.append(c1, 0.0), c1 + h, c1 - down1, np.append(c2, 0.0), c2 + h, c2 - down2
         )
-        blocks = values.reshape(5, m, m)
-        edges = _one_relay_value(
-            self.edge_rho, np.concatenate([c1, c2, c1_up, c1_down, c2_up, c2_down])
-        ).reshape(6, m)
-
-        rates = np.zeros((J, J))
-        rates[:m, :m] = blocks[0]
-        rates[:m, m] = edges[0]
-        rates[m, :m] = edges[1]
+        values, _, _ = _maxmin_batch(self.lane_rho1, self.lane_rho2, *budgets)
+        rates = values[:J]
         total = float(rates.sum()) * self.cell_weight
 
-        sums = blocks[1:].sum(axis=2)
-        g1 = (sums[0] - sums[1] + edges[2] - edges[3]) / (h + down1)
-        g2 = (sums[2] - sums[3] + edges[4] - edges[5]) / (h + down2)
+        # live partners first, then the dead-partner edge: the summation
+        # order of the rate differences is part of the output bits
+        probes = values[J:].reshape(4, m, J)
+        sums = probes[:, :, :m].sum(axis=2)
+        edges = probes[:, :, m]
+        g1 = (sums[0] - sums[1] + edges[0] - edges[1]) / (h + down1)
+        g2 = (sums[2] - sums[3] + edges[2] - edges[3]) / (h + down2)
         return total, rates, g1 * self.cell_weight, g2 * self.cell_weight
 
 

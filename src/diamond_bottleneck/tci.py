@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import DomainError
-from .numerics import SolverSettings, _e1_scaled, _maxmin_batch, _one_relay_value
+from .numerics import SolverSettings, _e1_scaled, _maxmin_batch
 
 # threshold grid: 0.1 .. 2.0. Zero is excluded because the conditional mean
 # of 1/gain diverges there (and the rate limit is 0 anyway).
@@ -77,16 +77,19 @@ def _effective_budget(c: float, header: float, p_active: float) -> float:
 def _tci_points(thresholds, config: SystemConfig) -> list[TciPoint]:
     """Bound values at shared thresholds, one solver call for all of them.
 
-    The conditional statistics and the rate mixture stay scalar; only the
-    one-relay and two-relay rates are batched over the thresholds.
+    The conditional statistics and the rate mixture stay scalar; the
+    relay-1-only, relay-2-only and two-relay rates are three blocks of
+    lanes of the one call, a silent relay being a lane with SNR 0 and
+    budget 0.
     """
     stats = [conditional_stats(threshold, config) for threshold in thresholds]
     rho = np.array([s.cond_snr for s in stats])
     b1 = np.array([_effective_budget(config.c1, s.header_bits, s.p_active) for s in stats])
     b2 = np.array([_effective_budget(config.c2, s.header_bits, s.p_active) for s in stats])
-    only1 = _one_relay_value(rho, b1)
-    only2 = _one_relay_value(rho, b2)
-    both, _, _ = _maxmin_batch(rho, rho, b1, b2)
+    silent = np.zeros_like(rho)
+    only1, only2, both = _maxmin_batch(
+        [rho, silent, rho], [silent, rho, rho], [b1, silent, b1], [silent, b2, b2]
+    )[0]
     points = []
     lanes = zip(thresholds, stats, only1.tolist(), only2.tolist(), both.tolist())
     for threshold, s, one1, one2, two in lanes:

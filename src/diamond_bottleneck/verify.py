@@ -27,7 +27,7 @@ from .numerics import (
     integrate_semiinfinite,
     maxmin_grid_oracle,
 )
-from .qci import build_grid, cell_rate, optimize_allocation
+from .qci import build_grid, optimize_allocation
 from .sweeps import SweepSpec, render_rows
 from .upper_bound import budget_integral, rate_at_level, upper_bound
 
@@ -198,12 +198,14 @@ def _check_qci_feasibility(settings: SolverSettings):
     )
     # any feasible point lower-bounds the optimum; try the uniform spread
     uniform = (config.c1 - grid.header_bits) / (J - 1)
+    rho = grid.snr_levels
     value = 0.0
     for j1 in range(J):
         for j2 in range(J):
             c1 = uniform if j1 < J - 1 else 0.0
             c2 = uniform if j2 < J - 1 else 0.0
-            value += probs[j1] * probs[j2] * cell_rate(j1, j2, grid, (c1, c2), settings)
+            cell = fixed_rate(SnrPair(rho[j1], rho[j2]), (c1, c2)).rate
+            value += probs[j1] * probs[j2] * cell
     improved = allocation.lower_bound >= value - 1e-9
     ok = bool(slack_ok and shape_ok and improved and allocation.feasible)
     return ok, (

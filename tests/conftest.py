@@ -75,6 +75,8 @@ def fig2_runs(tmp_path_factory):
         result = run_cli(["sweep", "--preset", "fig2", "--seed", "7"], cwd)
         elapsed += time.time() - start
         assert result.returncode == 0, result.stderr
+        # pytest's warning filter does not reach the child: nothing on stderr
+        assert result.stderr == "", result.stderr
         outputs.append((cwd / "fig2.csv").read_bytes())
     return outputs[0], outputs[1], elapsed
 
@@ -86,6 +88,7 @@ def fig3_run(tmp_path_factory):
     result = run_cli(["sweep", "--preset", "fig3", "--seed", "7"], cwd)
     elapsed = time.time() - start
     assert result.returncode == 0, result.stderr
+    assert result.stderr == "", result.stderr
     return (cwd / "fig3.csv").read_bytes(), elapsed
 
 

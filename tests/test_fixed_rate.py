@@ -34,6 +34,12 @@ class TestFixedRate:
         result = rate_of(1.0, 0.0, 1.0, 0.0)
         assert result.rate == pytest.approx(LOG2_4_3, abs=1e-8)
 
+    def test_optimizer_above_overflow_budget(self):
+        # 2^1030 overflows float64; r = c - log2(1 + rho) to float precision
+        result = rate_of(100.0, 0.0, 1030.0, 0.0)
+        assert result.r_opt[0] == pytest.approx(1030.0 - math.log2(101.0), abs=1e-9)
+        assert result.rate == pytest.approx(math.log2(101.0), abs=1e-12)
+
     def test_symmetric_optimizer(self):
         result = rate_of(5.0, 5.0, 3.0, 3.0)
         assert result.r_opt[0] == pytest.approx(result.r_opt[1], abs=1e-4)

@@ -2,6 +2,7 @@
 two-relay max-min solver with its lattice oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,41 @@ class TestSolveMaxmin:
         # cancels falls 1e-3 bits below the 2000-point lattice.
         ok, detail = _check_solver_vs_grid(SolverSettings(seed=46))
         assert ok, detail
+
+
+class TestLargeBudgets:
+    """Budgets past 1,024 bits, where 2^c overflows float64."""
+
+    def test_symmetric_under_budget_swap(self):
+        a, _, _ = _maxmin_batch(10.0, 10.0, 5.0, 1030.0)
+        b, _, _ = _maxmin_batch(10.0, 10.0, 1030.0, 5.0)
+        assert float(a) == pytest.approx(float(b), abs=1e-12)
+
+    def test_monotone_in_budget(self):
+        budgets = np.linspace(1000.0, 4000.0, 61)
+        for c1, c2 in [(budgets, budgets), (5.0, budgets), (budgets, 0.0)]:
+            values, _, _ = _maxmin_batch(10.0, 10.0, c1, c2)
+            assert np.all(np.diff(values) >= -1e-12)
+
+    def test_unlimited_budget_limit(self):
+        value, r1, r2 = (float(x) for x in _maxmin_batch(10.0, 10.0, 4000.0, 4000.0))
+        assert value == pytest.approx(LOG2_21, abs=1e-12)
+        assert 0.0 <= r1 <= 4000.0 and 0.0 <= r2 <= 4000.0
+
+    def test_one_relay_rate_keeps_the_excess(self):
+        value, r1, r2 = (float(x) for x in _maxmin_batch(100.0, 0.0, 1030.0, 2000.0))
+        assert value == pytest.approx(math.log2(101.0), abs=1e-12)
+        # r = log2(1 + (2^c - 1)/(1 + rho)) = c - log2(101) to float precision
+        assert r1 == pytest.approx(1030.0 - math.log2(101.0), abs=1e-9)
+        assert r2 == 0.0
+
+    def test_no_runtime_warning(self):
+        rho = np.array([100.0, 0.0, 10.0, 1e15, 10.0])
+        c = np.array([1030.0, 0.0, 4000.0, 1e6, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _maxmin_batch(rho, rho[::-1], c, c[::-1])
+            _maxmin_batch(rho, 0.0, c, 0.0)
 
 
 # SNR from -60 to 150 dB, log-uniform, plus a silent relay; budgets 0..60 bits.

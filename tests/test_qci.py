@@ -1,6 +1,7 @@
 """Quantized-inversion scheme: grid construction, cell rates, and the
 budget-allocation ascent."""
 
+import importlib
 import math
 
 import numpy as np
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from diamond_bottleneck.channel import SnrPair, SystemConfig
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.fixed_rate import fixed_rate
-from diamond_bottleneck.numerics import SolverSettings
+from diamond_bottleneck.numerics import SolverSettings, _maxmin_batch
 from diamond_bottleneck.qci import (
+    _Objective,
     _project_budget,
     build_grid,
-    cell_rate,
     optimize_allocation,
     qci_lower_bound,
 )
@@ -81,45 +82,79 @@ def unit_snr_grid():
     return build_grid(2, SystemConfig(math.log(2.0), 5.0, 5.0))
 
 
+def rate_matrix(grid, c1, c2):
+    """Rate matrix of the allocation objective at live-cell budgets c1, c2."""
+    _, rates, _, _ = _Objective(grid).evaluate(np.asarray(c1), np.asarray(c2), 1e-4)
+    return rates
+
+
 class TestCellRate:
+    """Cells of the rate matrix that the allocation objective builds."""
+
     def test_dead_dead_is_zero(self, unit_snr_grid):
-        assert cell_rate(1, 1, unit_snr_grid, (3.0, 3.0), SETTINGS) == 0.0
+        assert rate_matrix(unit_snr_grid, [3.0], [3.0])[1, 1] == 0.0
 
     def test_single_live_relay_closed_form(self, unit_snr_grid):
         assert unit_snr_grid.snr_levels[0] == pytest.approx(1.0, abs=1e-12)
-        rate = cell_rate(0, 1, unit_snr_grid, (1.0, 7.0), SETTINGS)
-        assert rate == pytest.approx(LOG2_4_3, abs=1e-10)
-        # dead relay's budget is irrelevant
-        assert cell_rate(0, 1, unit_snr_grid, (1.0, 0.0), SETTINGS) == pytest.approx(
-            rate, abs=1e-15
-        )
-        # mirrored cell uses the second budget
-        assert cell_rate(1, 0, unit_snr_grid, (7.0, 1.0), SETTINGS) == pytest.approx(
+        rates = rate_matrix(unit_snr_grid, [1.0], [7.0])
+        assert rates[0, 1] == pytest.approx(LOG2_4_3, abs=1e-10)
+        # mirrored edge uses the second budget
+        assert rate_matrix(unit_snr_grid, [7.0], [1.0])[1, 0] == pytest.approx(
             LOG2_4_3, abs=1e-10
         )
 
+    def test_edge_is_closed_form_whatever_the_dead_budget(self):
+        grid = build_grid(4, SystemConfig(0.01, 6.0, 6.0))
+        c1 = [1.0, 2.0, 3.0]
+        rates = rate_matrix(grid, c1, [5.0, 1.0, 9.0])
+        for j, c in enumerate(c1):
+            rho = grid.snr_levels[j]
+            closed = math.log2(1.0 + rho) - math.log2(1.0 + rho * 2.0**-c)
+            assert rates[j, 3] == pytest.approx(closed, abs=1e-12)
+            # the dead relay's SNR is 0, so its budget cannot move the cell
+            for dead_budget in (0.0, 7.0):
+                value, _, _ = _maxmin_batch(rho, 0.0, c, dead_budget)
+                assert float(value) == rates[j, 3]
+
     def test_interior_matches_maxmin_solver(self):
         grid = build_grid(4, SystemConfig(0.01, 6.0, 6.0))
-        rho = (grid.snr_levels[0], grid.snr_levels[2])
-        value = fixed_rate(SnrPair(*rho), (2.0, 1.5)).rate
-        assert cell_rate(0, 2, grid, (2.0, 1.5), SETTINGS) == pytest.approx(
-            value, abs=1e-9
-        )
+        c1, c2 = [2.0, 0.5, 1.0], [3.0, 4.0, 1.5]
+        rates = rate_matrix(grid, c1, c2)
+        for j1 in range(3):
+            for j2 in range(3):
+                rho = SnrPair(grid.snr_levels[j1], grid.snr_levels[j2])
+                assert rates[j1, j2] == fixed_rate(rho, (c1[j1], c2[j2])).rate
 
     def test_zero_budgets_zero_rate(self, unit_snr_grid):
-        assert cell_rate(0, 0, unit_snr_grid, (0.0, 0.0), SETTINGS) == 0.0
-
-    def test_index_validation(self, unit_snr_grid):
-        for j1, j2 in [(-1, 0), (0, -1), (2, 0), (0, 2)]:
-            with pytest.raises(InvalidArgument):
-                cell_rate(j1, j2, unit_snr_grid, (1.0, 1.0), SETTINGS)
-
-    def test_budget_validation(self, unit_snr_grid):
-        with pytest.raises(InvalidArgument):
-            cell_rate(0, 0, unit_snr_grid, (-0.1, 1.0), SETTINGS)
+        assert np.all(rate_matrix(unit_snr_grid, [0.0], [0.0]) == 0.0)
 
 
-def uniform_split_value(J, config, settings):
+@pytest.mark.parametrize("J", [2, 4, 8])
+def test_one_kernel_call_per_evaluation(monkeypatch, J):
+    # counted through the module attribute that the benchmark tracer wraps
+    module = importlib.import_module("diamond_bottleneck.qci")
+    lanes = []
+
+    def counted(*args):
+        lanes.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+        return _maxmin_batch(*args)
+
+    monkeypatch.setattr(module, "_maxmin_batch", counted)
+    objective = _Objective(build_grid(J, SystemConfig(0.01, 6.0, 6.0)))
+    m = J - 1
+    objective.evaluate(np.full(m, 2.0), np.full(m, 1.0), 1e-4)
+    assert len(lanes) == 1
+    assert math.prod(lanes[0]) == J * J + 4 * m * J
+
+
+def cell_value(grid, j1, j2, c1, c2):
+    """Rate of cell (j1, j2) at cell budgets c1, c2 by the scalar solver; the
+    dead cell has SNR 0."""
+    rho = SnrPair(grid.snr_levels[j1], grid.snr_levels[j2])
+    return fixed_rate(rho, (c1, c2)).rate
+
+
+def uniform_split_value(J, config):
     """Mean cell rate when each live cell gets an equal share of the
     post-header budget: the optimizer must do at least this well."""
     grid = build_grid(J, config)
@@ -129,7 +164,7 @@ def uniform_split_value(J, config, settings):
     total = 0.0
     for j1 in range(J):
         for j2 in range(J):
-            total += cell_rate(j1, j2, grid, (share1, share2), settings)
+            total += cell_value(grid, j1, j2, share1, share2)
     return total / J**2
 
 
@@ -165,9 +200,7 @@ class TestOptimizeAllocation:
             float(result.rates.sum()) / grid.size**2, abs=1e-12
         )
         for j1, j2 in [(0, 0), (1, 2), (0, 3), (3, 1), (3, 3)]:
-            expected = cell_rate(
-                j1, j2, grid, (result.c[0, j1], result.c[1, j2]), SETTINGS
-            )
+            expected = cell_value(grid, j1, j2, result.c[0, j1], result.c[1, j2])
             assert result.rates[j1, j2] == pytest.approx(expected, abs=1e-9)
 
     def test_beats_uniform_split(self):
@@ -176,7 +209,7 @@ class TestOptimizeAllocation:
             (4, SystemConfig(1e-4, 8.0, 8.0)),
         ]:
             result = qci_lower_bound(J, config, SETTINGS)
-            assert result.lower_bound >= uniform_split_value(J, config, SETTINGS) - 1e-9
+            assert result.lower_bound >= uniform_split_value(J, config) - 1e-9
 
     def test_symmetric_budgets_symmetric_split(self):
         config = SystemConfig(1e-3, 6.0, 6.0)

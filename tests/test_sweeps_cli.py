@@ -303,6 +303,7 @@ class TestCommandLine:
         assert row["ub"] is not None and row["ub_residual"] is not None
         assert "warning: scheme mmse failed" in result.stderr
         assert "non-finite rate" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
     @pytest.mark.parametrize(
         "axis",

@@ -1,14 +1,16 @@
 """Truncated-inversion scheme: conditional statistics, branch mixture, and
 threshold selection."""
 
+import importlib
 import math
 
+import numpy as np
 import pytest
 
 from diamond_bottleneck.channel import SnrPair, SystemConfig
 from diamond_bottleneck.errors import DomainError
 from diamond_bottleneck.fixed_rate import fixed_rate
-from diamond_bottleneck.numerics import SolverSettings
+from diamond_bottleneck.numerics import SolverSettings, _maxmin_batch
 from diamond_bottleneck.tci import THRESHOLD_GRID, conditional_stats, tci_best, tci_rate
 from diamond_bottleneck.upper_bound import upper_bound
 
@@ -89,6 +91,21 @@ class TestTciRate:
         a = tci_rate(0.5, SystemConfig(1e-3, 7.0, 3.0))
         b = tci_rate(0.5, SystemConfig(1e-3, 3.0, 7.0))
         assert a.rate == pytest.approx(b.rate, abs=1e-9)
+
+
+def test_one_kernel_call_per_threshold_grid(monkeypatch):
+    # counted through the module attribute that the benchmark tracer wraps
+    module = importlib.import_module("diamond_bottleneck.tci")
+    lanes = []
+
+    def counted(*args):
+        lanes.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+        return _maxmin_batch(*args)
+
+    monkeypatch.setattr(module, "_maxmin_batch", counted)
+    tci_best(SystemConfig(1e-4, 10.0, 7.0), SETTINGS)
+    assert len(lanes) == 1
+    assert math.prod(lanes[0]) == 3 * len(THRESHOLD_GRID)
 
 
 class TestTciBest:
