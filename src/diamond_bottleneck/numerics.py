@@ -4,6 +4,40 @@ Semi-infinite quadrature, the exponential integral E1, a guarded bisection,
 and the max-min compression-rate solver used by the fixed-channel rate and
 by the quantized / truncated inversion schemes.  All rates are in bits per
 complex dimension (base-2 logs throughout).
+
+The max-min solver maximizes over compression rates (r1, r2) in the box
+[0, c1] x [0, c2] the minimum of the four oblivious-relaying cut bounds
+(Aguerri, Zaidi, Caire and Shamai, IEEE Trans. IT 65(7), 2019).  With
+p = rho1 2^-r1, q = rho2 2^-r2, alpha = 2^c1 / rho1 and beta = 2^c2 / rho2,
+they are the base-2 logs of four polynomials:
+
+    B   = 1 + rho1 + rho2 - p - q    no cut
+    K1  = alpha p (1 + rho2 - q)     relay 1's leftover budget
+    K2  = beta q (1 + rho1 - p)      relay 2's
+    K12 = alpha beta p q             both
+
+Every superlevel set of each is convex in (p, q), and every maximizer meets
+the KKT conditions with at most three active constraints, branches or box
+faces, whose gradients are positively dependent (Caratheodory in the plane).
+With both relays live, that leaves five points:
+
+- no corner: at each one, one branch is 0;
+- no face: on r1 = 0 the minimum is that of B and K2, which cross at
+  relay 2's one-relay optimum, and there the value still rises with r1; on
+  r1 = c1 it is that of K1 and K12, and the value rises as r1 falls; no
+  branch is flat along a face;
+- of the two-branch tangencies only B-K12 (at p = q) and K1-K2 have
+  opposite gradients, and at the K1-K2 one (1 + rho1 - p)(1 + rho2 - q)
+  = p q, which puts B or K12 below K1 = K2;
+- so: the B-K12 tangency and the four three-branch vertices.
+
+The kernel forms the five in r, clips them into the box and scores them
+with the branch minimum in one evaluation.  The returned value is the branch
+minimum at the returned r, so it never exceeds what that r achieves.  The
+candidates come from log1p / expm1 forms and log2 ratios, so no polish step
+follows: mapping p back to r = log2(rho / p) would lose r's relative
+precision when r is tiny against a huge SNR, and alpha beta overflows
+float64 once c1 + c2 passes about 1,024 bits.
 """
 
 from __future__ import annotations
@@ -19,13 +53,6 @@ from .errors import BracketError, DomainError, InvalidArgument, NonConvergent
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.577215664901532860606512
-
-# The max-min outer search probes _SECTION_PROBES equally spaced interior
-# points of every bracket per step and keeps the two sections around the
-# best, so _SECTION_STEPS steps shrink it by (2/12)**20 ~ 2.7e-16 relative:
-# the answer is limited by float64, not by the step count.
-_SECTION_PROBES = 11
-_SECTION_STEPS = 20
 
 # 2^c overflows float64 past 1,024 bits, but beyond this budget a larger one
 # no longer moves the max-min value: rho 2^-1000 is far below an ulp of
@@ -222,14 +249,19 @@ def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.minimum(np.log1p(np.expm1(c * _LN2) / (1.0 + rho)) / _LN2, c)
 
 
+def _snr_used(rho, r):
+    """rho (1 - 2^-r): the part of the SNR that compression at rate r keeps."""
+    return rho * -np.expm1(-r * _LN2)
+
+
 def _branches(rho1, rho2, c1, c2, r1, r2):
     """The four cut branches at compression rates (r1, r2): no cut, and the
     leftover-budget terms of relay 1, of relay 2 and of both."""
-    u1 = -np.expm1(-r1 * _LN2)
-    u2 = -np.expm1(-r2 * _LN2)
-    both = _log2_1p(rho1 * u1 + rho2 * u2)
-    cut1 = c1 - r1 + _log2_1p(rho2 * u2)
-    cut2 = _log2_1p(rho1 * u1) + c2 - r2
+    used1 = _snr_used(rho1, r1)
+    used2 = _snr_used(rho2, r2)
+    both = _log2_1p(used1 + used2)
+    cut1 = c1 - r1 + _log2_1p(used2)
+    cut2 = _log2_1p(used1) + c2 - r2
     cut12 = c1 - r1 + c2 - r2
     return both, cut1, cut2, cut12
 
@@ -240,118 +272,87 @@ def _branch_min(rho1, rho2, c1, c2, r1, r2):
     return np.minimum(np.minimum(both, cut1), np.minimum(cut2, cut12))
 
 
-def _probe(lanes, r1, work):
-    """Branch minimum at r1, with r2 at its closed-form inner maximizer.
+def _candidates(rho1, rho2, c1, c2):
+    """(r1, r2), each of shape (5, n): the points where the maximum can sit,
+    for lanes with both SNRs and both budgets positive.
 
-    The inner solve: the two branches that decrease in r2 share the line
-    M - r2 with M = min(L1, c1 - r1) + c2 and L1 = log2(1 + A), A = rho1 u1;
-    each increasing branch crosses that line at an explicit point, and the
-    max-min sits at the larger of the two crossings, clamped into [0, c2]:
-
-        r2_both = log2(1 + (1 + A) (2^(M - L1) - 1) / (1 + A + rho2))
-        r2_cut1 = log2(1 + (2^(M - d1) - 1) / (1 + rho2)),  d1 = c1 - r1.
-
-    Written with expm1 and log1p, neither crossing cancels when it is tiny
-    against a huge SNR, and log1p is monotone, so it is applied once, to
-    the larger argument.  A, d1 and M are shared with the branch minimum,
-    whose two branches that fall with r2 are taken as one, M - r2:
-    rounding is monotone, so min(x + c, y + c) and min(x, y) + c are the
-    same float.  Likewise (-rho)(-u) stands in for rho u with the same bits.
-
-    `lanes` holds the per-lane constants (-rho1, rho2, -rho2, 1 + rho2,
-    c1, c2).  Every array in `work` has the shape of r1 and is overwritten;
-    the returned (value, r2) are two of them.  The caller holds the error
-    state that lets expm1 overflow and log1p(-1) diverge.
+    Rows: the vertices K1 = K2 = K12, B = K1 = K12, B = K2 = K12 and
+    B = K1 = K2, then the B-K12 tangency p = q (module docstring).  Every
+    row is formed in r, never from p, q or alpha beta.  A row may leave the
+    box; the caller clips it.
     """
-    neg_rho1, rho2, neg_rho2, rho2_plus_1, c1, c2 = lanes
-    t1, d1, m, v, w, r2 = work
-    np.multiply(r1, -_LN2, out=t1)  # t1 = A = rho1 u1 with u1 = -expm1(-r1 ln2)
-    np.expm1(t1, out=t1)
-    np.multiply(neg_rho1, t1, out=t1)
-    np.log1p(t1, out=v)  # v = L1
-    np.divide(v, _LN2, out=v)
-    np.subtract(c1, r1, out=d1)
-    np.minimum(v, d1, out=m)  # m = M
-    np.add(m, c2, out=m)
-    np.subtract(m, v, out=v)  # v = (1 + A) expm1((M - L1) ln2) / (1 + A + rho2)
-    np.multiply(v, _LN2, out=v)
-    np.expm1(v, out=v)
-    np.add(1.0, t1, out=w)
-    np.multiply(v, w, out=v)
-    np.add(w, rho2, out=w)
-    np.divide(v, w, out=v)
-    np.subtract(m, d1, out=w)  # w = expm1((M - d1) ln2) / (1 + rho2)
-    np.multiply(w, _LN2, out=w)
-    np.expm1(w, out=w)
-    np.divide(w, rho2_plus_1, out=w)
-    np.maximum(v, w, out=r2)
-    np.log1p(r2, out=r2)
-    np.divide(r2, _LN2, out=r2)
-    np.maximum(r2, 0.0, out=r2)
-    np.minimum(r2, c2, out=r2)
+    # K2 = K12 holds on the line r1 = s1 and K1 = K12 on r2 = s2, the
+    # one-relay optima; B = K1 at a given r2 is relay 1's one-relay optimum
+    # at SNR rho1 / (1 + rho2 u2), and B = K2 likewise.
+    s1 = _one_relay_rate(rho1, c1)
+    s2 = _one_relay_rate(rho2, c2)
+    r1_b_k1 = _one_relay_rate(rho1 / (1.0 + _snr_used(rho2, s2)), c1)
+    r2_b_k2 = _one_relay_rate(rho2 / (1.0 + _snr_used(rho1, s1)), c2)
 
-    np.multiply(r2, -_LN2, out=w)  # w = rho2 u2 from here on
-    np.expm1(w, out=w)
-    np.multiply(neg_rho2, w, out=w)
-    np.add(t1, w, out=v)  # both = log2(1 + rho1 u1 + rho2 u2)
-    np.log1p(v, out=v)
-    np.divide(v, _LN2, out=v)
-    np.log1p(w, out=w)  # cut1 = c1 - r1 + log2(1 + rho2 u2)
-    np.divide(w, _LN2, out=w)
-    np.add(d1, w, out=w)
-    np.minimum(v, w, out=v)
-    np.subtract(m, r2, out=m)  # min(cut2, cut12) = M - r2
-    np.minimum(v, m, out=v)
-    return v, r2
+    # B = K1 = K2: eliminating rho2 u2 leaves a quadratic in A = rho1 u1,
+    # scaled by rho1 rho2 2^-(c1+c2) so that no coefficient overflows.  With
+    # the box ends U = rho (1 - 2^-c) and E = rho 2^-c it is
+    # A^2 + b A - U1 k = 0 after division by its leading coefficient
+    # 1 + U2 + E1; the one positive root is taken in the form that does not
+    # cancel for either sign of b, and hypot keeps b^2 from overflowing.
+    top1 = _snr_used(rho1, c1)
+    top2 = _snr_used(rho2, c2)
+    low1 = rho1 * np.exp2(-c1)
+    low2 = rho2 * np.exp2(-c2)
+    lead = 1.0 + top2 + low1
+    b = (low1 / lead) * low2 + (low1 + low2) / lead + ((1.0 + top2) / lead) * (1.0 - top1)
+    k = (1.0 + rho2) / lead
+    m = np.abs(b) + np.hypot(b, 2.0 * np.sqrt(top1) * np.sqrt(k))
+    used1 = np.minimum(np.where(b >= 0.0, top1 * (2.0 * k / m), 0.5 * m), top1)
+    r1_b_k1_k2 = -np.log1p(-used1 / rho1) / _LN2
+    r2_b_k1_k2 = _one_relay_rate(rho2 / (1.0 + used1), c2)
 
+    # B-K12 tangency: p = q = w with alpha beta w^2 + 2 w - R = 0, so
+    # w = R / (1 + S), S = sqrt(1 + alpha beta R), and
+    # r_k = log2(2 rho_k / R) + log2((1 + S) / 2), all in log2 form:
+    # g = log2(alpha beta R).  Near r_k = 0 (rho1 ~ rho2 large, S ~ 1) both
+    # terms are small and are taken by log1p.
+    total = 1.0 + rho1 + rho2
+    g = c1 + c2 + np.log2(total) - np.log2(rho1) - np.log2(rho2)
+    t = np.exp2(np.minimum(g, 0.0))
+    half_g = 0.5 * np.maximum(g, 0.0)
+    e = np.exp2(-half_g)
+    lift = np.where(
+        g > 0.0,
+        half_g - 1.0 + np.log2(e + np.sqrt(e * e + 1.0)),
+        np.log1p(t / (2.0 + 2.0 * np.sqrt(1.0 + t))) / _LN2,
+    )
 
-def _maxmin_general(rho1, rho2, c1, c2):
-    """K-probe section search over r1 with the exact inner solve; both SNRs
-    positive.
+    def tangency(rho, other):
+        x = (rho - other - 1.0) / total  # 2 rho / R - 1
+        return np.where(x > -0.5, np.log1p(x) / _LN2, np.log2(2.0 * rho / total)) + lift
 
-    The value is concave in r1, so with the best of the K equally spaced
-    interior probes p_1..p_K of [lo, hi] at p_i (first on ties; p_0 = lo,
-    p_(K+1) = hi), the maximizer lies in [p_(i-1), p_(i+1)].  All K probes
-    of a step share one (K, n) evaluation, and every temporary lives in a
-    buffer allocated once per call.
-    """
-    n = c1.shape[0]
-    lanes = (-rho1, rho2, -rho2, 1.0 + rho2, c1, c2)
-    grid = np.empty((_SECTION_PROBES + 2, n))
-    lo, inner, hi = grid[0], grid[1:-1], grid[-1]
-    lo.fill(0.0)
-    hi[:] = c1
-    fractions = (np.arange(1.0, _SECTION_PROBES + 1.0) / (_SECTION_PROBES + 1.0))[:, None]
-    width = np.empty(n)
-    columns = np.arange(n)
-    work = np.empty((6, _SECTION_PROBES, n))
-    with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(_SECTION_STEPS):
-            np.subtract(hi, lo, out=width)
-            np.multiply(fractions, width, out=inner)
-            np.add(inner, lo, out=inner)
-            values, _ = _probe(lanes, inner, work)
-            best = np.argmax(values, axis=0)
-            hi[:] = grid[best + 2, columns]
-            lo[:] = grid[best, columns]
-        r1 = 0.5 * (lo + hi)
-        value, r2 = _probe(lanes, r1, work[:, 0])
-    return value, r1, r2
+    r1 = np.stack([s1, r1_b_k1, s1, r1_b_k1_k2, tangency(rho1, rho2)])
+    r2 = np.stack([s2, s2, r2_b_k2, r2_b_k1_k2, tangency(rho2, rho1)])
+    return r1, r2
 
 
 def _maxmin_batch(rho1, rho2, c1, c2):
     """Vectorized max-min rate over aligned arrays of SNR pairs and budgets.
 
-    Returns (value, r1, r2) with the same shape as the broadcast inputs.
-    Relays with zero SNR or zero budget are pinned at r = 0 and the problem
-    collapses to the single-relay closed form.  Budgets above _BUDGET_CAP
-    are solved at the cap, and the excess goes to the live relay's r.
+    Returns (value, r1, r2) with the same shape as the broadcast inputs.  A
+    lane with both relays live scores the five candidates of _candidates
+    (module docstring), clipped into the box, by _branch_min in one (5, n)
+    evaluation and keeps the first best.  Relays with zero SNR or zero
+    budget are pinned at r = 0 and the problem collapses to the
+    single-relay closed form.  Budgets above _BUDGET_CAP are solved at the
+    cap, and the excess goes to the live relay's r.  A lane with a
+    non-finite input returns NaN in all three, which callers report as a
+    failed cell.
     """
     rho1, rho2, c1, c2 = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (rho1, rho2, c1, c2))
     )
     shape = rho1.shape
     rho1, rho2, c1, c2 = (a.reshape(-1).copy() for a in (rho1, rho2, c1, c2))
+    failed = ~(np.isfinite(rho1) & np.isfinite(rho2) & np.isfinite(c1) & np.isfinite(c2))
+    for a in (rho1, rho2, c1, c2):
+        a[failed] = 0.0
     value = np.zeros_like(rho1)
     r1 = np.zeros_like(rho1)
     r2 = np.zeros_like(rho1)
@@ -375,14 +376,22 @@ def _maxmin_batch(rho1, rho2, c1, c2):
 
     both = live1 & live2
     if np.any(both):
-        v, a, b = _maxmin_general(rho1[both], rho2[both], c1[both], c2[both])
-        value[both] = v
-        r1[both] = a
-        r2[both] = b
+        lanes = (rho1[both], rho2[both], c1[both], c2[both])
+        with np.errstate(over="ignore", divide="ignore"):
+            cand1, cand2 = _candidates(*lanes)
+        np.clip(cand1, 0.0, lanes[2], out=cand1)
+        np.clip(cand2, 0.0, lanes[3], out=cand2)
+        scores = _branch_min(*lanes, cand1, cand2)
+        best = np.argmax(scores, axis=0), np.arange(scores.shape[1])
+        value[both] = scores[best]
+        r1[both] = cand1[best]
+        r2[both] = cand2[best]
 
     r1[live1] += excess1[live1]
     r2[live2] += excess2[live2]
     value = np.maximum(value, 0.0)
+    for a in (value, r1, r2):
+        a[failed] = np.nan
     return value.reshape(shape), r1.reshape(shape), r2.reshape(shape)
 
 
