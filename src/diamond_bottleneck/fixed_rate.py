@@ -33,7 +33,7 @@ def fixed_rate(snrs: SnrPair, budgets: tuple[float, float]) -> FixedRateResult:
     1e-6 of the branch minimum.
     """
     problem = MaxMinProblem(snrs=(snrs.rho1, snrs.rho2), budgets=tuple(budgets))
-    value, r1, r2 = (float(x) for x in _maxmin_batch(*problem.snrs, *problem.budgets))
+    value, r1, r2 = (float(x) for x in _maxmin_batch(*problem.snrs, *problem.budgets)[:3])
     branches = [float(b) for b in _branches(*problem.snrs, *problem.budgets, r1, r2)]
     floor = min(branches)
     active = tuple(

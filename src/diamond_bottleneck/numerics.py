@@ -38,6 +38,48 @@ candidates come from log1p / expm1 forms and log2 ratios, so no polish step
 follows: mapping p back to r = log2(rho / p) would lose r's relative
 precision when r is tiny against a huge SNR, and alpha beta overflows
 float64 once c1 + c2 passes about 1,024 bits.
+
+The kernel also returns the value's slopes in c1 and c2.  By Danskin's
+theorem (The Theory of Max-Min, 1967) they are lambda_K1 + lambda_K12 and
+lambda_K2 + lambda_K12, where lambda >= 0, summing to 1, are the
+multipliers of the tight branches at the maximizer: the budgets enter K1
+and K12 (c1) and K2 and K12 (c2) with slope 1, and the maximizer is
+interior, so no box multiplier enters.  With u1 = rho1 - p and
+u2 = rho2 - q, the branches' gradients in (r1, r2) are
+
+    B   (p, q) / (1 + u1 + u2)
+    K1  (-1, Q)         Q = q / (1 + u2)
+    K2  (P, -1)         P = p / (1 + u1)
+    K12 (-1, -1)
+
+and for three tight branches [g_a g_b g_c; 1 1 1] lambda = (0, 0, 1), so
+each lambda is proportional to the cross product of the other two
+gradients.  Per row of candidates, with T = 1 + u1 + u2:
+
+- {K1, K2, K12}: lambda = (1/(1+Q), 1/(1+P), (PQ - 1)/((1+P)(1+Q))),
+  slopes p/(1 + rho1) and q/(1 + rho2); valid when PQ >= 1;
+- {B, K1, K12}: lambda ~ (1 + Q, (p - q)/T, (pQ + q)/T), slopes
+  p/(1 + rho1 + u2) and q (p + 1 + u2)/((1 + rho2)(1 + rho1 + u2)); valid
+  when p >= q; {B, K2, K12} mirrors it;
+- {B, K1, K2}: lambda ~ (1 - PQ, (Pq + p)/T, (pQ + q)/T), slopes
+  P (q + 1 + u1)/(1 + rho1 + rho2 + PQ) and its mirror; valid when PQ <= 1;
+- the tangency {B, K12} at p = q: lambda_B = 1/(1 + a), lambda_K12 =
+  a/(1 + a) with a = p/T, and both slopes are a/(1 + a).
+
+Where branches nearly coincide several rows tie in value to the last bit,
+but only the maximizer's row has valid multipliers (the others' slopes can
+be off by far more than a rounding error), so the slopes come from the
+best-scoring valid row.  A one-relay lane has slope rho 2^-c/(1 + rho 2^-c).
+
+A relay with positive SNR and zero budget facing a live relay needs the
+right derivative.  Say relay 2: at relay 1's one-relay optimum s1 all four
+branches are equal.  Moving c2 to e, r2 to t e and r1 to s1 + d e moves
+them, per unit e, by a d + b t (B), -d + rho2 t (K1), a d + 1 - t (K2) and
+-d + 1 - t (K12), with a = p/(1 + u1) and b = rho2/(1 + u1).  The best d
+leaves (min(b t, 1 - t) + a min(rho2 t, 1 - t))/(1 + a), piecewise linear
+and concave in t, so its maximum over [0, 1] sits at t = 1/(1 + rho2) or
+1/(1 + b): max(b/(1 + b), (b + a rho2)/((1 + a)(1 + rho2))).  A slope of 0
+there would leave a cell whose budget reached 0 pinned at 0.
 """
 
 from __future__ import annotations
@@ -249,6 +291,13 @@ def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.minimum(np.log1p(np.expm1(c * _LN2) / (1.0 + rho)) / _LN2, c)
 
 
+def _one_relay_slope(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """d/dc of _one_relay_value: rho 2^-c / (1 + rho 2^-c); at c = 0 it is
+    the right derivative."""
+    kept = rho * np.exp2(-c)
+    return kept / (1.0 + kept)
+
+
 def _snr_used(rho, r):
     """rho (1 - 2^-r): the part of the SNR that compression at rate r keeps."""
     return rho * -np.expm1(-r * _LN2)
@@ -332,17 +381,75 @@ def _candidates(rho1, rho2, c1, c2):
     return r1, r2
 
 
+def _kkt_slopes(rho1, rho2, r1, r2):
+    """(dvalue/dc1, dvalue/dc2, valid), each of shape (5, n), at the rows of
+    _candidates: the multiplier sums lambda_K1 + lambda_K12 and
+    lambda_K2 + lambda_K12 of each row's tight set, and whether all of its
+    multipliers are nonnegative (module docstring).  Every slope is a
+    ratio no larger than 1, or such a ratio times P <= rho1 or Q <= rho2,
+    so none overflows; only PQ may, on a row that is then not valid."""
+    used1 = _snr_used(rho1, r1)
+    used2 = _snr_used(rho2, r2)
+    p = rho1 * np.exp2(-r1)
+    q = rho2 * np.exp2(-r2)
+    lead1 = 1.0 + used1
+    lead2 = 1.0 + used2
+    pk = p / lead1  # P and Q of the module docstring
+    qk = q / lead2
+    cross = pk * qk
+    e1 = 1.0 + rho1
+    e2 = 1.0 + rho2
+    t1 = e1 + used2[1]
+    t2 = e2 + used1[2]
+    den = e1 + rho2 + cross[3]
+    w = 0.5 * (p[4] + q[4])
+    tangent = w / (lead1[4] + used2[4] + w)
+    d1 = np.stack([
+        p[0] / e1,
+        p[1] / t1,
+        (p[2] / e1) * ((q[2] + lead1[2]) / t2),
+        pk[3] * ((q[3] + lead1[3]) / den),
+        tangent,
+    ])
+    d2 = np.stack([
+        q[0] / e2,
+        (q[1] / e2) * ((p[1] + lead2[1]) / t1),
+        q[2] / t2,
+        qk[3] * ((p[3] + lead2[3]) / den),
+        tangent,
+    ])
+    valid = np.stack([
+        cross[0] >= 1.0, p[1] >= q[1], q[2] >= p[2], cross[3] <= 1.0, np.ones_like(w, dtype=bool),
+    ])
+    return d1, d2, valid
+
+
+def _zero_budget_slope(rho_live, c_live, rho_zero):
+    """Right derivative of the value in the budget of a relay with SNR
+    rho_zero > 0 and budget 0, the other relay live (module docstring)."""
+    s = _one_relay_rate(rho_live, c_live)
+    lead = 1.0 + _snr_used(rho_live, s)
+    a = rho_live * np.exp2(-s) / lead
+    b = rho_zero / lead
+    split = (b / (1.0 + rho_zero)) / (1.0 + a) + (a / (1.0 + a)) * (rho_zero / (1.0 + rho_zero))
+    return np.maximum(b / (1.0 + b), split)
+
+
 def _maxmin_batch(rho1, rho2, c1, c2):
     """Vectorized max-min rate over aligned arrays of SNR pairs and budgets.
 
-    Returns (value, r1, r2) with the same shape as the broadcast inputs.  A
-    lane with both relays live scores the five candidates of _candidates
-    (module docstring), clipped into the box, by _branch_min in one (5, n)
-    evaluation and keeps the first best.  Relays with zero SNR or zero
-    budget are pinned at r = 0 and the problem collapses to the
-    single-relay closed form.  Budgets above _BUDGET_CAP are solved at the
-    cap, and the excess goes to the live relay's r.  A lane with a
-    non-finite input returns NaN in all three, which callers report as a
+    Returns (value, r1, r2, slope1, slope2) with the same shape as the
+    broadcast inputs; slope_k is the value's derivative in c_k, the right
+    derivative at c_k = 0.  A lane with both relays live scores the five
+    candidates of _candidates (module docstring), clipped into the box, by
+    _branch_min in one (5, n) evaluation and keeps the first best; its
+    slopes are the multiplier sums of the best row whose multipliers are
+    valid (_kkt_slopes).  Relays
+    with zero SNR or zero budget are pinned at r = 0 and the problem
+    collapses to the single-relay closed form.  A relay with zero SNR has
+    slope 0.  Budgets above _BUDGET_CAP are solved at the cap, the excess
+    goes to the live relay's r, and its slope is 0.  A lane with a
+    non-finite input returns NaN in all five, which callers report as a
     failed cell.
     """
     rho1, rho2, c1, c2 = np.broadcast_arrays(
@@ -353,9 +460,7 @@ def _maxmin_batch(rho1, rho2, c1, c2):
     failed = ~(np.isfinite(rho1) & np.isfinite(rho2) & np.isfinite(c1) & np.isfinite(c2))
     for a in (rho1, rho2, c1, c2):
         a[failed] = 0.0
-    value = np.zeros_like(rho1)
-    r1 = np.zeros_like(rho1)
-    r2 = np.zeros_like(rho1)
+    value, r1, r2 = (np.zeros_like(rho1) for _ in range(3))
 
     live1 = (rho1 > 0.0) & (c1 > 0.0)
     live2 = (rho2 > 0.0) & (c2 > 0.0)
@@ -374,6 +479,17 @@ def _maxmin_batch(rho1, rho2, c1, c2):
         value[only2] = _one_relay_value(rho2[only2], c2[only2])
         r2[only2] = _one_relay_rate(rho2[only2], c2[only2])
 
+    # A relay with SNR whose partner is not live sees the one-relay slope,
+    # at a zero budget too; facing a live partner, a zero budget has its own.
+    slope1 = np.where(live2, 0.0, _one_relay_slope(rho1, c1))
+    slope2 = np.where(live1, 0.0, _one_relay_slope(rho2, c2))
+    for slope, rho, rho_other, c_other, rising in (
+        (slope1, rho1, rho2, c2, only2 & (rho1 > 0.0)),
+        (slope2, rho2, rho1, c1, only1 & (rho2 > 0.0)),
+    ):
+        if np.any(rising):
+            slope[rising] = _zero_budget_slope(rho_other[rising], c_other[rising], rho[rising])
+
     both = live1 & live2
     if np.any(both):
         lanes = (rho1[both], rho2[both], c1[both], c2[both])
@@ -386,13 +502,23 @@ def _maxmin_batch(rho1, rho2, c1, c2):
         value[both] = scores[best]
         r1[both] = cand1[best]
         r2[both] = cand2[best]
+        # Where branches nearly coincide rows can tie in value to the last
+        # bit; the slopes come from the best row whose multipliers are valid.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1, d2, valid = _kkt_slopes(lanes[0], lanes[1], cand1, cand2)
+        kkt = np.argmax(np.where(valid, scores, -np.inf), axis=0), best[1]
+        slope1[both] = d1[kkt]
+        slope2[both] = d2[kkt]
 
     r1[live1] += excess1[live1]
     r2[live2] += excess2[live2]
+    slope1[excess1 > 0.0] = 0.0
+    slope2[excess2 > 0.0] = 0.0
     value = np.maximum(value, 0.0)
-    for a in (value, r1, r2):
+    outputs = (value, r1, r2, slope1, slope2)
+    for a in outputs:
         a[failed] = np.nan
-    return value.reshape(shape), r1.reshape(shape), r2.reshape(shape)
+    return tuple(a.reshape(shape) for a in outputs)
 
 
 def maxmin_grid_oracle(problem: MaxMinProblem, settings: SolverSettings) -> float:

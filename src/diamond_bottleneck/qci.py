@@ -5,8 +5,8 @@ level up to a fixed quantile grid by injecting artificial noise, spends
 header bits on the grid index, and splits the leftover budget across grid
 cells.  Every cell rate is a max-min solve, which reduces to the one-relay
 closed form where a relay is dead; the split itself is a concave allocation
-problem solved by projected gradient ascent with finite-difference
-gradients.
+problem solved by projected gradient ascent, with the exact gradient that
+the max-min kernel's slopes give and Barzilai-Borwein step lengths.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from .channel import SystemConfig, xi_quantile
 from .errors import InvalidArgument, NonConvergent
 from .numerics import SolverSettings, _maxmin_batch
 
-_FD_STEP = 1e-4
 _ARMIJO_SLOPE = 1e-4
-_STALL_LIMIT = 2
+_STALL_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,12 @@ def build_grid(J: int, config: SystemConfig) -> QuantizationGrid:
 
 
 class _Objective:
-    """Allocation objective and its finite-difference gradient, one solver call.
+    """Allocation objective and its exact gradient, one solver call.
 
-    The J x J rate matrix and the 4 m x J gradient probes go to the max-min
-    kernel as one batch.  The dead cell is a lane with SNR 0 and budget 0,
-    which the kernel solves by the one-relay closed form.
+    The J x J cell lanes go to the max-min kernel as one batch: axis 0 is
+    relay 1's cell, axis 1 relay 2's, the dead cell last, a lane with SNR 0
+    and budget 0.  The kernel's slopes give the gradient: a live cell's
+    budget enters only its row (or column) of the rate matrix.
     """
 
     def __init__(self, grid: QuantizationGrid):
@@ -92,54 +92,21 @@ class _Objective:
         self.m = self.J - 1
         self.cell_weight = 1.0 / self.J**2
         rho = np.asarray(grid.snr_levels)
-        live = rho[: self.m]
-        self.lane_rho1, self.lane_rho2 = self._lanes(rho, live, live, rho, live, live)
-
-    def _lanes(self, full1, up1, down1, full2, up2, down2):
-        """Relay 1's and relay 2's lane arrays, blocks [value (J, J), c1
-        plus, c1 minus, c2 plus, c2 minus (m, J) each].  Value block: axis 0
-        is relay 1's cell, axis 1 relay 2's.  Probe blocks: axis 0 is the
-        perturbed live cell, axis 1 its partner, the dead cell last."""
-        J, m = self.J, self.m
-
-        def rows(v):
-            return np.broadcast_to(v[:, None], (v.size, J))
-
-        def cols(v, count=m):
-            return np.broadcast_to(v, (count, J))
-
-        return (
-            np.concatenate([rows(full1), rows(up1), rows(down1), cols(full1), cols(full1)]),
-            np.concatenate([cols(full2, J), cols(full2), cols(full2), rows(up2), rows(down2)]),
-        )
+        self.lane_rho1 = rho[:, None]
+        self.lane_rho2 = rho[None, :]
 
     def evaluate(
-        self, c1: np.ndarray, c2: np.ndarray, h: float,
+        self, c1: np.ndarray, c2: np.ndarray,
     ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Mean rate, rate matrix, and the gradient with FD step h.
-
-        The gradient is central, one-sided where a budget sits within h of
-        0.  Perturbing one relay's cell budget touches only that cell's row
-        (or column) of the rate matrix.
-        """
-        J, m = self.J, self.m
-        down1 = np.minimum(h, c1)
-        down2 = np.minimum(h, c2)
-        budgets = self._lanes(
-            np.append(c1, 0.0), c1 + h, c1 - down1, np.append(c2, 0.0), c2 + h, c2 - down2
+        """Mean rate, rate matrix, and the gradient in c1 and c2."""
+        m = self.m
+        rates, _, _, slope1, slope2 = _maxmin_batch(
+            self.lane_rho1, self.lane_rho2, np.append(c1, 0.0)[:, None], np.append(c2, 0.0)[None, :]
         )
-        values, _, _ = _maxmin_batch(self.lane_rho1, self.lane_rho2, *budgets)
-        rates = values[:J]
         total = float(rates.sum()) * self.cell_weight
-
-        # live partners first, then the dead-partner edge: the summation
-        # order of the rate differences is part of the output bits
-        probes = values[J:].reshape(4, m, J)
-        sums = probes[:, :, :m].sum(axis=2)
-        edges = probes[:, :, m]
-        g1 = (sums[0] - sums[1] + edges[0] - edges[1]) / (h + down1)
-        g2 = (sums[2] - sums[3] + edges[2] - edges[3]) / (h + down2)
-        return total, rates, g1 * self.cell_weight, g2 * self.cell_weight
+        g1 = slope1[:m].sum(axis=1) * self.cell_weight
+        g2 = slope2[:, :m].sum(axis=0) * self.cell_weight
+        return total, rates, g1, g2
 
 
 def _project_budget(x: np.ndarray, p: np.ndarray, budget: float) -> np.ndarray:
@@ -175,10 +142,13 @@ def optimize_allocation(
 ) -> QciAllocation:
     """Split the post-header budgets across cells to maximize the mean rate.
 
-    Projected gradient ascent on a concave objective: batched FD gradient,
-    backtracking line search along the projection arc, convergence when two
+    Projected gradient ascent on a concave objective: the exact gradient
+    from the kernel's slopes, a Barzilai-Borwein trial step (Barzilai and
+    Borwein, IMA J. Numer. Anal. 8, 1988) backtracked along the projection
+    arc until the Armijo condition holds, convergence when three
     consecutive accepted steps improve by less than abs_tol or no improving
-    step exists.  `initial` warm-starts from a previous allocation (it is
+    step exists.  Every accepted step raises the value, so the result is
+    never below the start.  `initial` warm-starts from a previous allocation (it is
     projected onto the current feasible set first), which both speeds up
     sweeps and makes budget-ladder results monotone by construction.
     """
@@ -207,41 +177,38 @@ def optimize_allocation(
         c1 = np.full(m, residual1 * J / m)
         c2 = np.full(m, residual2 * J / m)
 
-    # Every evaluation also yields the gradient at _FD_STEP, so an accepted
-    # candidate brings the next iteration's gradient along.
-    best, rates, g1, g2 = objective.evaluate(c1, c2, _FD_STEP)
+    # Every evaluation also yields the gradient, so an accepted candidate
+    # brings the next iteration's gradient along.
+    best, rates, g1, g2 = objective.evaluate(c1, c2)
     step = 2.0 * J
     stalls = 0
     last_gain = math.inf
     iterations = 0
     for iterations in range(1, settings.max_iter + 1):
         moved = False
-        for h in (_FD_STEP, _FD_STEP * 1e-2):
-            if h != _FD_STEP:
-                _, _, g1, g2 = objective.evaluate(c1, c2, h)
-            trial_step = step
-            for _ in range(40):
-                cand1 = _project_budget(c1 + trial_step * g1, p, residual1)
-                cand2 = _project_budget(c2 + trial_step * g2, p, residual2)
-                gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
-                if gap <= 0.0:
-                    break
-                cand_value, cand_rates, cand_g1, cand_g2 = objective.evaluate(
-                    cand1, cand2, _FD_STEP
-                )
-                if cand_value >= best + _ARMIJO_SLOPE * gap:
-                    last_gain = cand_value - best
-                    c1, c2 = cand1, cand2
-                    best, rates = cand_value, cand_rates
-                    g1, g2 = cand_g1, cand_g2
-                    step = trial_step * 2.0
-                    moved = True
-                    break
-                trial_step *= 0.25
-            if moved:
+        trial_step = step
+        for _ in range(40):
+            cand1 = _project_budget(c1 + trial_step * g1, p, residual1)
+            cand2 = _project_budget(c2 + trial_step * g2, p, residual2)
+            gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
+            if gap <= 0.0:
                 break
+            cand_value, cand_rates, cand_g1, cand_g2 = objective.evaluate(cand1, cand2)
+            if cand_value >= best + _ARMIJO_SLOPE * gap:
+                moved = True
+                break
+            trial_step *= 0.25
         if not moved:
             break  # no ascent direction survives projection: stationary
+        # Barzilai-Borwein length s.s / (-s.y); concavity makes -s.y >= 0,
+        # and where the gradient did not turn the accepted step is doubled.
+        s1, s2 = cand1 - c1, cand2 - c2
+        turn = -float(s1 @ (cand_g1 - g1) + s2 @ (cand_g2 - g2))
+        step = float(s1 @ s1 + s2 @ s2) / turn if turn > 0.0 else 2.0 * trial_step
+        last_gain = cand_value - best
+        c1, c2 = cand1, cand2
+        best, rates = cand_value, cand_rates
+        g1, g2 = cand_g1, cand_g2
         if last_gain < settings.abs_tol:
             stalls += 1
             if stalls >= _STALL_LIMIT:

@@ -50,7 +50,7 @@ class TestFixedRate:
             rho = rng.uniform(0.0, 60.0, 2)
             c = rng.uniform(0.0, 8.0, 2)
             result = rate_of(rho[0], rho[1], c[0], c[1])
-            value, r1, r2 = _maxmin_batch(rho[0], rho[1], c[0], c[1])
+            value, r1, r2 = _maxmin_batch(rho[0], rho[1], c[0], c[1])[:3]
             assert (result.rate, *result.r_opt) == (value, r1, r2)
 
     def test_relay_exchange_symmetry(self):

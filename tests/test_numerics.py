@@ -169,15 +169,15 @@ class TestSolveMaxmin:
     """One max-min solve per instance through the batched kernel."""
 
     def test_no_signal_gives_zero(self):
-        value, r1, r2 = _maxmin_batch(0.0, 0.0, 5.0, 5.0)
+        value, r1, r2 = _maxmin_batch(0.0, 0.0, 5.0, 5.0)[:3]
         assert (value, r1, r2) == (0.0, 0.0, 0.0)
 
     def test_one_relay_closed_form(self):
-        value, _, _ = _maxmin_batch(1.0, 0.0, 1.0, 0.0)
+        value = _maxmin_batch(1.0, 0.0, 1.0, 0.0)[0]
         assert float(value) == pytest.approx(LOG2_4_3, abs=1e-8)
 
     def test_large_budget_limit(self):
-        value, _, _ = _maxmin_batch(10.0, 10.0, 30.0, 30.0)
+        value = _maxmin_batch(10.0, 10.0, 30.0, 30.0)[0]
         assert float(value) == pytest.approx(LOG2_21, abs=1e-3)
 
     def test_one_relay_reduction_random(self):
@@ -185,7 +185,7 @@ class TestSolveMaxmin:
         for _ in range(25):
             rho = float(rng.uniform(0.01, 500.0))
             c = float(rng.uniform(0.01, 12.0))
-            value, _, _ = _maxmin_batch(rho, 0.0, c, 0.0)
+            value = _maxmin_batch(rho, 0.0, c, 0.0)[0]
             closed = math.log2(1.0 + rho) - math.log2(1.0 + rho * 2.0**-c)
             assert float(value) == pytest.approx(closed, abs=1e-5)
 
@@ -194,14 +194,14 @@ class TestSolveMaxmin:
         for _ in range(20):
             rho = rng.uniform(0.0, 50.0, 2)
             c = rng.uniform(0.0, 8.0, 2)
-            base, _, _ = _maxmin_batch(*rho, *c)
+            base = _maxmin_batch(*rho, *c)[0]
             bump = rng.integers(0, 2)
             rho_up = rho.copy()
             rho_up[bump] += rng.uniform(0.1, 5.0)
-            up_rho, _, _ = _maxmin_batch(*rho_up, *c)
+            up_rho = _maxmin_batch(*rho_up, *c)[0]
             c_up = c.copy()
             c_up[bump] += rng.uniform(0.1, 3.0)
-            up_c, _, _ = _maxmin_batch(*rho, *c_up)
+            up_c = _maxmin_batch(*rho, *c_up)[0]
             assert up_rho >= base - 1e-6
             assert up_c >= base - 1e-6
 
@@ -210,7 +210,7 @@ class TestSolveMaxmin:
         for _ in range(15):
             rho = rng.uniform(0.0, 80.0, 2)
             c = rng.uniform(0.0, 9.0, 2)
-            value, r1, r2 = (float(x) for x in _maxmin_batch(*rho, *c))
+            value, r1, r2 = (float(x) for x in _maxmin_batch(*rho, *c)[:3])
             assert -1e-12 <= r1 <= c[0] + 1e-12
             assert -1e-12 <= r2 <= c[1] + 1e-12
             at_opt = float(_branch_min(rho[0], rho[1], c[0], c[1], r1, r2))
@@ -222,7 +222,7 @@ class TestSolveMaxmin:
             rho = rng.uniform(0.0, 100.0, 2)
             c = rng.uniform(0.0, 10.0, 2)
             problem = MaxMinProblem(snrs=tuple(rho), budgets=tuple(c))
-            value, _, _ = _maxmin_batch(*rho, *c)
+            value = _maxmin_batch(*rho, *c)[0]
             oracle = maxmin_grid_oracle(problem, SolverSettings(grid_points=2000))
             assert value >= oracle - 1e-6
 
@@ -235,10 +235,10 @@ class TestSolveMaxmin:
         args[position][1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, r1, r2 = _maxmin_batch(*args)
-        assert np.isnan([value[1], r1[1], r2[1]]).all()
+            outputs = _maxmin_batch(*args)
+        assert np.isnan([a[1] for a in outputs]).all()
         finite = [float(x) for x in _maxmin_batch(1.0, 1.0, 5.0, 5.0)]
-        assert [value[0], r1[0], r2[0]] == finite
+        assert [a[0] for a in outputs] == finite
 
     def test_verify_check_reaches_high_snr(self):
         # Seed 46 draws an instance above 140 dB where an inner solve that
@@ -251,29 +251,29 @@ class TestLargeBudgets:
     """Budgets past 1,024 bits, where 2^c overflows float64."""
 
     def test_symmetric_under_budget_swap(self):
-        a, _, _ = _maxmin_batch(10.0, 10.0, 5.0, 1030.0)
-        b, _, _ = _maxmin_batch(10.0, 10.0, 1030.0, 5.0)
+        a = _maxmin_batch(10.0, 10.0, 5.0, 1030.0)[0]
+        b = _maxmin_batch(10.0, 10.0, 1030.0, 5.0)[0]
         assert float(a) == pytest.approx(float(b), abs=1e-12)
 
     def test_monotone_in_budget(self):
         budgets = np.linspace(1000.0, 4000.0, 61)
         for c1, c2 in [(budgets, budgets), (5.0, budgets), (budgets, 0.0)]:
-            values, _, _ = _maxmin_batch(10.0, 10.0, c1, c2)
+            values = _maxmin_batch(10.0, 10.0, c1, c2)[0]
             assert np.all(np.diff(values) >= -1e-12)
 
     def test_unlimited_budget_limit(self):
-        value, r1, r2 = (float(x) for x in _maxmin_batch(10.0, 10.0, 4000.0, 4000.0))
+        value, r1, r2 = (float(x) for x in _maxmin_batch(10.0, 10.0, 4000.0, 4000.0)[:3])
         assert value == pytest.approx(LOG2_21, abs=1e-12)
         assert 0.0 <= r1 <= 4000.0 and 0.0 <= r2 <= 4000.0
 
     def test_unlimited_budget_limit_at_high_snr(self):
         # A search whose inner solve formed 2^(c1 + c2) stopped at r2 = c2
         # here and returned 25.18 bits instead of 49.20.
-        value, _, _ = (float(x) for x in _maxmin_batch(3.79e7, 6.48e14, 4000.0, 4000.0))
+        value = float(_maxmin_batch(3.79e7, 6.48e14, 4000.0, 4000.0)[0])
         assert value == pytest.approx(math.log2(1.0 + 3.79e7 + 6.48e14), abs=1e-12)
 
     def test_one_relay_rate_keeps_the_excess(self):
-        value, r1, r2 = (float(x) for x in _maxmin_batch(100.0, 0.0, 1030.0, 2000.0))
+        value, r1, r2 = (float(x) for x in _maxmin_batch(100.0, 0.0, 1030.0, 2000.0)[:3])
         assert value == pytest.approx(math.log2(101.0), abs=1e-12)
         # r = log2(1 + (2^c - 1)/(1 + rho)) = c - log2(101) to float precision
         assert r1 == pytest.approx(1030.0 - math.log2(101.0), abs=1e-9)
@@ -302,13 +302,99 @@ class TestMaxMinInvariants:
     @example(1e6, 1e-30, 20.0, 15.0)
     @example(1e-30, 0.0, 0.23, 0.0)
     def test_never_below_lattice_and_consistent(self, rho1, rho2, c1, c2):
-        value, r1, r2 = (float(x) for x in _maxmin_batch(rho1, rho2, c1, c2))
+        value, r1, r2, slope1, slope2 = (float(x) for x in _maxmin_batch(rho1, rho2, c1, c2))
+        assert 0.0 <= slope1 <= 1.0 and 0.0 <= slope2 <= 1.0
         oracle = maxmin_grid_oracle(MaxMinProblem((rho1, rho2), (c1, c2)), SETTINGS)
         assert value >= oracle - 1e-12
         assert 0.0 <= r1 <= c1
         assert 0.0 <= r2 <= c2
         at_r = max(float(_branch_min(rho1, rho2, c1, c2, r1, r2)), 0.0)
         assert value == pytest.approx(at_r, abs=1e-12)
+
+
+def _random_lanes(seed, n=5000):
+    """SNRs log-uniform from -60 to 150 dB, budgets uniform in [0, 60] bits."""
+    rng = np.random.default_rng(seed)
+    return (
+        10.0 ** rng.uniform(-6.0, 15.0, n), 10.0 ** rng.uniform(-6.0, 15.0, n),
+        rng.uniform(0.0, 60.0, n), rng.uniform(0.0, 60.0, n),
+    )
+
+
+class TestSlopes:
+    """The kernel's slopes: d value / d c1 and d value / d c2."""
+
+    # Lanes where rows of the candidate set tie in value to the last bit but
+    # only one has valid multipliers; the others' slopes are off by up to
+    # 1.4e-4.
+    TIED = np.array([
+        (1.4154554912075717e-04, 712006.0151664866, 0.0011854508879260983, 47.78684678470397),
+        (6.904228948990554e-05, 2089316.2073391147, 0.6241051114292584, 59.678614588052525),
+        (175969820.14189455, 1.8973439229497198e-05, 58.97043171094836, 0.11022617610954244),
+    ]).T
+
+    def test_central_differences(self):
+        rho1, rho2, c1, c2 = (
+            np.concatenate([a, b]) for a, b in zip(_random_lanes(13), self.TIED)
+        )
+        h = 1e-6
+        value, _, _, slope1, slope2 = _maxmin_batch(rho1, rho2, c1, c2)
+        for k, slope in ((0, slope1), (1, slope2)):
+            shifted = []
+            for step in (h, -h):
+                budgets = [c1, c2]
+                budgets[k] = budgets[k] + step
+                shifted.append(_maxmin_batch(rho1, rho2, *budgets)[0])
+            up, down = (shifted[0] - value) / h, (value - shifted[1]) / h
+            # away from active-set changes the one-sided slopes agree
+            smooth = (np.abs(up - down) < 1e-5) & (np.minimum(c1, c2) > h)
+            assert np.count_nonzero(smooth) >= 0.95 * value.size
+            central = (shifted[0] - shifted[1]) / (2.0 * h)
+            assert np.max(np.abs(central - slope)[smooth]) <= 1e-6
+
+    def test_forward_difference_at_zero_budget(self):
+        rho1, rho2, c1, _ = _random_lanes(14)
+        c1[::10] = 0.0  # both budgets zero
+        zero = np.zeros_like(c1)
+        h = 1e-7
+        value, _, _, _, slope2 = _maxmin_batch(rho1, rho2, c1, zero)
+        forward = (_maxmin_batch(rho1, rho2, c1, zero + h)[0] - value) / h
+        assert np.max(np.abs(forward - slope2)) <= 1e-6
+        _, _, _, slope1, _ = _maxmin_batch(rho2, rho1, zero, c1)
+        assert np.array_equal(slope1, slope2)
+
+    def test_one_relay_closed_form(self):
+        rho = 10.0 ** np.linspace(-6.0, 15.0, 22)
+        c = np.linspace(0.0, 60.0, 22)
+        closed = rho * 2.0**-c / (1.0 + rho * 2.0**-c)
+        for dead_budget in (0.0, 7.0):
+            _, _, _, slope1, slope2 = _maxmin_batch(rho, 0.0, c, dead_budget)
+            assert np.allclose(slope1, closed, rtol=1e-14, atol=0.0)
+            assert np.all(slope2 == 0.0)
+            _, _, _, slope1, slope2 = _maxmin_batch(0.0, rho, dead_budget, c)
+            assert np.allclose(slope2, closed, rtol=1e-14, atol=0.0)
+            assert np.all(slope1 == 0.0)
+
+    def test_dead_and_capped_lanes_are_flat(self):
+        slopes = [float(x) for x in _maxmin_batch(0.0, 0.0, 5.0, 5.0)[3:]]
+        assert slopes == [0.0, 0.0]
+        _, _, _, slope1, slope2 = _maxmin_batch(10.0, 10.0, [1030.0, 5.0], [5.0, 1030.0])
+        assert slope1[0] == 0.0 and slope2[1] == 0.0
+        assert slope2[0] > 0.0 and slope1[1] > 0.0
+        slopes = [float(x) for x in _maxmin_batch(100.0, 0.0, 1030.0, 2000.0)[3:]]
+        assert slopes == [0.0, 0.0]
+
+    def test_within_unit_interval_without_warnings(self):
+        rho1, rho2, c1, c2 = _random_lanes(15, n=20000)
+        rho1[::17] = 0.0
+        c1[::13] = 0.0
+        c2[::11] = 0.0
+        c2[::19] = 1030.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, _, slope1, slope2 = _maxmin_batch(rho1, rho2, c1, c2)
+        for slope in (slope1, slope2):
+            assert np.all((slope >= 0.0) & (slope <= 1.0))
 
 
 class TestGridOracle:
@@ -318,7 +404,7 @@ class TestGridOracle:
 
     def test_oracle_below_solver_plus_spacing_slack(self):
         problem = MaxMinProblem(snrs=(3.0, 7.0), budgets=(2.0, 5.0))
-        value, _, _ = _maxmin_batch(3.0, 7.0, 2.0, 5.0)
+        value = _maxmin_batch(3.0, 7.0, 2.0, 5.0)[0]
         oracle = maxmin_grid_oracle(problem, SETTINGS)
         spacing_slack = sum(problem.budgets) / (SETTINGS.grid_points - 1)
         assert oracle <= value + 1e-9
@@ -326,7 +412,7 @@ class TestGridOracle:
 
     def test_unit_instance_close_to_solver(self):
         problem = MaxMinProblem(snrs=(1.0, 1.0), budgets=(1.0, 1.0))
-        value, _, _ = _maxmin_batch(1.0, 1.0, 1.0, 1.0)
+        value = _maxmin_batch(1.0, 1.0, 1.0, 1.0)[0]
         oracle = maxmin_grid_oracle(problem, SETTINGS)
         assert oracle == pytest.approx(float(value), abs=1e-3)
 
@@ -406,12 +492,12 @@ class TestMaxMinKernelBits:
         rho1, rho2, c1, c2, recorded = np.array(
             [[float.fromhex(x) for x in row.split(",")] for row in rows]
         ).T
-        value, _, _ = _maxmin_batch(rho1, rho2, c1, c2)
+        value = _maxmin_batch(rho1, rho2, c1, c2)[0]
         assert np.min(value - recorded) >= -1e-12
 
     def test_pinned_instances_batched(self):
         inputs = np.array([case[:4] for case in PINNED_MAXMIN]).T
-        value, r1, r2 = _maxmin_batch(*inputs)
+        value, r1, r2 = _maxmin_batch(*inputs)[:3]
         got = [(v.hex(), a.hex(), b.hex()) for v, a, b in zip(
             value.tolist(), r1.tolist(), r2.tolist()
         )]
@@ -419,19 +505,19 @@ class TestMaxMinKernelBits:
 
     def test_pinned_instances_one_at_a_time(self):
         for case in PINNED_MAXMIN:
-            value, r1, r2 = _maxmin_batch(*case[:4])
+            value, r1, r2 = _maxmin_batch(*case[:4])[:3]
             assert (float(value).hex(), float(r1).hex(), float(r2).hex()) == case[4:]
 
     def test_values_near_previous_kernel(self):
         inputs = np.array([case[:4] for case in PINNED_MAXMIN]).T
-        value, _, _ = _maxmin_batch(*inputs)
+        value = _maxmin_batch(*inputs)[0]
         previous = np.array([float.fromhex(h) for h in PREVIOUS_MAXMIN_VALUES])
         assert np.max(np.abs(value - previous)) <= 2e-14
 
     def test_lane_chunk_invariance(self):
-        # QCI merges its value and gradient lanes into one call and TCI its
-        # whole threshold grid; both rely on a lane's bits not depending on
-        # the other lanes of the call.
+        # QCI evaluates its whole rate matrix in one call and TCI its whole
+        # threshold grid; both rely on a lane's bits not depending on the
+        # other lanes of the call.
         rng = np.random.default_rng(12)
         n = 60
         rho1 = 10.0 ** rng.uniform(-3.0, 9.0, n)

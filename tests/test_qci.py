@@ -1,8 +1,10 @@
 """Quantized-inversion scheme: grid construction, cell rates, and the
 budget-allocation ascent."""
 
+import csv
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from diamond_bottleneck.qci import (
     optimize_allocation,
     qci_lower_bound,
 )
+from diamond_bottleneck.sweeps import db_to_linear
 from diamond_bottleneck.upper_bound import upper_bound
 
 SETTINGS = SolverSettings()
@@ -84,7 +87,7 @@ def unit_snr_grid():
 
 def rate_matrix(grid, c1, c2):
     """Rate matrix of the allocation objective at live-cell budgets c1, c2."""
-    _, rates, _, _ = _Objective(grid).evaluate(np.asarray(c1), np.asarray(c2), 1e-4)
+    _, rates, _, _ = _Objective(grid).evaluate(np.asarray(c1), np.asarray(c2))
     return rates
 
 
@@ -113,7 +116,7 @@ class TestCellRate:
             assert rates[j, 3] == pytest.approx(closed, abs=1e-12)
             # the dead relay's SNR is 0, so its budget cannot move the cell
             for dead_budget in (0.0, 7.0):
-                value, _, _ = _maxmin_batch(rho, 0.0, c, dead_budget)
+                value = _maxmin_batch(rho, 0.0, c, dead_budget)[0]
                 assert float(value) == rates[j, 3]
 
     def test_interior_matches_maxmin_solver(self):
@@ -142,9 +145,9 @@ def test_one_kernel_call_per_evaluation(monkeypatch, J):
     monkeypatch.setattr(module, "_maxmin_batch", counted)
     objective = _Objective(build_grid(J, SystemConfig(0.01, 6.0, 6.0)))
     m = J - 1
-    objective.evaluate(np.full(m, 2.0), np.full(m, 1.0), 1e-4)
+    objective.evaluate(np.full(m, 2.0), np.full(m, 1.0))
     assert len(lanes) == 1
-    assert math.prod(lanes[0]) == J * J + 4 * m * J
+    assert math.prod(lanes[0]) == J * J
 
 
 def cell_value(grid, j1, j2, c1, c2):
@@ -253,6 +256,46 @@ class TestOptimizeAllocation:
         b = qci_lower_bound(4, config, SETTINGS)
         assert a.lower_bound == b.lower_bound
         assert np.array_equal(a.c, b.c)
+
+
+# QCI lower bounds of the finite-difference ascent that preceded exact
+# slopes, with its iteration counts; values as repr.  Rows: both presets
+# warm-started point to point as run_sweep runs them (case fig2, fig3), and
+# the benchmark's 16 cold points of seeds 0 to 10 without a warm start
+# (case cold<seed>), each for J = 2, 4 and 8 in that order.
+QCI_FLOOR = Path(__file__).parent / "data" / "qci_floor.csv"
+
+
+@pytest.fixture(scope="module")
+def floor_rows():
+    """(recorded row, allocation now) for every row of QCI_FLOOR."""
+    rows = list(csv.DictReader(QCI_FLOOR.open()))
+    warm: dict[tuple[str, int], np.ndarray] = {}
+    pairs = []
+    for row in rows:
+        J = int(row["J"])
+        snr_db, c1, c2 = (float(row[key]) for key in ("snr_db", "c1", "c2"))
+        config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
+        key = (row["case"], J)
+        preset = row["case"] in ("fig2", "fig3")
+        allocation = qci_lower_bound(J, config, SETTINGS, initial=warm.get(key) if preset else None)
+        if preset and allocation.feasible:
+            warm[key] = allocation.c
+        pairs.append((row, allocation))
+    return pairs
+
+
+class TestAgainstRecordedFloor:
+    def test_never_below_floor(self, floor_rows):
+        worst = min(now.lower_bound - float(row["lower_bound"]) for row, now in floor_rows)
+        assert worst >= -1e-9
+
+    def test_no_ascent_reaches_the_cap(self, floor_rows):
+        assert max(now.iterations for _, now in floor_rows) < SETTINGS.max_iter
+
+    def test_fewer_iterations(self, floor_rows):
+        before = sum(int(row["iterations"]) for row, _ in floor_rows)
+        assert sum(now.iterations for _, now in floor_rows) < before
 
 
 @st.composite
