@@ -6,7 +6,9 @@ header bits on the grid index, and splits the leftover budget across grid
 cells.  Every cell rate is a max-min solve, which reduces to the one-relay
 closed form where a relay is dead; the split itself is a concave allocation
 problem solved by projected gradient ascent, with the exact gradient that
-the max-min kernel's slopes give and Barzilai-Borwein step lengths.
+the max-min kernel's slopes give and a Barzilai-Borwein step length per
+relay.  A cold ascent starts from the one-relay water-filling split of each
+relay's residual, and stops after three consecutive gains below abs_tol.
 """
 
 from __future__ import annotations
@@ -143,14 +145,21 @@ def optimize_allocation(
     """Split the post-header budgets across cells to maximize the mean rate.
 
     Projected gradient ascent on a concave objective: the exact gradient
-    from the kernel's slopes, a Barzilai-Borwein trial step (Barzilai and
-    Borwein, IMA J. Numer. Anal. 8, 1988) backtracked along the projection
-    arc until the Armijo condition holds, convergence when three
-    consecutive accepted steps improve by less than abs_tol or no improving
-    step exists.  Every accepted step raises the value, so the result is
-    never below the start.  `initial` warm-starts from a previous allocation (it is
-    projected onto the current feasible set first), which both speeds up
-    sweeps and makes budget-ladder results monotone by construction.
+    from the kernel's slopes, a Barzilai-Borwein trial step per relay
+    (Barzilai and Borwein, IMA J. Numer. Anal. 8, 1988) backtracked along
+    the projection arc until the Armijo condition holds, convergence when
+    three consecutive accepted steps improve by less than abs_tol or no
+    improving step exists.  Every accepted step raises the value, so the
+    result is never below the start.
+
+    Without `initial` the ascent starts cold from each relay's one-relay
+    water-filling split (Cover and Thomas, Elements of Information Theory,
+    9.4): c_i = max(0, log2 rho_i + mu), with mu spending the whole
+    residual, which equalizes the one-relay slopes rho_i 2^-c_i / (1 +
+    rho_i 2^-c_i) and costs no kernel call.  `initial` warm-starts from a
+    previous allocation (it is projected onto the current feasible set
+    first), which both speeds up sweeps and makes budget-ladder results
+    monotone by construction.
     """
     J = grid.size
     m = J - 1
@@ -174,22 +183,29 @@ def optimize_allocation(
         c1 = _project_budget(start[0, :m].copy(), p, residual1)
         c2 = _project_budget(start[1, :m].copy(), p, residual2)
     else:
-        c1 = np.full(m, residual1 * J / m)
-        c2 = np.full(m, residual2 * J / m)
+        # log2 rho, lifted so that every cell holds at least residual /
+        # sum(p), overspends; on uniform cells the projection's shift theta p
+        # is one water level, so the projection is the water-filling split.
+        log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
+        lifted = log_rho - log_rho.min()
+        c1, c2 = (
+            _project_budget(lifted + residual / p.sum(), p, residual)
+            for residual in (residual1, residual2)
+        )
 
     # Every evaluation also yields the gradient, so an accepted candidate
     # brings the next iteration's gradient along.
     best, rates, g1, g2 = objective.evaluate(c1, c2)
-    step = 2.0 * J
+    step1 = step2 = 2.0 * J
     stalls = 0
     last_gain = math.inf
     iterations = 0
     for iterations in range(1, settings.max_iter + 1):
         moved = False
-        trial_step = step
+        scale = 1.0
         for _ in range(40):
-            cand1 = _project_budget(c1 + trial_step * g1, p, residual1)
-            cand2 = _project_budget(c2 + trial_step * g2, p, residual2)
+            cand1 = _project_budget(c1 + scale * step1 * g1, p, residual1)
+            cand2 = _project_budget(c2 + scale * step2 * g2, p, residual2)
             gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
             if gap <= 0.0:
                 break
@@ -197,14 +213,18 @@ def optimize_allocation(
             if cand_value >= best + _ARMIJO_SLOPE * gap:
                 moved = True
                 break
-            trial_step *= 0.25
+            scale *= 0.25
         if not moved:
             break  # no ascent direction survives projection: stationary
-        # Barzilai-Borwein length s.s / (-s.y); concavity makes -s.y >= 0,
-        # and where the gradient did not turn the accepted step is doubled.
+        # Barzilai-Borwein length s.s / (-s.y) per relay: the two relays'
+        # slopes can differ by orders of magnitude, and one shared length
+        # crawls on the flatter relay.  Where a relay's gradient did not
+        # turn, its accepted step is doubled.
         s1, s2 = cand1 - c1, cand2 - c2
-        turn = -float(s1 @ (cand_g1 - g1) + s2 @ (cand_g2 - g2))
-        step = float(s1 @ s1 + s2 @ s2) / turn if turn > 0.0 else 2.0 * trial_step
+        turn1 = -float(s1 @ (cand_g1 - g1))
+        turn2 = -float(s2 @ (cand_g2 - g2))
+        step1 = float(s1 @ s1) / turn1 if turn1 > 0.0 else 2.0 * scale * step1
+        step2 = float(s2 @ s2) / turn2 if turn2 > 0.0 else 2.0 * scale * step2
         last_gain = cand_value - best
         c1, c2 = cand1, cand2
         best, rates = cand_value, cand_rates

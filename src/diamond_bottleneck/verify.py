@@ -180,7 +180,7 @@ def _check_water_level(settings: SolverSettings):
 
 
 def _check_qci_feasibility(settings: SolverSettings):
-    config = SystemConfig(noise_power=0.01, c1=6.0, c2=6.0)
+    config = SystemConfig(noise_power=0.01, c1=6.0, c2=5.0)
     grid = build_grid(4, config)
     if grid.header_bits != 2.0:
         return False, "header is not exactly log2(J)"
@@ -196,14 +196,15 @@ def _check_qci_feasibility(settings: SolverSettings):
         and allocation.c[0, J - 1] == 0.0
         and allocation.c[1, J - 1] == 0.0
     )
-    # any feasible point lower-bounds the optimum; try the uniform spread
-    uniform = (config.c1 - grid.header_bits) / (J - 1)
+    # any feasible point lower-bounds the optimum; try the uniform split,
+    # which spends each relay's whole residual
+    uniform = [(budget - grid.header_bits) * J / (J - 1) for budget in config.budgets]
     rho = grid.snr_levels
     value = 0.0
     for j1 in range(J):
         for j2 in range(J):
-            c1 = uniform if j1 < J - 1 else 0.0
-            c2 = uniform if j2 < J - 1 else 0.0
+            c1 = uniform[0] if j1 < J - 1 else 0.0
+            c2 = uniform[1] if j2 < J - 1 else 0.0
             cell = fixed_rate(SnrPair(rho[j1], rho[j2]), (c1, c2)).rate
             value += probs[j1] * probs[j2] * cell
     improved = allocation.lower_bound >= value - 1e-9

@@ -16,6 +16,7 @@ from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.fixed_rate import fixed_rate
 from diamond_bottleneck.numerics import SolverSettings, _maxmin_batch
 from diamond_bottleneck.qci import (
+    QciAllocation,
     _Objective,
     _project_budget,
     build_grid,
@@ -24,6 +25,7 @@ from diamond_bottleneck.qci import (
 )
 from diamond_bottleneck.sweeps import db_to_linear
 from diamond_bottleneck.upper_bound import upper_bound
+from diamond_bottleneck.verify import _check_qci_feasibility
 
 SETTINGS = SolverSettings()
 XI_QUARTER = 0.72134752044448
@@ -159,7 +161,9 @@ def cell_value(grid, j1, j2, c1, c2):
 
 def uniform_split_value(J, config):
     """Mean cell rate when each live cell gets an equal share of the
-    post-header budget: the optimizer must do at least this well."""
+    post-header budget.  Any feasible split lower-bounds the optimum, so an
+    ascent that reaches the optimum does at least this well, whatever its
+    start."""
     grid = build_grid(J, config)
     m = J - 1
     share1 = (config.c1 - grid.header_bits) * J / m
@@ -258,6 +262,77 @@ class TestOptimizeAllocation:
         assert np.array_equal(a.c, b.c)
 
 
+def cold_start(monkeypatch, J, config):
+    """Live-cell budgets (c1, c2) of a cold ascent's first evaluation."""
+    module = importlib.import_module("diamond_bottleneck.qci")
+    budgets = []
+
+    def recorded(rho1, rho2, c1, c2):
+        budgets.append((np.ravel(c1).copy(), np.ravel(c2).copy()))
+        return _maxmin_batch(rho1, rho2, c1, c2)
+
+    monkeypatch.setattr(module, "_maxmin_batch", recorded)
+    qci_lower_bound(J, config, SETTINGS)
+    c1, c2 = budgets[0]
+    # the dead cell's lane is the last, with budget 0
+    assert c1[-1] == 0.0 and c2[-1] == 0.0
+    return c1[:-1], c2[:-1]
+
+
+class TestColdStart:
+    """A cold ascent starts from each relay's one-relay water-filling split."""
+
+    @pytest.mark.parametrize(
+        "J, config",
+        [
+            (2, SystemConfig(1e-2, 4.0, 1.0)),
+            (4, SystemConfig(1e-4, 8.0, 5.5)),
+            (8, SystemConfig(1.0, 3.2, 3.05)),  # low cells stay dry
+            (8, SystemConfig(1e-5, 24.0, 3.0)),  # the second budget is all header
+            (8, SystemConfig(10.0 ** -5.2, 18.1, 24.3)),
+        ],
+    )
+    def test_water_filling_split(self, monkeypatch, J, config):
+        grid = build_grid(J, config)
+        m = J - 1
+        p = np.asarray(grid.probs[:m])
+        log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
+        for c, budget in zip(cold_start(monkeypatch, J, config), config.budgets):
+            residual = budget - grid.header_bits
+            assert np.all(c >= 0.0)
+            assert float(p @ c) == pytest.approx(residual, rel=1e-12, abs=1e-12)
+            live = c > 0.0
+            if not np.any(live):
+                assert residual == 0.0
+                continue
+            # KKT: log2 rho_i - c_i is one water level over the live cells and
+            # no higher over the dry ones
+            level = log_rho[live] - c[live]
+            assert np.ptp(level) <= 1e-12 * max(1.0, float(np.abs(log_rho).max()))
+            assert np.all(log_rho[~live] <= level.max() + 1e-12)
+
+    def test_some_cells_dry(self, monkeypatch):
+        c1, _ = cold_start(monkeypatch, 8, SystemConfig(1.0, 3.2, 3.05))
+        assert np.any(c1 == 0.0) and np.any(c1 > 0.0)
+
+
+def test_verify_rejects_an_allocation_below_the_uniform_split(monkeypatch):
+    assert _check_qci_feasibility(SETTINGS)[0]
+
+    def short(grid, config, settings):
+        # feasible, but spends only 1/J of each residual
+        m = grid.size - 1
+        c = np.zeros((2, grid.size))
+        for k, budget in enumerate(config.budgets):
+            c[k, :m] = (budget - grid.header_bits) / m
+        value, rates, _, _ = _Objective(grid).evaluate(c[0, :m], c[1, :m])
+        return QciAllocation(c=c, rates=rates, lower_bound=value, iterations=1, feasible=True)
+
+    monkeypatch.setattr(importlib.import_module("diamond_bottleneck.verify"), "optimize_allocation", short)
+    ok, detail = _check_qci_feasibility(SETTINGS)
+    assert not ok, detail
+
+
 # QCI lower bounds of the finite-difference ascent that preceded exact
 # slopes, with its iteration counts; values as repr.  Rows: both presets
 # warm-started point to point as run_sweep runs them (case fig2, fig3), and
@@ -296,6 +371,13 @@ class TestAgainstRecordedFloor:
     def test_fewer_iterations(self, floor_rows):
         before = sum(int(row["iterations"]) for row, _ in floor_rows)
         assert sum(now.iterations for _, now in floor_rows) < before
+
+    def test_cold_ascents_are_short(self, floor_rows):
+        # cold seeds 0 to 10: 5,785 iterations and at most 114 per ascent from
+        # the uniform start with one shared step length; 1,860 and 9 now
+        cold = [now.iterations for row, now in floor_rows if row["case"].startswith("cold")]
+        assert sum(cold) < 2500
+        assert max(cold) <= 20
 
 
 @st.composite

@@ -14,6 +14,7 @@ import diamond_bottleneck.sweeps as sweeps
 from diamond_bottleneck.errors import InvalidArgument
 from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.sweeps import (
+    _DIAGNOSTIC_COLUMN,
     SCHEMES,
     SweepSpec,
     compute_point,
@@ -154,6 +155,8 @@ class TestComputePoint:
         assert "qci_J2_iters" in results["qci_J2"].diagnostics
         assert "tci_threshold" in results["tci"].diagnostics
         assert "mmse_halfwidth" in results["mmse"].diagnostics
+        for result in results.values():
+            assert result.diagnostics == {_DIAGNOSTIC_COLUMN[result.scheme]: result.diagnostic}
 
     def test_warm_start_updated(self):
         config = SystemConfig(1e-2, 4.0, 4.0)
@@ -170,6 +173,7 @@ class TestComputePoint:
         config = SystemConfig(1e-2, 4.0, 4.0)
         results = compute_point(config, ("ub", "tci"), SETTINGS)
         assert results[0].rate is None
+        assert results[0].diagnostic is None and results[0].diagnostics == {}
         assert results[1].rate is not None
         err = capsys.readouterr().err
         assert "ub" in err and "synthetic failure" in err
