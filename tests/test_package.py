@@ -29,6 +29,17 @@ def test_root_exports_library_api():
         assert hasattr(diamond_bottleneck, name)
 
 
+def test_cli_leaves_verify_unimported():
+    # bound and sweep should not pay for importing the oracle checks
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diamond_bottleneck.cli; print('diamond_bottleneck.verify' in sys.modules)"],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_demos_found():
     assert len(DEMOS) == 4
 

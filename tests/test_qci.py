@@ -3,6 +3,7 @@ budget-allocation ascent."""
 
 import csv
 import importlib
+import itertools
 import math
 from pathlib import Path
 
@@ -17,11 +18,13 @@ from diamond_bottleneck.fixed_rate import fixed_rate
 from diamond_bottleneck.numerics import SolverSettings, _maxmin_batch
 from diamond_bottleneck.qci import (
     QciAllocation,
+    _ascent,
     _Objective,
     _project_budget,
     build_grid,
     optimize_allocation,
     qci_lower_bound,
+    qci_lower_bounds,
 )
 from diamond_bottleneck.sweeps import db_to_linear
 from diamond_bottleneck.upper_bound import upper_bound
@@ -87,10 +90,18 @@ def unit_snr_grid():
     return build_grid(2, SystemConfig(math.log(2.0), 5.0, 5.0))
 
 
+def evaluate(grid, c1, c2):
+    """Mean rate, rate matrix and gradient of the allocation objective at
+    live-cell budgets c1, c2: one kernel call on its flat J x J lanes."""
+    objective = _Objective(grid)
+    lanes = objective.lanes(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float))
+    value, _, _, slope1, slope2 = _maxmin_batch(*lanes)
+    return objective.reduce(value, slope1, slope2)
+
+
 def rate_matrix(grid, c1, c2):
     """Rate matrix of the allocation objective at live-cell budgets c1, c2."""
-    _, rates, _, _ = _Objective(grid).evaluate(np.asarray(c1), np.asarray(c2))
-    return rates
+    return evaluate(grid, c1, c2)[1]
 
 
 class TestCellRate:
@@ -134,22 +145,44 @@ class TestCellRate:
         assert np.all(rate_matrix(unit_snr_grid, [0.0], [0.0]) == 0.0)
 
 
-@pytest.mark.parametrize("J", [2, 4, 8])
-def test_one_kernel_call_per_evaluation(monkeypatch, J):
-    # counted through the module attribute that the benchmark tracer wraps
+def counted_kernel(monkeypatch):
+    """Input shapes of every kernel call from qci, in order; counted through
+    the module attribute that the benchmark tracer wraps."""
     module = importlib.import_module("diamond_bottleneck.qci")
-    lanes = []
+    shapes = []
 
     def counted(*args):
-        lanes.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
+        shapes.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
         return _maxmin_batch(*args)
 
     monkeypatch.setattr(module, "_maxmin_batch", counted)
-    objective = _Objective(build_grid(J, SystemConfig(0.01, 6.0, 6.0)))
-    m = J - 1
-    objective.evaluate(np.full(m, 2.0), np.full(m, 1.0))
-    assert len(lanes) == 1
-    assert math.prod(lanes[0]) == J * J
+    return shapes
+
+
+def solo_evaluations(J, config, initial=None):
+    """Evaluations a lone ascent asks for, driven by hand, and its result."""
+    grid = build_grid(J, config)
+    ascent = _ascent(grid, config, SETTINGS, initial)
+    count, reply = 0, None
+    try:
+        while True:
+            objective, c1, c2 = ascent.send(reply)
+            count += 1
+            value, _, _, slope1, slope2 = _maxmin_batch(*objective.lanes(c1, c2))
+            reply = objective.reduce(value, slope1, slope2)
+    except StopIteration as stop:
+        return count, stop.value
+
+
+@pytest.mark.parametrize("J", [2, 4, 8])
+def test_one_kernel_call_per_evaluation(monkeypatch, J):
+    config = SystemConfig(0.01, 6.0, 6.0)
+    evaluations, _ = solo_evaluations(J, config)
+    shapes = counted_kernel(monkeypatch)
+    qci_lower_bound(J, config, SETTINGS)
+    assert len(shapes) == evaluations
+    # every call carries the J x J cell lanes, flat
+    assert set(shapes) == {(J * J,)}
 
 
 def cell_value(grid, j1, j2, c1, c2):
@@ -268,12 +301,15 @@ def cold_start(monkeypatch, J, config):
     budgets = []
 
     def recorded(rho1, rho2, c1, c2):
-        budgets.append((np.ravel(c1).copy(), np.ravel(c2).copy()))
+        budgets.append((np.array(c1), np.array(c2)))
         return _maxmin_batch(rho1, rho2, c1, c2)
 
     monkeypatch.setattr(module, "_maxmin_batch", recorded)
     qci_lower_bound(J, config, SETTINGS)
-    c1, c2 = budgets[0]
+    # flat lanes: lane j1 J + j2 holds relay 1's cell j1 and relay 2's cell j2
+    c1, c2 = (lanes.reshape(J, J) for lanes in budgets[0])
+    assert np.all(c1 == c1[:, :1]) and np.all(c2 == c2[:1, :])
+    c1, c2 = c1[:, 0], c2[0, :]
     # the dead cell's lane is the last, with budget 0
     assert c1[-1] == 0.0 and c2[-1] == 0.0
     return c1[:-1], c2[:-1]
@@ -325,7 +361,7 @@ def test_verify_rejects_an_allocation_below_the_uniform_split(monkeypatch):
         c = np.zeros((2, grid.size))
         for k, budget in enumerate(config.budgets):
             c[k, :m] = (budget - grid.header_bits) / m
-        value, rates, _, _ = _Objective(grid).evaluate(c[0, :m], c[1, :m])
+        value, rates, _, _ = evaluate(grid, c[0, :m], c[1, :m])
         return QciAllocation(c=c, rates=rates, lower_bound=value, iterations=1, feasible=True)
 
     monkeypatch.setattr(importlib.import_module("diamond_bottleneck.verify"), "optimize_allocation", short)
@@ -378,6 +414,58 @@ class TestAgainstRecordedFloor:
         cold = [now.iterations for row, now in floor_rows if row["case"].startswith("cold")]
         assert sum(cold) < 2500
         assert max(cold) <= 20
+
+
+def bits(allocation):
+    """Everything a QciAllocation holds, compared bit for bit."""
+    return (
+        allocation.c.tobytes(),
+        np.asarray(allocation.rates).tobytes(),
+        allocation.lower_bound.hex(),
+        allocation.iterations,
+        allocation.feasible,
+    )
+
+
+class TestLockStep:
+    """The ascents of one point run together take the steps each takes alone."""
+
+    def test_floor_points_match_solo_ascents(self, monkeypatch):
+        # every point of QCI_FLOOR, presets warm-started as run_sweep runs them
+        shapes = counted_kernel(monkeypatch)
+        rows = list(csv.DictReader(QCI_FLOOR.open()))
+        warm: dict[tuple[str, int], np.ndarray] = {}
+        points = 0
+        for (case, *point), group in itertools.groupby(
+            rows, key=lambda row: (row["case"], row["snr_db"], row["c1"], row["c2"])
+        ):
+            snr_db, c1, c2 = map(float, point)
+            config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
+            cells = [int(row["J"]) for row in group]
+            preset = case in ("fig2", "fig3")
+            initials = [warm.get((case, J)) if preset else None for J in cells]
+            solo = [solo_evaluations(J, config, start) for J, start in zip(cells, initials)]
+            shapes.clear()
+            together = qci_lower_bounds(cells, config, SETTINGS, initials)
+            assert len(shapes) == max(count for count, _ in solo)
+            assert sum(math.prod(shape) for shape in shapes) == sum(
+                count * J * J for (count, _), J in zip(solo, cells)
+            )
+            assert [bits(a) for a in together] == [bits(a) for _, a in solo]
+            if preset:
+                warm.update(((case, J), a.c) for J, a in zip(cells, together) if a.feasible)
+            points += 1
+        assert points * 3 == len(rows)
+
+    def test_a_failed_problem_leaves_the_others(self):
+        config = SystemConfig(1e-3, 6.0, 5.0)
+        bad, good = qci_lower_bounds([1, 4], config, SETTINGS, [None, None])
+        assert isinstance(bad, InvalidArgument)
+        assert bits(good) == bits(qci_lower_bound(4, config, SETTINGS))
+
+    def test_initials_must_match_cells(self):
+        with pytest.raises(ValueError):
+            qci_lower_bounds([2, 4], SystemConfig(1e-3, 6.0, 6.0), SETTINGS, [None])
 
 
 @st.composite

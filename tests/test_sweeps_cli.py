@@ -11,7 +11,7 @@ import pytest
 from conftest import _child_env, parse_csv, run_cli
 
 import diamond_bottleneck.sweeps as sweeps
-from diamond_bottleneck.errors import InvalidArgument
+from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.sweeps import (
     _DIAGNOSTIC_COLUMN,
@@ -28,6 +28,8 @@ from diamond_bottleneck.sweeps import (
     _cell,
 )
 from diamond_bottleneck.channel import SystemConfig
+from diamond_bottleneck.qci import qci_lower_bound
+from diamond_bottleneck.tci import tci_best
 
 SETTINGS = SolverSettings()
 DATA = Path(__file__).resolve().parent / "data"
@@ -177,6 +179,34 @@ class TestComputePoint:
         assert results[1].rate is not None
         err = capsys.readouterr().err
         assert "ub" in err and "synthetic failure" in err
+
+
+    @pytest.mark.parametrize("snr_db, c", [(40.0, 10.0), (60.0, 4.0)])
+    def test_lock_step_failure_fails_only_its_cell(self, capsys, snr_db, c):
+        # at max_iter=2, J = 2 converges and J = 8 (or J = 4) does not
+        tight = SolverSettings(max_iter=2)
+        config = SystemConfig(1.0 / db_to_linear(snr_db), c, c)
+        schemes = ("qci_J2", "tci", "qci_J4", "qci_J8")
+        expected, warnings = [], []
+        for scheme in schemes:
+            try:
+                if scheme == "tci":
+                    point = tci_best(config, tight)
+                    expected.append((point.rate, point.threshold))
+                else:
+                    allocation = qci_lower_bound(int(scheme[5:]), config, tight)
+                    expected.append((allocation.lower_bound, allocation.iterations))
+            except NonConvergent as error:
+                expected.append((None, None))
+                warnings.append(
+                    f"warning: scheme {scheme} failed at noise_power={config.noise_power:g}, "
+                    f"c=({config.c1:g}, {config.c2:g}): {error}"
+                )
+        assert expected[0][0] is not None and None in (expected[2][0], expected[3][0])
+        capsys.readouterr()
+        results = compute_point(config, schemes, tight)
+        assert [(r.rate, r.diagnostic) for r in results] == expected
+        assert capsys.readouterr().err.splitlines() == warnings
 
 
 class TestRenderRows:
