@@ -53,7 +53,7 @@ def main() -> None:
             f"  threshold {threshold:3.1f}: active {100 * point.p_active:5.1f}% of the time, "
             f"conditional snr {point.cond_snr:9.1f}, rate {point.rate:8.4f} bits"
         )
-    best = tci_best(config, SETTINGS)
+    best = tci_best(config)
     print(f"  best grid threshold {best.threshold:.1f} -> {best.rate:.4f} bits")
 
     print()

@@ -2,8 +2,9 @@
 
 Three subcommands: `bound` evaluates the requested schemes at a single
 operating point, `sweep` reproduces the preset curves (or a custom axis)
-as CSV, and `verify` runs the oracle self-checks.  Flags override values
-from an optional key=value config file; everything else falls back to
+as CSV, and `verify` runs the oracle self-checks.  Each accepts only the
+flags it reads.  Flags override values from an optional key=value config
+file, whose keys are checked like the flags; everything else falls back to
 documented defaults.
 """
 
@@ -26,59 +27,86 @@ from .sweeps import (
     run_sweep,
 )
 
-_FLOAT_KEYS = ("sigma2", "snr_db", "c1", "c2", "tol", "start", "stop", "step")
-_INT_KEYS = ("seed", "samples", "quad_order")
 _PRESETS = ("fig2", "fig3")
 
+# Every flag by its key, the flag's name with '_' for '-'.  A config-file
+# value goes through the same type as its flag.
+_FLAGS = {
+    "config": dict(help="key=value config file; flags override it"),
+    "tol": dict(type=float, help="absolute solver tolerance (default 1e-9)"),
+    "sigma2": dict(type=float, help="noise power (default 1.0)"),
+    "snr_db": dict(type=float, help="SNR in dB; takes precedence over --sigma2"),
+    "c1": dict(type=float, help="budget of link 1 in bits (default 10)"),
+    "c2": dict(type=float, help="budget of link 2 in bits (default: c1)"),
+    "scheme": dict(action="append",
+                   help=f"scheme to evaluate, repeatable or comma-separated; "
+                        f"one of {', '.join(SCHEMES)} (default: all)"),
+    "out": dict(help="output CSV path"),
+    "preset": dict(help="named sweep: fig2 (rate vs SNR) or fig3 (rate vs C)"),
+    "sweep": dict(help="custom axis: snr or budget (presets also accepted)"),
+    "start": dict(type=float, help="axis start (default 0)"),
+    "stop": dict(type=float, help="axis stop (default 60 dB or 25 bits)"),
+    "step": dict(type=float, help="axis step (default 2 dB or 1 bit)"),
+    "seed": dict(type=int, help="RNG seed of the Monte Carlo checks (default 0)"),
+    "samples": dict(type=int, help="Monte Carlo draws per check (default 1000000)"),
+    "quad_order": dict(type=int,
+                       help="base Gauss-Laguerre order of the quadrature checks (default 64)"),
+}
+_POINT_FLAGS = ("config", "tol", "sigma2", "snr_db", "c1", "c2", "scheme", "out")
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+# The flags each kind of sweep does not read, and so rejects.
+_UNREAD_BY_SWEEP = {
+    "preset": ("sigma2", "snr_db", "c1", "c2", "start", "stop", "step"),
+    "snr": ("sigma2", "snr_db"),
+    "budget": ("c1", "c2"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _load_config_file(path: str, command: str) -> dict:
+    """The file's key=value lines, each key a flag of the command and each
+    value converted as that flag's would be."""
+    keys = [key for key in _COMMANDS[command][2] if key != "config"]
+    values = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise InvalidArgument(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+                raise InvalidArgument(f"{where}: expected key=value, got {raw.strip()!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            key = key.replace("-", "_")
+            if key not in keys:
+                raise InvalidArgument(
+                    f"{where}: {key!r} is not a {command} key; valid: {', '.join(keys)}"
+                )
+            spec = _FLAGS[key]
+            if spec.get("action") == "append":
+                values[key] = [value]
+                continue
+            convert = spec.get("type", str)
+            try:
+                values[key] = convert(value)
+            except ValueError:
+                raise InvalidArgument(
+                    f"{where}: {key} = {value!r} is not a valid {convert.__name__}"
+                ) from None
     return values
 
 
-def _resolve(args: argparse.Namespace, file_values: dict[str, str], key: str):
-    """Explicit flag first, then config file, then None."""
-    explicit = getattr(args, key, None)
-    if explicit is not None:
-        return explicit
-    if key not in file_values:
-        return None
-    raw = file_values[key]
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(float(raw))
-        if key == "scheme":
-            return raw.split(",")
-        return raw
-    except ValueError as error:
-        raise InvalidArgument(f"config value {key}={raw!r}: {error}") from None
+def _settings(values: dict) -> SolverSettings:
+    """Solver settings with the given tolerance, validated by SolverSettings
+    (0 included); without one, the defaults."""
+    return SolverSettings(abs_tol=values["tol"]) if "tol" in values else SolverSettings()
 
 
-def _build_settings(get) -> SolverSettings:
-    """Settings from the given values; an absent one keeps its default, and
-    every given one, 0 included, is validated by SolverSettings."""
-    given = {
-        "abs_tol": get("tol"),
-        "quad_order": get("quad_order"),
-        "mc_samples": get("samples"),
-        "seed": get("seed"),
-    }
-    return SolverSettings(**{key: value for key, value in given.items() if value is not None})
-
-
-def _schemes(get) -> tuple[str, ...]:
-    requested = get("scheme")
+def _schemes(values: dict) -> tuple[str, ...]:
+    requested = values.get("scheme")
     if not requested:
         return SCHEMES
     flat: list[str] = []
@@ -92,12 +120,12 @@ def _schemes(get) -> tuple[str, ...]:
     return tuple(flat)
 
 
-def _noise_power(get, default_snr_db: float | None = None) -> tuple[float, float]:
+def _noise_power(values: dict, default_snr_db: float | None = None) -> tuple[float, float]:
     """Resolve (noise_power, snr_db) from --snr-db / --sigma2 / default."""
-    snr_db = get("snr_db")
+    snr_db = values.get("snr_db")
     if snr_db is not None:
         return 1.0 / db_to_linear(snr_db), snr_db
-    sigma2 = get("sigma2")
+    sigma2 = values.get("sigma2")
     if sigma2 is not None:
         if sigma2 <= 0.0:
             raise InvalidArgument("sigma2 must be positive")
@@ -107,38 +135,30 @@ def _noise_power(get, default_snr_db: float | None = None) -> tuple[float, float
     return 1.0, 0.0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    get = lambda key: _resolve(args, file_values, key)  # noqa: E731
-    settings = _build_settings(get)
-    _, snr_db = _noise_power(get)
-    c1 = get("c1")
-    c1 = 10.0 if c1 is None else c1
-    c2 = get("c2")
-    c2 = c1 if c2 is None else c2
+def _cmd_bound(values: dict) -> int:
+    _, snr_db = _noise_power(values)
+    c1 = values.get("c1", 10.0)
+    out = values.get("out")
     spec = SweepSpec(
         mode="single",
-        schemes=_schemes(get),
-        settings=settings,
-        output_path=get("out") or "bound.csv",
+        schemes=_schemes(values),
+        settings=_settings(values),
+        output_path=out or "bound.csv",
         fixed_c=c1,
-        fixed_c2=c2,
+        fixed_c2=values.get("c2", c1),
         fixed_snr_db=snr_db,
     )
-    if get("out"):
+    if out:
         run_sweep(spec)
     else:
         print("\n".join(render_rows(spec)))
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    get = lambda key: _resolve(args, file_values, key)  # noqa: E731
-    settings = _build_settings(get)
-    schemes_given = get("scheme")
-    preset = get("preset")
-    mode = get("sweep")
+def _cmd_sweep(values: dict) -> int:
+    settings = _settings(values)
+    preset = values.get("preset")
+    mode = values.get("sweep")
     if preset and mode:
         raise InvalidArgument("use either --preset or --sweep, not both")
     if mode in _PRESETS:
@@ -146,84 +166,72 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if preset:
         if preset not in _PRESETS:
             raise InvalidArgument(f"unknown preset {preset!r}; valid: {', '.join(_PRESETS)}")
-        base = fig2_spec if preset == "fig2" else fig3_spec
-        spec = base(get("out") or f"{preset}.csv", settings)
-        if schemes_given:
-            spec = replace(spec, schemes=_schemes(get))
-    elif mode == "snr":
-        c1 = get("c1")
-        c1 = 10.0 if c1 is None else c1
-        c2 = get("c2")
-        if c2 is not None and c2 != c1:
-            raise InvalidArgument("snr sweeps use equal budgets; set --c1 only")
-        start = get("start")
-        stop = get("stop")
-        step = get("step")
-        spec = SweepSpec(
-            mode="snr_sweep",
-            schemes=_schemes(get),
-            settings=settings,
-            output_path=get("out") or "sweep.csv",
-            snr_db_range=(
-                0.0 if start is None else start,
-                60.0 if stop is None else stop,
-                2.0 if step is None else step,
-            ),
-            fixed_c=c1,
-        )
-    elif mode == "budget":
-        _, snr_db = _noise_power(get, default_snr_db=40.0)
-        start = get("start")
-        stop = get("stop")
-        step = get("step")
-        spec = SweepSpec(
-            mode="budget_sweep",
-            schemes=_schemes(get),
-            settings=settings,
-            output_path=get("out") or "sweep.csv",
-            budget_range=(
-                0.0 if start is None else start,
-                25.0 if stop is None else stop,
-                1.0 if step is None else step,
-            ),
-            fixed_snr_db=snr_db,
-        )
+        kind, label = "preset", f"preset {preset}"
+    elif mode in ("snr", "budget"):
+        kind, label = mode, f"--sweep {mode}"
     elif mode is None:
         raise InvalidArgument("sweep needs --preset fig2|fig3 or --sweep snr|budget")
     else:
         raise InvalidArgument(f"unknown sweep mode {mode!r}; valid: snr, budget")
+    unread = [_flag(key) for key in _UNREAD_BY_SWEEP[kind] if key in values]
+    if unread:
+        raise InvalidArgument(f"{label} does not read {', '.join(unread)}")
+
+    out = values.get("out")
+    start = values.get("start", 0.0)
+    if preset:
+        base = fig2_spec if preset == "fig2" else fig3_spec
+        spec = base(out or f"{preset}.csv", settings)
+        if values.get("scheme"):
+            spec = replace(spec, schemes=_schemes(values))
+    elif mode == "snr":
+        c1 = values.get("c1", 10.0)
+        if values.get("c2", c1) != c1:
+            raise InvalidArgument("snr sweeps use equal budgets; set --c1 only")
+        spec = SweepSpec(
+            mode="snr_sweep",
+            schemes=_schemes(values),
+            settings=settings,
+            output_path=out or "sweep.csv",
+            snr_db_range=(start, values.get("stop", 60.0), values.get("step", 2.0)),
+            fixed_c=c1,
+        )
+    else:
+        _, snr_db = _noise_power(values, default_snr_db=40.0)
+        spec = SweepSpec(
+            mode="budget_sweep",
+            schemes=_schemes(values),
+            settings=settings,
+            output_path=out or "sweep.csv",
+            budget_range=(start, values.get("stop", 25.0), values.get("step", 1.0)),
+            fixed_snr_db=snr_db,
+        )
     path = run_sweep(spec)
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    get = lambda key: _resolve(args, file_values, key)  # noqa: E731
-    settings = _build_settings(get)
+def _cmd_verify(values: dict) -> int:
+    settings = _settings(values)
     from .verify import verify  # imported here: bound and sweep never need it
 
-    return verify(settings, _break_determinism=bool(args.break_determinism))
+    oracle = {key: values[key] for key in ("seed", "samples", "quad_order") if key in values}
+    return verify(settings, **oracle)
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--sigma2", type=float, help="noise power (default 1.0)")
-    parser.add_argument("--snr-db", type=float, dest="snr_db",
-                        help="SNR in dB; takes precedence over --sigma2")
-    parser.add_argument("--c1", type=float, help="budget of link 1 in bits (default 10)")
-    parser.add_argument("--c2", type=float, help="budget of link 2 in bits (default: c1)")
-    parser.add_argument("--scheme", action="append",
-                        help=f"scheme to evaluate, repeatable or comma-separated; "
-                             f"one of {', '.join(SCHEMES)} (default: all)")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--seed", type=int, help="RNG seed of the verify oracles (default 0)")
-    parser.add_argument("--samples", type=int,
-                        help="Monte Carlo draws of the verify oracles (default 1000000)")
-    parser.add_argument("--quad-order", type=int, dest="quad_order",
-                        help="base Gauss-Laguerre order of the verify quadrature "
-                             "checks (default 64)")
-    parser.add_argument("--tol", type=float, help="absolute solver tolerance (default 1e-9)")
+_COMMANDS = {
+    "bound": ("evaluate one operating point", _cmd_bound, _POINT_FLAGS),
+    "sweep": (
+        "write a CSV over an SNR or budget axis",
+        _cmd_sweep,
+        _POINT_FLAGS + ("preset", "sweep", "start", "stop", "step"),
+    ),
+    "verify": (
+        "run the oracle self-checks",
+        _cmd_verify,
+        ("config", "tol", "seed", "samples", "quad_order"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,35 +240,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bounds on the bottleneck rate of a two-relay fading diamond channel.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    bound = commands.add_parser("bound", help="evaluate one operating point")
-    _add_shared_flags(bound)
-    bound.set_defaults(handler=_cmd_bound)
-
-    sweep = commands.add_parser("sweep", help="write a CSV over an SNR or budget axis")
-    _add_shared_flags(sweep)
-    sweep.add_argument("--preset", help="named sweep: fig2 (rate vs SNR) or fig3 (rate vs C)")
-    sweep.add_argument("--sweep", dest="sweep",
-                       help="custom axis: snr or budget (presets also accepted)")
-    sweep.add_argument("--start", type=float, help="axis start (default: preset value)")
-    sweep.add_argument("--stop", type=float, help="axis stop (default: preset value)")
-    sweep.add_argument("--step", type=float, help="axis step (default: preset value)")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    check = commands.add_parser("verify", help="run the oracle self-checks")
-    _add_shared_flags(check)
-    check.add_argument("--break-determinism", action="store_true",
-                       dest="break_determinism", help=argparse.SUPPRESS)
-    check.set_defaults(handler=_cmd_verify)
-
+    for command, (summary, _, keys) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        for key in keys:
+            sub.add_argument(_flag(key), dest=key, **_FLAGS[key])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, keys = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        values = _load_config_file(args.config, args.command) if args.config else {}
+        values.update(
+            (key, getattr(args, key)) for key in keys if getattr(args, key) is not None
+        )
+        return handler(values)
     except InvalidArgument as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -8,10 +8,12 @@ directly, batched over their cells and thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .channel import SnrPair
-from .numerics import MaxMinProblem, _branches, _maxmin_batch
+from .errors import InvalidArgument
+from .numerics import _branches, _maxmin_batch
 
 # Branch labels name the set of relays whose leftover-budget term is active.
 _SUBSET_LABELS = ("{}", "{1}", "{2}", "{1,2}")
@@ -30,11 +32,14 @@ def fixed_rate(snrs: SnrPair, budgets: tuple[float, float]) -> FixedRateResult:
     """Solve the two-relay max-min rate and label the tight branches.
 
     A branch is reported active when its value at the optimizer is within
-    1e-6 of the branch minimum.
+    1e-6 of the branch minimum.  SnrPair checks the SNRs; the budgets must
+    be two finite, nonnegative values.
     """
-    problem = MaxMinProblem(snrs=(snrs.rho1, snrs.rho2), budgets=tuple(budgets))
-    value, r1, r2 = (float(x) for x in _maxmin_batch(*problem.snrs, *problem.budgets)[:3])
-    branches = [float(b) for b in _branches(*problem.snrs, *problem.budgets, r1, r2)]
+    budgets = tuple(budgets)
+    if len(budgets) != 2 or not all(math.isfinite(c) and c >= 0.0 for c in budgets):
+        raise InvalidArgument(f"budgets must be two finite nonnegative values, got {budgets}")
+    value, r1, r2 = (float(x) for x in _maxmin_batch(snrs.rho1, snrs.rho2, *budgets)[:3])
+    branches = [float(b) for b in _branches(snrs.rho1, snrs.rho2, *budgets, r1, r2)]
     floor = min(branches)
     active = tuple(
         label

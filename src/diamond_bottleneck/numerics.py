@@ -104,37 +104,20 @@ _BUDGET_CAP = 1000.0
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Shared knobs for tolerances, quadrature order, grids, and sampling.
+    """Convergence knobs of the iterative solvers.
 
     abs_tol      absolute convergence tolerance (bits) for iterative solvers
     max_iter     iteration cap for bisection and the allocation ascent
-    quad_order   base Gauss-Laguerre order; doubled on fallback
-    grid_points  lattice density per dimension for the grid oracle
-    mc_samples   Monte Carlo draw count of the `verify` oracles
-    seed         RNG seed of the `verify` oracles; no bound computation
-                 draws random numbers
     """
 
     abs_tol: float = 1e-9
     max_iter: int = 200
-    quad_order: int = 64
-    grid_points: int = 400
-    mc_samples: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
             raise InvalidArgument("abs_tol must be positive and finite")
         if self.max_iter < 1:
             raise InvalidArgument("max_iter must be at least 1")
-        if self.quad_order < 8:
-            raise InvalidArgument("quad_order must be at least 8")
-        if self.grid_points < 10:
-            raise InvalidArgument("grid_points must be at least 10")
-        if self.mc_samples < 1000:
-            raise InvalidArgument("mc_samples must be at least 1000")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be a nonnegative integer")
 
 
 @lru_cache(maxsize=32)
@@ -158,17 +141,17 @@ def _laguerre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 def integrate_semiinfinite(
     f: Callable[[np.ndarray], np.ndarray],
     lower: float,
-    settings: SolverSettings,
+    order: int,
+    tol: float,
 ) -> float:
     """Integrate f over [lower, inf) by shifted Gauss-Laguerre quadrature.
 
-    Starts at settings.quad_order and doubles the order until two successive
-    orders agree within abs_tol * max(1, |value|), giving up after four
-    doublings.  f must accept a numpy array of evaluation points.
+    Starts at the given order and doubles it until two successive orders
+    agree within tol * max(1, |value|), giving up after four doublings.
+    f must accept a numpy array of evaluation points.
     """
     if not math.isfinite(lower) or lower < 0.0:
         raise DomainError(f"lower limit must be finite and nonnegative, got {lower}")
-    order = settings.quad_order
     previous = None
     for _ in range(5):
         nodes, scaled = _laguerre_rule(order)
@@ -178,7 +161,7 @@ def integrate_semiinfinite(
         if not np.all(np.isfinite(values)):
             raise DomainError("integrand returned a non-finite value at a quadrature node")
         estimate = float(np.dot(scaled, values))
-        if previous is not None and abs(estimate - previous) <= settings.abs_tol * max(1.0, abs(estimate)):
+        if previous is not None and abs(estimate - previous) <= tol * max(1.0, abs(estimate)):
             return estimate
         previous = estimate
         order *= 2
@@ -258,21 +241,6 @@ def bisect(
         else:
             hi = mid
     raise NonConvergent("bisection exhausted max_iter without meeting abs_tol")
-
-
-@dataclass(frozen=True)
-class MaxMinProblem:
-    """A two-relay max-min rate instance: per-relay SNRs and bit budgets."""
-
-    snrs: tuple[float, float]
-    budgets: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.snrs) != 2 or len(self.budgets) != 2:
-            raise InvalidArgument("snrs and budgets must both have two entries")
-        for value in (*self.snrs, *self.budgets):
-            if not math.isfinite(value) or value < 0.0:
-                raise InvalidArgument("snrs and budgets must be finite and nonnegative")
 
 
 def _log2_1p(x: np.ndarray) -> np.ndarray:
@@ -520,64 +488,3 @@ def _maxmin_batch(rho1, rho2, c1, c2):
         a[failed] = np.nan
     return tuple(a.reshape(shape) for a in outputs)
 
-
-def maxmin_grid_oracle(problem: MaxMinProblem, settings: SolverSettings) -> float:
-    """Lattice maximum of the branch-minimum objective.
-
-    Returns the exact maximum of the objective over the grid_points x
-    grid_points lattice covering [0, c1] x [0, c2] — the same value a
-    brute-force sweep of every lattice point produces (asserted against
-    _lattice_max_bruteforce in the test suite), but found in O(n log n):
-    along each lattice row the objective is the minimum of a piece that
-    never decreases in the second coordinate and a piece that never
-    increases, so the row maximum sits at their crossing, located by a
-    vectorized binary search.  Shares no solution machinery with
-    _maxmin_batch, which makes it an independent cross-check.
-    """
-    rho1, rho2 = problem.snrs
-    c1, c2 = problem.budgets
-    n = settings.grid_points
-    r1_axis = np.linspace(0.0, c1, n)
-    r2_axis = np.linspace(0.0, c2, n)
-    t1 = rho1 * -np.expm1(-r1_axis * _LN2)
-    t2 = rho2 * -np.expm1(-r2_axis * _LN2)
-    log_t2 = _log2_1p(t2)
-    rem1 = c1 - r1_axis
-    rem2 = c2 - r2_axis
-    # Decreasing piece per row i, column j: rem2[j] + m1[i].
-    m1 = np.minimum(_log2_1p(t1), rem1)
-
-    def increasing_piece(j: np.ndarray) -> np.ndarray:
-        return np.minimum(_log2_1p(t1 + t2[j]), rem1 + log_t2[j])
-
-    def objective(j: np.ndarray) -> np.ndarray:
-        return np.minimum(increasing_piece(j), m1 + rem2[j])
-
-    # Per row, the smallest column index where the increasing piece meets
-    # or passes the decreasing piece (n-1 when they never cross).
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.full(n, n - 1, dtype=np.int64)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        crossed = increasing_piece(mid) >= m1 + rem2[mid]
-        hi = np.where(crossed, mid, hi)
-        lo = np.where(crossed, lo, np.minimum(mid + 1, hi))
-    candidates = np.maximum(objective(hi), objective(np.maximum(hi - 1, 0)))
-    return max(float(candidates.max()), 0.0)
-
-
-def _lattice_max_bruteforce(problem: MaxMinProblem, settings: SolverSettings) -> float:
-    """Row-chunked evaluation of every lattice point; slow reference for
-    maxmin_grid_oracle's crossing search."""
-    rho1, rho2 = problem.snrs
-    c1, c2 = problem.budgets
-    n = settings.grid_points
-    r1_axis = np.linspace(0.0, c1, n)
-    r2_axis = np.linspace(0.0, c2, n)[None, :]
-    best = -np.inf
-    block = max(1, int(4e6) // n)
-    for start in range(0, n, block):
-        r1_block = r1_axis[start : start + block][:, None]
-        values = _branch_min(rho1, rho2, c1, c2, r1_block, r2_axis)
-        best = max(best, float(values.max()))
-    return max(best, 0.0)

@@ -5,8 +5,8 @@ the requested bounds at every point, and writes one CSV row per point:
 axis columns first, then one rate column per scheme, then one diagnostic
 column per scheme.  Failed schemes, including those that return a
 non-finite rate, leave their cells empty and report on stderr; the other
-columns of the row are unaffected.  Specs that differ at most in their
-seed give byte-identical files.
+columns of the row are unaffected.  No scheme draws random numbers, so
+every run of a spec gives a byte-identical file.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -196,7 +196,7 @@ def compute_point(
                     warm_start[scheme] = allocation.c
                 result = BoundResult(scheme, allocation.lower_bound, allocation.iterations)
             elif scheme == "tci":
-                point = tci_best(config, settings)
+                point = tci_best(config)
                 result = BoundResult(scheme, point.rate, point.threshold)
             elif scheme == "mmse":
                 outcome = mmse_rate(config, settings)

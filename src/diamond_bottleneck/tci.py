@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import DomainError
-from .numerics import SolverSettings, _e1_scaled, _maxmin_batch
+from .numerics import _e1_scaled, _maxmin_batch
 
 # threshold grid: 0.1 .. 2.0. Zero is excluded because the conditional mean
 # of 1/gain diverges there (and the rate limit is 0 anyway).
@@ -111,6 +111,6 @@ def tci_rate(threshold: float, config: SystemConfig) -> TciPoint:
     return _tci_points((threshold,), config)[0]
 
 
-def tci_best(config: SystemConfig, settings: SolverSettings) -> TciPoint:
+def tci_best(config: SystemConfig) -> TciPoint:
     """Best point over the fixed threshold grid; ties go to the smaller one."""
     return max(_tci_points(THRESHOLD_GRID, config), key=lambda point: point.rate)

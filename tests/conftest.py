@@ -72,7 +72,7 @@ def fig2_runs(tmp_path_factory):
     for name in ("fig2_run_a", "fig2_run_b"):
         cwd = tmp_path_factory.mktemp(name)
         start = time.time()
-        result = run_cli(["sweep", "--preset", "fig2", "--seed", "7"], cwd)
+        result = run_cli(["sweep", "--preset", "fig2"], cwd)
         elapsed += time.time() - start
         assert result.returncode == 0, result.stderr
         # pytest's warning filter does not reach the child: nothing on stderr
@@ -85,7 +85,7 @@ def fig2_runs(tmp_path_factory):
 def fig3_run(tmp_path_factory):
     cwd = tmp_path_factory.mktemp("fig3_run")
     start = time.time()
-    result = run_cli(["sweep", "--preset", "fig3", "--seed", "7"], cwd)
+    result = run_cli(["sweep", "--preset", "fig3"], cwd)
     elapsed = time.time() - start
     assert result.returncode == 0, result.stderr
     assert result.stderr == "", result.stderr

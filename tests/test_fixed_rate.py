@@ -9,14 +9,8 @@ import pytest
 
 from diamond_bottleneck.channel import SnrPair
 from diamond_bottleneck.fixed_rate import FixedRateResult, fixed_rate
-from diamond_bottleneck.numerics import (
-    MaxMinProblem,
-    SolverSettings,
-    _branch_min,
-    _branches,
-    _maxmin_batch,
-    maxmin_grid_oracle,
-)
+from diamond_bottleneck.numerics import _branch_min, _branches, _maxmin_batch
+from diamond_bottleneck.verify import maxmin_grid_oracle
 
 LOG2_4_3 = 0.41503749927884
 
@@ -84,10 +78,7 @@ class TestFixedRate:
             rho = rng.uniform(0.0, 100.0, 2)
             c = rng.uniform(0.0, 10.0, 2)
             result = rate_of(rho[0], rho[1], c[0], c[1])
-            oracle = maxmin_grid_oracle(
-                MaxMinProblem(snrs=tuple(rho), budgets=tuple(c)),
-                SolverSettings(grid_points=max(10, int(20000 * (c[0] + c[1])) + 2)),
-            )
+            oracle = maxmin_grid_oracle(*rho, *c, max(10, int(20000 * (c[0] + c[1])) + 2))
             assert result.rate == pytest.approx(oracle, abs=1e-3)
             assert result.rate >= oracle - 1e-6
 

@@ -1,5 +1,5 @@
 """Numerical kernels: quadrature, exponential integral, bisection, and the
-two-relay max-min solver with its lattice oracle."""
+two-relay max-min solver, checked against the lattice oracle of verify."""
 
 import math
 import warnings
@@ -11,26 +11,34 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import exp1
 
+from diamond_bottleneck.channel import SnrPair
 from diamond_bottleneck.errors import (
     BracketError,
     DomainError,
     InvalidArgument,
     NonConvergent,
 )
+from diamond_bottleneck.fixed_rate import fixed_rate
 from diamond_bottleneck.numerics import (
-    MaxMinProblem,
     SolverSettings,
     _branch_min,
-    _lattice_max_bruteforce,
     _maxmin_batch,
     bisect,
     exp_integral_e1,
     integrate_semiinfinite,
+)
+from diamond_bottleneck.verify import (
+    _check_solver_vs_grid,
+    _lattice_max_bruteforce,
     maxmin_grid_oracle,
 )
-from diamond_bottleneck.verify import _check_solver_vs_grid
 
 SETTINGS = SolverSettings()
+# Lattice density of the oracle where a test does not need a finer one.
+GRID_POINTS = 400
+# Base Gauss-Laguerre order and agreement tolerance of the quadrature tests.
+QUAD_ORDER = 64
+TOL = 1e-9
 
 # Hand-derived reference constants (independent of the implementation).
 E1_AT_1 = 0.21938393439552  # integral of exp(-x)/x from 1
@@ -44,10 +52,6 @@ class TestSolverSettings:
         s = SolverSettings()
         assert s.abs_tol == 1e-9
         assert s.max_iter == 200
-        assert s.quad_order == 64
-        assert s.grid_points == 400
-        assert s.mc_samples == 1_000_000
-        assert s.seed == 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -55,9 +59,9 @@ class TestSolverSettings:
             {"abs_tol": 0.0},
             {"abs_tol": -1e-9},
             {"max_iter": 0},
-            {"quad_order": 7},
-            {"grid_points": 9},
-            {"mc_samples": 999},
+            {"abs_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"max_iter": -1},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -65,33 +69,35 @@ class TestSolverSettings:
             SolverSettings(**kwargs)
 
     def test_boundary_values_accepted(self):
-        SolverSettings(max_iter=1, quad_order=8, grid_points=10, mc_samples=1000)
+        SolverSettings(abs_tol=5e-324, max_iter=1)
 
 
 class TestIntegrateSemiinfinite:
     def test_eigen_density_normalizes(self):
-        value = integrate_semiinfinite(lambda x: x * np.exp(-x), 0.0, SETTINGS)
+        value = integrate_semiinfinite(lambda x: x * np.exp(-x), 0.0, QUAD_ORDER, TOL)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_exponential_normalizes(self):
-        value = integrate_semiinfinite(lambda x: np.exp(-x), 0.0, SETTINGS)
+        value = integrate_semiinfinite(lambda x: np.exp(-x), 0.0, QUAD_ORDER, TOL)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_eigen_density_mean(self):
-        value = integrate_semiinfinite(lambda x: x * x * np.exp(-x), 0.0, SETTINGS)
+        value = integrate_semiinfinite(lambda x: x * x * np.exp(-x), 0.0, QUAD_ORDER, TOL)
         assert value == pytest.approx(2.0, abs=1e-8)
 
     def test_tail_integral_matches_e1(self):
-        value = integrate_semiinfinite(lambda x: np.exp(-x) / x, 1.0, SETTINGS)
+        value = integrate_semiinfinite(lambda x: np.exp(-x) / x, 1.0, QUAD_ORDER, TOL)
         assert value == pytest.approx(E1_AT_1, abs=1e-10)
 
     def test_shifted_lower_limit(self):
-        value = integrate_semiinfinite(lambda x: np.exp(-x), 2.5, SETTINGS)
+        value = integrate_semiinfinite(lambda x: np.exp(-x), 2.5, QUAD_ORDER, TOL)
         assert value == pytest.approx(math.exp(-2.5), abs=1e-10)
 
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(DomainError):
-            integrate_semiinfinite(lambda x: np.full_like(x, np.nan), 0.0, SETTINGS)
+            integrate_semiinfinite(
+                lambda x: np.full_like(x, np.nan), 0.0, QUAD_ORDER, TOL
+            )
 
 
 class TestExpIntegral:
@@ -145,10 +151,12 @@ class TestBisect:
 
 
 class TestMaxMinProblem:
+    """The inputs of one max-min problem, as fixed_rate takes them: SnrPair
+    checks the SNRs and fixed_rate the budgets."""
+
     def test_valid_construction(self):
-        problem = MaxMinProblem(snrs=(1.0, 2.0), budgets=(3.0, 4.0))
-        assert problem.snrs == (1.0, 2.0)
-        assert problem.budgets == (3.0, 4.0)
+        result = fixed_rate(SnrPair(1.0, 2.0), (3.0, 4.0))
+        assert result.rate == float(_maxmin_batch(1.0, 2.0, 3.0, 4.0)[0])
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -161,8 +169,10 @@ class TestMaxMinProblem:
         ],
     )
     def test_invalid_construction(self, kwargs):
-        with pytest.raises(InvalidArgument):
-            MaxMinProblem(**kwargs)
+        # A pair cannot be built from one SNR: the call itself is malformed.
+        error = InvalidArgument if len(kwargs["snrs"]) == 2 else TypeError
+        with pytest.raises(error):
+            fixed_rate(SnrPair(*kwargs["snrs"]), kwargs["budgets"])
 
 
 class TestSolveMaxmin:
@@ -221,9 +231,8 @@ class TestSolveMaxmin:
         for _ in range(15):
             rho = rng.uniform(0.0, 100.0, 2)
             c = rng.uniform(0.0, 10.0, 2)
-            problem = MaxMinProblem(snrs=tuple(rho), budgets=tuple(c))
             value = _maxmin_batch(*rho, *c)[0]
-            oracle = maxmin_grid_oracle(problem, SolverSettings(grid_points=2000))
+            oracle = maxmin_grid_oracle(*rho, *c, 2000)
             assert value >= oracle - 1e-6
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -243,7 +252,7 @@ class TestSolveMaxmin:
     def test_verify_check_reaches_high_snr(self):
         # Seed 46 draws an instance above 140 dB where an inner solve that
         # cancels falls 1e-3 bits below the 2000-point lattice.
-        ok, detail = _check_solver_vs_grid(SolverSettings(seed=46))
+        ok, detail = _check_solver_vs_grid(seed=46)
         assert ok, detail
 
 
@@ -304,7 +313,7 @@ class TestMaxMinInvariants:
     def test_never_below_lattice_and_consistent(self, rho1, rho2, c1, c2):
         value, r1, r2, slope1, slope2 = (float(x) for x in _maxmin_batch(rho1, rho2, c1, c2))
         assert 0.0 <= slope1 <= 1.0 and 0.0 <= slope2 <= 1.0
-        oracle = maxmin_grid_oracle(MaxMinProblem((rho1, rho2), (c1, c2)), SETTINGS)
+        oracle = maxmin_grid_oracle(rho1, rho2, c1, c2, GRID_POINTS)
         assert value >= oracle - 1e-12
         assert 0.0 <= r1 <= c1
         assert 0.0 <= r2 <= c2
@@ -399,21 +408,18 @@ class TestSlopes:
 
 class TestGridOracle:
     def test_zero_snr(self):
-        problem = MaxMinProblem(snrs=(0.0, 0.0), budgets=(4.0, 4.0))
-        assert maxmin_grid_oracle(problem, SETTINGS) == 0.0
+        assert maxmin_grid_oracle(0.0, 0.0, 4.0, 4.0, GRID_POINTS) == 0.0
 
     def test_oracle_below_solver_plus_spacing_slack(self):
-        problem = MaxMinProblem(snrs=(3.0, 7.0), budgets=(2.0, 5.0))
         value = _maxmin_batch(3.0, 7.0, 2.0, 5.0)[0]
-        oracle = maxmin_grid_oracle(problem, SETTINGS)
-        spacing_slack = sum(problem.budgets) / (SETTINGS.grid_points - 1)
+        oracle = maxmin_grid_oracle(3.0, 7.0, 2.0, 5.0, GRID_POINTS)
+        spacing_slack = (2.0 + 5.0) / (GRID_POINTS - 1)
         assert oracle <= value + 1e-9
         assert oracle >= value - spacing_slack
 
     def test_unit_instance_close_to_solver(self):
-        problem = MaxMinProblem(snrs=(1.0, 1.0), budgets=(1.0, 1.0))
         value = _maxmin_batch(1.0, 1.0, 1.0, 1.0)[0]
-        oracle = maxmin_grid_oracle(problem, SETTINGS)
+        oracle = maxmin_grid_oracle(1.0, 1.0, 1.0, 1.0, GRID_POINTS)
         assert oracle == pytest.approx(float(value), abs=1e-3)
 
     def test_crossing_search_equals_bruteforce(self):
@@ -425,10 +431,9 @@ class TestGridOracle:
                 rho[index % 2] = 0.0
             if index % 11 == 0:
                 c[(index + 1) % 2] = 0.0
-            problem = MaxMinProblem(snrs=tuple(rho), budgets=tuple(c))
-            settings = SolverSettings(grid_points=int(rng.integers(10, 700)))
-            fast = maxmin_grid_oracle(problem, settings)
-            brute = _lattice_max_bruteforce(problem, settings)
+            n = int(rng.integers(10, 700))
+            fast = maxmin_grid_oracle(*rho, *c, n)
+            brute = _lattice_max_bruteforce(*rho, *c, n)
             assert fast == pytest.approx(brute, abs=1e-12)
 
 

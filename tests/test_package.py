@@ -1,5 +1,8 @@
-"""The package root's API, and the demo scripts that import past it."""
+"""The package root's API, the command line's flags, and the demo scripts
+that import past the root."""
 
+import argparse
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 
 import diamond_bottleneck
 from conftest import _child_env
+from diamond_bottleneck.cli import build_parser
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -27,6 +31,29 @@ def test_root_exports_library_api():
     assert len(diamond_bottleneck.__all__) == len(LIBRARY_API)
     for name in LIBRARY_API:
         assert hasattr(diamond_bottleneck, name)
+
+
+POINT_FLAGS = {"--config", "--tol", "--sigma2", "--snr-db", "--c1", "--c2", "--scheme", "--out"}
+COMMAND_FLAGS = {
+    "bound": POINT_FLAGS,
+    "sweep": POINT_FLAGS | {"--preset", "--sweep", "--start", "--stop", "--step"},
+    "verify": {"--config", "--tol", "--seed", "--samples", "--quad-order"},
+}
+
+
+def test_settings_and_flags_are_only_those_read():
+    # A new knob needs a reader and a deliberate edit here.
+    fields = tuple(field.name for field in dataclasses.fields(diamond_bottleneck.SolverSettings))
+    assert fields == ("abs_tol", "max_iter")
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    assert set(commands) == set(COMMAND_FLAGS)
+    for name, parser in commands.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
+    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [8, 13, 5]
 
 
 def test_cli_leaves_verify_unimported():

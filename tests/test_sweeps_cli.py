@@ -11,6 +11,8 @@ import pytest
 from conftest import _child_env, parse_csv, run_cli
 
 import diamond_bottleneck.sweeps as sweeps
+import diamond_bottleneck.verify as verify
+from diamond_bottleneck.cli import main
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.sweeps import (
@@ -191,7 +193,7 @@ class TestComputePoint:
         for scheme in schemes:
             try:
                 if scheme == "tci":
-                    point = tci_best(config, tight)
+                    point = tci_best(config)
                     expected.append((point.rate, point.threshold))
                 else:
                     allocation = qci_lower_bound(int(scheme[5:]), config, tight)
@@ -276,15 +278,31 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
     def test_zero_setting_exits_2(self, tmp_path, flag):
-        result = run_cli(["bound", "--scheme", "ub", flag, "0"], tmp_path)
+        # rejected before the first check runs: nothing is printed
+        result = run_cli(["verify", flag, "0"], tmp_path)
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert "error:" in result.stderr
 
-    def test_seed_zero_accepted(self, tmp_path):
-        result = run_cli(["bound", "--scheme", "ub", "--seed", "0"], tmp_path)
-        assert result.returncode == 0, result.stderr
-        assert len(parse_csv(result.stdout.encode())) == 1
+    def test_seed_zero_accepted(self, stubbed_checks, capsys):
+        assert main(["verify", "--seed", "0"]) == 0
+        assert stubbed_checks == {"seed": 0}
+        assert capsys.readouterr().out.endswith("10/10 checks passed\n")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "--seed", "3"],
+            ["sweep", "--preset", "fig2", "--samples", "10"],
+            ["verify", "--c1", "5"],
+            ["verify", "--scheme", "ub", "--out", "z.csv"],
+        ],
+    )
+    def test_flag_a_subcommand_does_not_read_exits_2(self, tmp_path, args):
+        result = run_cli(args, tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert not list(tmp_path.iterdir())
 
     def test_bound_out_writes_csv(self, tmp_path):
         result = run_cli(
@@ -307,6 +325,23 @@ class TestCommandLine:
         assert set(rows[0]) == {
             "rho_db", "c_bits", "ub", "tci", "ub_residual", "tci_threshold",
         }
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("bound", "snrdb = 40", "'snrdb' is not a bound key"),
+            ("bound", "seed = 3", "'seed' is not a bound key"),
+            ("verify", "c1 = 5", "'c1' is not a verify key"),
+            ("verify", "samples = 1000.9", "samples = '1000.9' is not a valid int"),
+            ("bound", "c1 = ten", "c1 = 'ten' is not a valid float"),
+        ],
+    )
+    def test_config_key_checked_like_a_flag(self, tmp_path, command, line, message):
+        (tmp_path / "run.cfg").write_text(f"# checked line by line\n{line}\n")
+        result = run_cli([command, "--config", "run.cfg"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert f"error: run.cfg:2: {message}" in result.stderr
 
     def test_malformed_config_line(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("this is not a pair\n")
@@ -381,6 +416,32 @@ class TestCommandLine:
         assert [row["c_bits"] for row in rows] == [2.0, 3.0, 4.0]
         assert all(row["rho_db"] == 40.0 for row in rows)  # default SNR
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "mode, unread, message",
+        [
+            (["--preset", "fig3"], {"c1": "3", "snr-db": "10"},
+             "preset fig3 does not read --snr-db, --c1"),
+            (["--sweep", "snr"], {"snr-db": "30"}, "--sweep snr does not read --snr-db"),
+            (["--sweep", "budget"], {"c1": "4"}, "--sweep budget does not read --c1"),
+        ],
+        ids=["preset", "snr", "budget"],
+    )
+    def test_sweep_mode_rejects_flags_it_does_not_read(
+        self, tmp_path, source, mode, unread, message
+    ):
+        if source == "flag":
+            extra = [arg for key, value in unread.items() for arg in (f"--{key}", value)]
+        else:
+            (tmp_path / "run.cfg").write_text(
+                "".join(f"{key} = {value}\n" for key, value in unread.items())
+            )
+            extra = ["--config", "run.cfg"]
+        result = run_cli(["sweep", *mode, *extra, "--out", "o.csv"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert f"error: {message}" in result.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_custom_snr_sweep_rejects_unequal_budgets(self, tmp_path):
         result = run_cli(
             ["sweep", "--sweep", "snr", "--c1", "4", "--c2", "6"], tmp_path
@@ -424,11 +485,39 @@ class TestCommandLine:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-    def test_verify_detects_seeded_fault(self, tmp_path):
-        result = run_cli(["verify", "--break-determinism"], tmp_path)
-        assert result.returncode == 1, result.stderr
-        assert "FAIL" in result.stdout
-        assert "No module named" not in result.stderr
+    def test_verify_detects_seeded_fault(self, stubbed_checks, monkeypatch, capsys):
+        def crash():
+            raise RuntimeError("synthetic crash")
+
+        monkeypatch.setattr(verify, "_check_one_relay", lambda seed: (False, "synthetic miss"))
+        monkeypatch.setattr(verify, "_check_mmse_calibration", crash)
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL  one_relay_reduction    synthetic miss",
+            "FAIL  mmse_calibration       raised RuntimeError: synthetic crash",
+        ]
+        assert lines[-1] == "8/10 checks passed"
+
+
+@pytest.fixture
+def stubbed_checks(monkeypatch):
+    """Replace every verify check by one that passes at once; returns the
+    seed that reached solver_vs_grid."""
+    seen = {}
+
+    def passing(*args, **kwargs):
+        return True, "stub"
+
+    def solver_vs_grid(seed):
+        seen["seed"] = seed
+        return True, "stub"
+
+    for name in dir(verify):
+        if name.startswith("_check_"):
+            monkeypatch.setattr(verify, name, passing)
+    monkeypatch.setattr(verify, "_check_solver_vs_grid", solver_vs_grid)
+    return seen
 
 
 # Every column of the preset CSVs: no scheme draws random numbers, so the

@@ -103,7 +103,7 @@ def test_one_kernel_call_per_threshold_grid(monkeypatch):
         return _maxmin_batch(*args)
 
     monkeypatch.setattr(module, "_maxmin_batch", counted)
-    tci_best(SystemConfig(1e-4, 10.0, 7.0), SETTINGS)
+    tci_best(SystemConfig(1e-4, 10.0, 7.0))
     assert len(lanes) == 1
     assert math.prod(lanes[0]) == 3 * len(THRESHOLD_GRID)
 
@@ -112,22 +112,22 @@ class TestTciBest:
     def test_matches_explicit_grid_scan(self):
         config = SystemConfig(1e-4, 10.0, 10.0)
         points = [tci_rate(t, config) for t in THRESHOLD_GRID]
-        best = tci_best(config, SETTINGS)
+        best = tci_best(config)
         top = max(p.rate for p in points)
         assert best.rate == top
         first_argmax = next(p for p in points if p.rate == top)
         assert best.threshold == first_argmax.threshold
 
     def test_zero_budget_ties_go_to_first_threshold(self):
-        best = tci_best(SystemConfig(0.01, 0.0, 0.0), SETTINGS)
+        best = tci_best(SystemConfig(0.01, 0.0, 0.0))
         assert best.rate == 0.0
         assert best.threshold == THRESHOLD_GRID[0]
 
     def test_regression_values(self):
-        at_40db = tci_best(SystemConfig(1e-4, 10.0, 10.0), SETTINGS)
+        at_40db = tci_best(SystemConfig(1e-4, 10.0, 10.0))
         assert at_40db.rate == pytest.approx(12.5471773, abs=1e-4)
         assert at_40db.threshold == pytest.approx(0.3)
-        at_60db = tci_best(SystemConfig(1e-6, 10.0, 10.0), SETTINGS)
+        at_60db = tci_best(SystemConfig(1e-6, 10.0, 10.0))
         assert 17.7 < at_60db.rate < 17.9
         assert at_60db.threshold == pytest.approx(0.1)
 
@@ -135,6 +135,6 @@ class TestTciBest:
         for s2, c in [(1e-4, 10.0), (1e-2, 5.0), (1e-6, 10.0)]:
             config = SystemConfig(s2, c, c)
             assert (
-                tci_best(config, SETTINGS).rate
+                tci_best(config).rate
                 <= upper_bound(config, SETTINGS).rate + 1e-6
             )
