@@ -34,6 +34,10 @@ from .numerics import (
 from .qci import build_grid, optimize_allocation
 from .upper_bound import budget_integral, rate_at_level, upper_bound
 
+# Fewest lattice points per axis of the solver-vs-lattice comparisons; finer
+# lattices are used where the budgets call for them.
+_MIN_GRID = 400
+
 
 def maxmin_grid_oracle(rho1: float, rho2: float, c1: float, c2: float, n: int) -> float:
     """Lattice maximum of the branch-minimum objective.
@@ -125,7 +129,7 @@ def _check_solver_vs_grid(seed: int):
         snrs = tuple(rng.uniform(0.0, 100.0, 2))
         budgets = tuple(rng.uniform(0.0, 10.0, 2))
         value = fixed_rate(SnrPair(*snrs), budgets).rate
-        density = max(400, int(20000.0 * sum(budgets)) + 2)
+        density = max(_MIN_GRID, int(20000.0 * sum(budgets)) + 2)
         oracle = maxmin_grid_oracle(*snrs, *budgets, density)
         worst_gap = max(worst_gap, abs(value - oracle))
         worst_under = max(worst_under, oracle - value)

@@ -17,7 +17,7 @@ from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.qci import build_grid, qci_lower_bound
 from diamond_bottleneck.tci import conditional_stats
 from diamond_bottleneck.upper_bound import upper_bound
-from diamond_bottleneck.verify import maxmin_grid_oracle
+from diamond_bottleneck.verify import _MIN_GRID, maxmin_grid_oracle
 
 SETTINGS = SolverSettings()
 LOWER_COLUMNS = ("qci_J2", "qci_J4", "qci_J8", "tci", "mmse")
@@ -114,7 +114,7 @@ def test_criterion_5_solver_vs_grid_oracle():
         rho = rng.uniform(0.0, 100.0, 2)
         c = rng.uniform(0.0, 10.0, 2)
         value = fixed_rate(SnrPair(*rho), tuple(c)).rate
-        density = max(400, int(20000.0 * (c[0] + c[1])) + 2)
+        density = max(_MIN_GRID, int(20000.0 * (c[0] + c[1])) + 2)
         oracle = maxmin_grid_oracle(*rho, *c, density)
         worst_gap = max(worst_gap, abs(value - oracle))
         worst_under = max(worst_under, oracle - value)

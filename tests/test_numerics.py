@@ -28,14 +28,13 @@ from diamond_bottleneck.numerics import (
     integrate_semiinfinite,
 )
 from diamond_bottleneck.verify import (
+    _MIN_GRID,
     _check_solver_vs_grid,
     _lattice_max_bruteforce,
     maxmin_grid_oracle,
 )
 
 SETTINGS = SolverSettings()
-# Lattice density of the oracle where a test does not need a finer one.
-GRID_POINTS = 400
 # Base Gauss-Laguerre order and agreement tolerance of the quadrature tests.
 QUAD_ORDER = 64
 TOL = 1e-9
@@ -166,6 +165,7 @@ class TestMaxMinProblem:
             {"snrs": (-1.0, 1.0), "budgets": (1.0, 1.0)},
             {"snrs": (1.0, 1.0), "budgets": (1.0, float("nan"))},
             {"snrs": (1.0, 1.0), "budgets": (1.0, float("inf"))},
+            {"snrs": (1.0, 1.0), "budgets": (-1.0, 1.0)},
         ],
     )
     def test_invalid_construction(self, kwargs):
@@ -313,7 +313,7 @@ class TestMaxMinInvariants:
     def test_never_below_lattice_and_consistent(self, rho1, rho2, c1, c2):
         value, r1, r2, slope1, slope2 = (float(x) for x in _maxmin_batch(rho1, rho2, c1, c2))
         assert 0.0 <= slope1 <= 1.0 and 0.0 <= slope2 <= 1.0
-        oracle = maxmin_grid_oracle(rho1, rho2, c1, c2, GRID_POINTS)
+        oracle = maxmin_grid_oracle(rho1, rho2, c1, c2, _MIN_GRID)
         assert value >= oracle - 1e-12
         assert 0.0 <= r1 <= c1
         assert 0.0 <= r2 <= c2
@@ -408,18 +408,18 @@ class TestSlopes:
 
 class TestGridOracle:
     def test_zero_snr(self):
-        assert maxmin_grid_oracle(0.0, 0.0, 4.0, 4.0, GRID_POINTS) == 0.0
+        assert maxmin_grid_oracle(0.0, 0.0, 4.0, 4.0, _MIN_GRID) == 0.0
 
     def test_oracle_below_solver_plus_spacing_slack(self):
         value = _maxmin_batch(3.0, 7.0, 2.0, 5.0)[0]
-        oracle = maxmin_grid_oracle(3.0, 7.0, 2.0, 5.0, GRID_POINTS)
-        spacing_slack = (2.0 + 5.0) / (GRID_POINTS - 1)
+        oracle = maxmin_grid_oracle(3.0, 7.0, 2.0, 5.0, _MIN_GRID)
+        spacing_slack = (2.0 + 5.0) / (_MIN_GRID - 1)
         assert oracle <= value + 1e-9
         assert oracle >= value - spacing_slack
 
     def test_unit_instance_close_to_solver(self):
         value = _maxmin_batch(1.0, 1.0, 1.0, 1.0)[0]
-        oracle = maxmin_grid_oracle(1.0, 1.0, 1.0, 1.0, GRID_POINTS)
+        oracle = maxmin_grid_oracle(1.0, 1.0, 1.0, 1.0, _MIN_GRID)
         assert oracle == pytest.approx(float(value), abs=1e-3)
 
     def test_crossing_search_equals_bruteforce(self):

@@ -284,8 +284,32 @@ class TestCommandLine:
         assert result.stdout == ""
         assert "error:" in result.stderr
 
+    def test_bound_zero_tol_exits_2(self, tmp_path):
+        result = run_cli(["bound", "--scheme", "ub", "--tol", "0"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "error:" in result.stderr
+
     def test_seed_zero_accepted(self, stubbed_checks, capsys):
         assert main(["verify", "--seed", "0"]) == 0
+        assert stubbed_checks == {"seed": 0}
+        assert capsys.readouterr().out.endswith("10/10 checks passed\n")
+
+    @pytest.mark.parametrize(
+        "key, value", [("quad_order", 7), ("samples", 999), ("seed", -1)]
+    )
+    def test_verify_rejects_one_below_oracle_limit(self, stubbed_checks, capsys, key, value):
+        with pytest.raises(InvalidArgument):
+            verify.verify(**{key: value})
+        flag = "--" + key.replace("_", "-")
+        assert main(["verify", flag, str(value)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert stubbed_checks == {}  # rejected before the first check ran
+
+    def test_verify_accepts_oracle_limits(self, stubbed_checks, capsys):
+        assert verify.verify(quad_order=8, samples=1000, seed=0) == 0
         assert stubbed_checks == {"seed": 0}
         assert capsys.readouterr().out.endswith("10/10 checks passed\n")
 
