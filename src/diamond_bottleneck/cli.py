@@ -35,7 +35,7 @@ _FLAGS = {
     "config": dict(help="key=value config file; flags override it"),
     "tol": dict(type=float, help="absolute solver tolerance (default 1e-9)"),
     "sigma2": dict(type=float, help="noise power (default 1.0)"),
-    "snr_db": dict(type=float, help="SNR in dB; takes precedence over --sigma2"),
+    "snr_db": dict(type=float, help="SNR in dB; give this or --sigma2, not both"),
     "c1": dict(type=float, help="budget of link 1 in bits (default 10)"),
     "c2": dict(type=float, help="budget of link 2 in bits (default: c1)"),
     "scheme": dict(action="append",
@@ -71,6 +71,7 @@ def _load_config_file(path: str, command: str) -> dict:
     value converted as that flag's would be."""
     keys = [key for key in _COMMANDS[command][2] if key != "config"]
     values = {}
+    first_seen = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -85,6 +86,9 @@ def _load_config_file(path: str, command: str) -> dict:
                 raise InvalidArgument(
                     f"{where}: {key!r} is not a {command} key; valid: {', '.join(keys)}"
                 )
+            if key in first_seen:
+                raise InvalidArgument(f"{key} is set twice, at {first_seen[key]} and {where}")
+            first_seen[key] = where
             spec = _FLAGS[key]
             if spec.get("action") == "append":
                 values[key] = [value]
@@ -122,6 +126,8 @@ def _schemes(values: dict) -> tuple[str, ...]:
 
 def _noise_power(values: dict, default_snr_db: float | None = None) -> tuple[float, float]:
     """Resolve (noise_power, snr_db) from --snr-db / --sigma2 / default."""
+    if "snr_db" in values and "sigma2" in values:
+        raise InvalidArgument("--snr-db and --sigma2 both set the noise power; give one")
     snr_db = values.get("snr_db")
     if snr_db is not None:
         return 1.0 / db_to_linear(snr_db), snr_db

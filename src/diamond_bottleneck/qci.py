@@ -7,16 +7,16 @@ cells.  Every cell rate is a max-min solve, which reduces to the one-relay
 closed form where a relay is dead; the split itself is a concave allocation
 problem solved by projected gradient ascent, with the exact gradient that
 the max-min kernel's slopes give and a Barzilai-Borwein step length per
-relay.  A cold ascent starts from the one-relay water-filling split of each
-relay's residual, and stops after three consecutive gains below abs_tol.
+relay.  Every ascent starts from the one-relay water-filling split of each
+relay's residual, and stops after three consecutive gains below abs_tol, so
+its result depends on its operating point alone.
 
 The ascent is a generator that asks for one evaluation at a time, and one
 driver runs any number of them in lock-step: each round sends the J x J
 cell lanes of every live ascent's request to the max-min kernel in one
 call.  The kernel is elementwise, so each ascent takes the same steps, bit
-for bit, as it does alone; optimize_allocation and qci_lower_bound are the
-one-ascent case, and qci_lower_bounds runs the cell counts of one point
-together.
+for bit, as it does alone; qci_lower_bound is the one-ascent case, and
+qci_lower_bounds runs the cell counts of one point together.
 """
 
 from __future__ import annotations
@@ -153,12 +153,10 @@ def _project_budget(x: np.ndarray, p: np.ndarray, budget: float) -> np.ndarray:
 
 
 def _ascent(
-    grid: QuantizationGrid,
-    config: SystemConfig,
-    settings: SolverSettings,
-    initial: np.ndarray | None,
+    J: int, config: SystemConfig, settings: SolverSettings,
 ) -> Generator[tuple, tuple, QciAllocation]:
-    """Split the post-header budgets across cells to maximize the mean rate.
+    """Build the J-cell grid, then split the post-header budgets across its
+    cells to maximize the mean rate.
 
     Projected gradient ascent on a concave objective: the exact gradient
     from the kernel's slopes, a Barzilai-Borwein trial step per relay
@@ -170,18 +168,16 @@ def _ascent(
 
     A generator, driven by _lock_step: it yields (objective, c1, c2) for
     each evaluation it needs, is sent objective.reduce of the kernel's
-    outputs at those lanes, and returns the allocation.
+    outputs at those lanes, and returns the allocation.  The grid is built
+    on the first step, so a bad J fails this ascent only.
 
-    Without `initial` the ascent starts cold from each relay's one-relay
-    water-filling split (Cover and Thomas, Elements of Information Theory,
-    9.4): c_i = max(0, log2 rho_i + mu), with mu spending the whole
-    residual, which equalizes the one-relay slopes rho_i 2^-c_i / (1 +
-    rho_i 2^-c_i) and costs no kernel call.  `initial` warm-starts from a
-    previous allocation (it is projected onto the current feasible set
-    first), which both speeds up sweeps and makes budget-ladder results
-    monotone by construction.
+    The ascent starts from each relay's one-relay water-filling split
+    (Cover and Thomas, Elements of Information Theory, 9.4): c_i = max(0,
+    log2 rho_i + mu), with mu spending the whole residual, which equalizes
+    the one-relay slopes rho_i 2^-c_i / (1 + rho_i 2^-c_i) and costs no
+    kernel call.
     """
-    J = grid.size
+    grid = build_grid(J, config)
     m = J - 1
     residual1 = config.c1 - grid.header_bits
     residual2 = config.c2 - grid.header_bits
@@ -196,22 +192,15 @@ def _ascent(
 
     p = np.asarray(grid.probs[:m])
     objective = _Objective(grid)
-    if initial is not None:
-        start = np.asarray(initial, dtype=float)
-        if start.shape != (2, J):
-            raise InvalidArgument(f"initial allocation must have shape (2, {J})")
-        c1 = _project_budget(start[0, :m].copy(), p, residual1)
-        c2 = _project_budget(start[1, :m].copy(), p, residual2)
-    else:
-        # log2 rho, lifted so that every cell holds at least residual /
-        # sum(p), overspends; on uniform cells the projection's shift theta p
-        # is one water level, so the projection is the water-filling split.
-        log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
-        lifted = log_rho - log_rho.min()
-        c1, c2 = (
-            _project_budget(lifted + residual / p.sum(), p, residual)
-            for residual in (residual1, residual2)
-        )
+    # log2 rho, lifted so that every cell holds at least residual / sum(p),
+    # overspends; on uniform cells the projection's shift theta p is one
+    # water level, so the projection is the water-filling split.
+    log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
+    lifted = log_rho - log_rho.min()
+    c1, c2 = (
+        _project_budget(lifted + residual / p.sum(), p, residual)
+        for residual in (residual1, residual2)
+    )
 
     # Every evaluation also yields the gradient, so an accepted candidate
     # brings the next iteration's gradient along.
@@ -312,45 +301,17 @@ def _raised(outcome: QciAllocation | Exception) -> QciAllocation:
     return outcome
 
 
-def optimize_allocation(
-    grid: QuantizationGrid,
-    config: SystemConfig,
-    settings: SolverSettings,
-    initial: np.ndarray | None = None,
-) -> QciAllocation:
-    """One allocation ascent on its own (see _ascent)."""
-    return _raised(_lock_step([_ascent(grid, config, settings, initial)])[0])
-
-
-def _grid_ascent(
-    J: int, config: SystemConfig, settings: SolverSettings, initial: np.ndarray | None,
-) -> Generator[tuple, tuple, QciAllocation]:
-    # the grid is built on the first step, so a bad J fails this ascent only
-    return (yield from _ascent(build_grid(J, config), config, settings, initial))
-
-
 def qci_lower_bounds(
-    cells: Sequence[int],
-    config: SystemConfig,
-    settings: SolverSettings,
-    initials: Sequence[np.ndarray | None],
+    cells: Sequence[int], config: SystemConfig, settings: SolverSettings,
 ) -> list[QciAllocation | Exception]:
     """Grid construction plus allocation for each cell count, in lock-step.
 
-    initials holds one warm start (or None) per cell count.  Entry k of the
-    result is cell count k's allocation, or the exception that its
-    construction or ascent raised.
+    Entry k of the result is cell count k's allocation, or the exception
+    that its construction or ascent raised.
     """
-    return _lock_step([
-        _grid_ascent(J, config, settings, initial) for J, initial in zip(cells, initials, strict=True)
-    ])
+    return _lock_step([_ascent(J, config, settings) for J in cells])
 
 
-def qci_lower_bound(
-    J: int,
-    config: SystemConfig,
-    settings: SolverSettings,
-    initial: np.ndarray | None = None,
-) -> QciAllocation:
+def qci_lower_bound(J: int, config: SystemConfig, settings: SolverSettings) -> QciAllocation:
     """Grid construction plus allocation in one call."""
-    return _raised(qci_lower_bounds([J], config, settings, [initial])[0])
+    return _raised(qci_lower_bounds([J], config, settings)[0])

@@ -5,8 +5,10 @@ the requested bounds at every point, and writes one CSV row per point:
 axis columns first, then one rate column per scheme, then one diagnostic
 column per scheme.  Failed schemes, including those that return a
 non-finite rate, leave their cells empty and report on stderr; the other
-columns of the row are unaffected.  No scheme draws random numbers, so
-every run of a spec gives a byte-identical file.
+columns of the row are unaffected.  Each row is computed from its own
+point alone, so a sweep row equals the row `bound` prints at that point.
+No scheme draws random numbers, so every run of a spec gives a
+byte-identical file.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -18,8 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .channel import SystemConfig
 from .errors import DomainError, InvalidArgument
@@ -167,20 +167,25 @@ def compute_point(
     config: SystemConfig,
     schemes: Iterable[str],
     settings: SolverSettings,
-    warm_start: dict[str, np.ndarray] | None = None,
+    warm_start: None = None,
 ) -> list[BoundResult]:
     """Evaluate the requested schemes at one operating point.
 
     The quantized schemes' ascents run together, in lock-step, before the
     rest (qci_lower_bounds); a failure still fails only its own cell, with
-    its warning in scheme order.  warm_start carries each quantized
-    scheme's previous allocation between points of a sweep; entries are
-    updated in place.
+    its warning in scheme order.  Every result depends on this point alone.
+
+    warm_start is a leftover: the benchmark's workloads still pass
+    warm_start=None by keyword.  Any other value raises InvalidArgument,
+    so no input is silently dropped.  It goes when the benchmark reads
+    counters kept in the package (ROADMAP.md, "Instrumentation inside the
+    package").
     """
+    if warm_start is not None:
+        raise InvalidArgument("compute_point has no warm start; pass warm_start=None or omit it")
     schemes = tuple(schemes)
     quantized = [s for s in dict.fromkeys(schemes) if s.startswith("qci_J") and s[5:].isdigit()]
-    initials = [warm_start.get(s) if warm_start is not None else None for s in quantized]
-    outcomes = qci_lower_bounds([int(s[5:]) for s in quantized], config, settings, initials)
+    outcomes = qci_lower_bounds([int(s[5:]) for s in quantized], config, settings)
     allocations = dict(zip(quantized, outcomes))
     results = []
     for scheme in schemes:
@@ -192,8 +197,6 @@ def compute_point(
                 allocation = allocations[scheme]
                 if isinstance(allocation, Exception):
                     raise allocation
-                if warm_start is not None and allocation.feasible:
-                    warm_start[scheme] = allocation.c
                 result = BoundResult(scheme, allocation.lower_bound, allocation.iterations)
             elif scheme == "tci":
                 point = tci_best(config)
@@ -227,10 +230,9 @@ def render_rows(spec: SweepSpec) -> list[str]:
     diag_columns = [_DIAGNOSTIC_COLUMN[s] for s in spec.schemes]
     header = ",".join(["rho_db", "c_bits", *spec.schemes, *diag_columns])
     lines = [header]
-    warm: dict[str, np.ndarray] = {}
     for snr_db, c1, c2 in sweep_points(spec):
         config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
-        results = compute_point(config, spec.schemes, spec.settings, warm_start=warm)
+        results = compute_point(config, spec.schemes, spec.settings)
         rates = [_cell(r.rate) for r in results]
         diags = [_cell(r.diagnostic) for r in results]
         lines.append(",".join([_cell(snr_db), _cell(c1), *rates, *diags]))

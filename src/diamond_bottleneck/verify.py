@@ -31,7 +31,7 @@ from .numerics import (
     exp_integral_e1,
     integrate_semiinfinite,
 )
-from .qci import build_grid, optimize_allocation
+from .qci import build_grid, qci_lower_bound
 from .upper_bound import budget_integral, rate_at_level, upper_bound
 
 # Fewest lattice points per axis of the solver-vs-lattice comparisons; finer
@@ -244,11 +244,11 @@ def _check_water_level(settings: SolverSettings, seed: int, quad_order: int):
 
 def _check_qci_feasibility(settings: SolverSettings):
     config = SystemConfig(noise_power=0.01, c1=6.0, c2=5.0)
-    grid = build_grid(4, config)
+    J = 4
+    grid = build_grid(J, config)
     if grid.header_bits != 2.0:
         return False, "header is not exactly log2(J)"
-    allocation = optimize_allocation(grid, config, settings)
-    J = grid.size
+    allocation = qci_lower_bound(J, config, settings)
     probs = np.asarray(grid.probs)
     slack_ok = True
     for k, budget in enumerate(config.budgets):

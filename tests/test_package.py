@@ -3,6 +3,7 @@ that import past the root."""
 
 import argparse
 import dataclasses
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 import diamond_bottleneck
 from conftest import _child_env
 from diamond_bottleneck.cli import build_parser
+from diamond_bottleneck.qci import qci_lower_bounds
+from diamond_bottleneck.sweeps import compute_point
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -45,6 +48,17 @@ def test_settings_and_flags_are_only_those_read():
     # A new knob needs a reader and a deliberate edit here.
     fields = tuple(field.name for field in dataclasses.fields(diamond_bottleneck.SolverSettings))
     assert fields == ("abs_tol", "max_iter")
+    # every QCI ascent starts from the water-filling split: no start knob;
+    # compute_point's warm_start accepts only None
+    parameters = {
+        function: tuple(inspect.signature(function).parameters)
+        for function in (diamond_bottleneck.qci_lower_bound, qci_lower_bounds, compute_point)
+    }
+    assert parameters == {
+        diamond_bottleneck.qci_lower_bound: ("J", "config", "settings"),
+        qci_lower_bounds: ("cells", "config", "settings"),
+        compute_point: ("config", "schemes", "settings", "warm_start"),
+    }
     commands = next(
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)

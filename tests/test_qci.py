@@ -22,7 +22,6 @@ from diamond_bottleneck.qci import (
     _Objective,
     _project_budget,
     build_grid,
-    optimize_allocation,
     qci_lower_bound,
     qci_lower_bounds,
 )
@@ -159,10 +158,9 @@ def counted_kernel(monkeypatch):
     return shapes
 
 
-def solo_evaluations(J, config, initial=None):
+def solo_evaluations(J, config):
     """Evaluations a lone ascent asks for, driven by hand, and its result."""
-    grid = build_grid(J, config)
-    ascent = _ascent(grid, config, SETTINGS, initial)
+    ascent = _ascent(J, config, SETTINGS)
     count, reply = 0, None
     try:
         while True:
@@ -209,6 +207,9 @@ def uniform_split_value(J, config):
 
 
 class TestOptimizeAllocation:
+    """The allocation ascent, run through qci_lower_bound (the class keeps the
+    name of the function that once ran it alone)."""
+
     def test_infeasible_header(self):
         result = qci_lower_bound(8, SystemConfig(0.01, 2.5, 5.0), SETTINGS)
         assert not result.feasible
@@ -224,7 +225,7 @@ class TestOptimizeAllocation:
     def test_constraints_respected(self):
         config = SystemConfig(1e-3, 6.0, 4.0)
         grid = build_grid(4, config)
-        result = optimize_allocation(grid, config, SETTINGS)
+        result = qci_lower_bound(4, config, SETTINGS)
         assert result.feasible
         probs = np.asarray(grid.probs)
         assert float(probs @ result.c[0]) <= config.c1 - grid.header_bits + 1e-9
@@ -235,7 +236,7 @@ class TestOptimizeAllocation:
     def test_rates_matrix_consistency(self):
         config = SystemConfig(1e-3, 5.0, 5.0)
         grid = build_grid(4, config)
-        result = optimize_allocation(grid, config, SETTINGS)
+        result = qci_lower_bound(4, config, SETTINGS)
         assert result.lower_bound == pytest.approx(
             float(result.rates.sum()) / grid.size**2, abs=1e-12
         )
@@ -263,24 +264,6 @@ class TestOptimizeAllocation:
         assert result.lower_bound <= ub + 1e-9
         assert result.lower_bound >= 0.85 * ub
         assert result.lower_bound == pytest.approx(11.885, abs=0.05)
-
-    def test_warm_start_shape_validation(self):
-        config = SystemConfig(1e-2, 4.0, 4.0)
-        grid = build_grid(2, config)
-        with pytest.raises(InvalidArgument):
-            optimize_allocation(grid, config, SETTINGS, initial=np.zeros((2, 3)))
-
-    def test_warm_started_ladder_is_monotone(self):
-        budgets = [3.0, 3.5, 4.0, 4.5]
-        previous = None
-        values = []
-        for c in budgets:
-            result = qci_lower_bound(
-                4, SystemConfig(1e-2, c, c), SETTINGS, initial=previous
-            )
-            values.append(result.lower_bound)
-            previous = result.c
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_nonconvergent_at_tiny_iteration_cap(self):
         tight = SolverSettings(max_iter=1)
@@ -355,8 +338,9 @@ class TestColdStart:
 def test_verify_rejects_an_allocation_below_the_uniform_split(monkeypatch):
     assert _check_qci_feasibility(SETTINGS)[0]
 
-    def short(grid, config, settings):
+    def short(J, config, settings):
         # feasible, but spends only 1/J of each residual
+        grid = build_grid(J, config)
         m = grid.size - 1
         c = np.zeros((2, grid.size))
         for k, budget in enumerate(config.budgets):
@@ -364,35 +348,28 @@ def test_verify_rejects_an_allocation_below_the_uniform_split(monkeypatch):
         value, rates, _, _ = evaluate(grid, c[0, :m], c[1, :m])
         return QciAllocation(c=c, rates=rates, lower_bound=value, iterations=1, feasible=True)
 
-    monkeypatch.setattr(importlib.import_module("diamond_bottleneck.verify"), "optimize_allocation", short)
+    monkeypatch.setattr(importlib.import_module("diamond_bottleneck.verify"), "qci_lower_bound", short)
     ok, detail = _check_qci_feasibility(SETTINGS)
     assert not ok, detail
 
 
 # QCI lower bounds of the finite-difference ascent that preceded exact
 # slopes, with its iteration counts; values as repr.  Rows: both presets
-# warm-started point to point as run_sweep runs them (case fig2, fig3), and
-# the benchmark's 16 cold points of seeds 0 to 10 without a warm start
-# (case cold<seed>), each for J = 2, 4 and 8 in that order.
+# (case fig2, fig3), recorded warm-started point to point as the sweeps of
+# that time ran them, and the benchmark's 16 cold points of seeds 0 to 10
+# (case cold<seed>), each for J = 2, 4 and 8 in that order.  Every row is
+# now computed on its own.
 QCI_FLOOR = Path(__file__).parent / "data" / "qci_floor.csv"
 
 
 @pytest.fixture(scope="module")
 def floor_rows():
     """(recorded row, allocation now) for every row of QCI_FLOOR."""
-    rows = list(csv.DictReader(QCI_FLOOR.open()))
-    warm: dict[tuple[str, int], np.ndarray] = {}
     pairs = []
-    for row in rows:
-        J = int(row["J"])
+    for row in csv.DictReader(QCI_FLOOR.open()):
         snr_db, c1, c2 = (float(row[key]) for key in ("snr_db", "c1", "c2"))
         config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
-        key = (row["case"], J)
-        preset = row["case"] in ("fig2", "fig3")
-        allocation = qci_lower_bound(J, config, SETTINGS, initial=warm.get(key) if preset else None)
-        if preset and allocation.feasible:
-            warm[key] = allocation.c
-        pairs.append((row, allocation))
+        pairs.append((row, qci_lower_bound(int(row["J"]), config, SETTINGS)))
     return pairs
 
 
@@ -431,41 +408,32 @@ class TestLockStep:
     """The ascents of one point run together take the steps each takes alone."""
 
     def test_floor_points_match_solo_ascents(self, monkeypatch):
-        # every point of QCI_FLOOR, presets warm-started as run_sweep runs them
+        # every point of QCI_FLOOR
         shapes = counted_kernel(monkeypatch)
         rows = list(csv.DictReader(QCI_FLOOR.open()))
-        warm: dict[tuple[str, int], np.ndarray] = {}
         points = 0
-        for (case, *point), group in itertools.groupby(
+        for (_, *point), group in itertools.groupby(
             rows, key=lambda row: (row["case"], row["snr_db"], row["c1"], row["c2"])
         ):
             snr_db, c1, c2 = map(float, point)
             config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
             cells = [int(row["J"]) for row in group]
-            preset = case in ("fig2", "fig3")
-            initials = [warm.get((case, J)) if preset else None for J in cells]
-            solo = [solo_evaluations(J, config, start) for J, start in zip(cells, initials)]
+            solo = [solo_evaluations(J, config) for J in cells]
             shapes.clear()
-            together = qci_lower_bounds(cells, config, SETTINGS, initials)
+            together = qci_lower_bounds(cells, config, SETTINGS)
             assert len(shapes) == max(count for count, _ in solo)
             assert sum(math.prod(shape) for shape in shapes) == sum(
                 count * J * J for (count, _), J in zip(solo, cells)
             )
             assert [bits(a) for a in together] == [bits(a) for _, a in solo]
-            if preset:
-                warm.update(((case, J), a.c) for J, a in zip(cells, together) if a.feasible)
             points += 1
         assert points * 3 == len(rows)
 
     def test_a_failed_problem_leaves_the_others(self):
         config = SystemConfig(1e-3, 6.0, 5.0)
-        bad, good = qci_lower_bounds([1, 4], config, SETTINGS, [None, None])
+        bad, good = qci_lower_bounds([1, 4], config, SETTINGS)
         assert isinstance(bad, InvalidArgument)
         assert bits(good) == bits(qci_lower_bound(4, config, SETTINGS))
-
-    def test_initials_must_match_cells(self):
-        with pytest.raises(ValueError):
-            qci_lower_bounds([2, 4], SystemConfig(1e-3, 6.0, 6.0), SETTINGS, [None])
 
 
 @st.composite

@@ -162,12 +162,13 @@ class TestComputePoint:
         for result in results.values():
             assert result.diagnostics == {_DIAGNOSTIC_COLUMN[result.scheme]: result.diagnostic}
 
-    def test_warm_start_updated(self):
+    def test_warm_start_refused(self):
+        # the keyword stays only so that warm_start=None keeps working
         config = SystemConfig(1e-2, 4.0, 4.0)
-        warm = {}
-        compute_point(config, ("qci_J2",), SETTINGS, warm_start=warm)
-        assert "qci_J2" in warm
-        assert warm["qci_J2"].shape == (2, 2)
+        alone = compute_point(config, ("qci_J2",), SETTINGS)
+        assert compute_point(config, ("qci_J2",), SETTINGS, warm_start=None) == alone
+        with pytest.raises(InvalidArgument):
+            compute_point(config, ("qci_J2",), SETTINGS, warm_start={})
 
     def test_failure_isolated_to_one_cell(self, monkeypatch, capsys):
         def explode(config, settings):
@@ -276,6 +277,27 @@ class TestCommandLine:
         rows = parse_csv(result.stdout.encode())
         assert rows[0]["rho_db"] == pytest.approx(20.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "command, flags, lines",
+        [
+            ("bound", ["--sigma2", "0.01", "--snr-db", "10"], ""),
+            ("bound", ["--snr-db", "10"], "sigma2 = 0.01\n"),
+            ("bound", [], "snr-db = 10\nsigma2 = 0.01\n"),
+            ("sweep", ["--sweep", "budget", "--sigma2", "0.01"], "snr_db = 10\n"),
+        ],
+        ids=["flags", "flag-and-file", "file", "budget-sweep"],
+    )
+    def test_sigma2_and_snr_db_together_exit_2(
+        self, tmp_path, monkeypatch, capsys, command, flags, lines
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(lines)
+        assert main([command, *flags, "--config", "run.cfg", "--scheme", "ub"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--snr-db and --sigma2" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
     def test_zero_setting_exits_2(self, tmp_path, flag):
         # rejected before the first check runs: nothing is printed
@@ -366,6 +388,19 @@ class TestCommandLine:
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert f"error: run.cfg:2: {message}" in result.stderr
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("c1 = 3", "c1 = 4"), ("snr-db = 20", "snr_db = 30"), ("scheme = ub", "scheme = tci")],
+        ids=["c1", "snr_db", "scheme"],
+    )
+    def test_config_key_given_twice_exits_2(self, tmp_path, monkeypatch, capsys, first, second):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{first}\n# between\n{second}\n")
+        assert main(["bound", "--config", "run.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "set twice, at run.cfg:1 and run.cfg:3" in err
 
     def test_malformed_config_line(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("this is not a pair\n")
@@ -577,6 +612,26 @@ class TestPresetGolden:
     def test_fig3(self, fig3_run):
         golden = (DATA / "fig3_deterministic.csv").read_bytes()
         assert select_columns(fig3_run[0]) == golden
+
+
+class TestRowsStandAlone:
+    """Every preset row equals, byte for byte, the row that a one-point spec
+    renders at its point, which is what `bound` prints: no row depends on
+    the rows before it."""
+
+    @staticmethod
+    def check(data: bytes, spec: SweepSpec) -> None:
+        lines = data.decode("utf-8").splitlines()
+        points = sweep_points(spec)
+        assert len(lines) == len(points) + 1
+        for line, (snr_db, c1, c2) in zip(lines[1:], points):
+            assert render_rows(single_spec(snr_db, c1, c2, SCHEMES)) == [lines[0], line]
+
+    def test_fig2(self, fig2_runs):
+        self.check(fig2_runs[0], fig2_spec())
+
+    def test_fig3(self, fig3_run):
+        self.check(fig3_run[0], fig3_spec())
 
 
 class TestMmseAgainstMonteCarlo:
