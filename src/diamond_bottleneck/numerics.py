@@ -252,11 +252,14 @@ def _one_relay_value(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (np.log1p(rho) - np.log1p(rho * np.exp2(-c))) / _LN2
 
 
-def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _one_relay_rate(rho: np.ndarray, c: np.ndarray, growth=None) -> np.ndarray:
     """Compression rate at the single-relay optimum, where log2(1 + rho u)
     meets c - r: r = log2(1 + (2^c - 1)/(1 + rho)), clamped to c.  Unlike
-    c minus the value, it keeps its relative precision when r is tiny."""
-    return np.minimum(np.log1p(np.expm1(c * _LN2) / (1.0 + rho)) / _LN2, c)
+    c minus the value, it keeps its relative precision when r is tiny.
+    growth is 2^c - 1 when the caller already holds it."""
+    if growth is None:
+        growth = np.expm1(c * _LN2)
+    return np.minimum(np.log1p(growth / (1.0 + rho)) / _LN2, c)
 
 
 def _one_relay_slope(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -274,37 +277,49 @@ def _snr_used(rho, r):
 def _branches(rho1, rho2, c1, c2, r1, r2):
     """The four cut branches at compression rates (r1, r2): no cut, and the
     leftover-budget terms of relay 1, of relay 2 and of both."""
-    used1 = _snr_used(rho1, r1)
-    used2 = _snr_used(rho2, r2)
+    return _cut_branches(c1, c2, r1, r2, _snr_used(rho1, r1), _snr_used(rho2, r2))
+
+
+def _cut_branches(c1, c2, r1, r2, used1, used2):
+    """_branches from the SNRs used1 and used2 that the rates keep."""
     both = _log2_1p(used1 + used2)
-    cut1 = c1 - r1 + _log2_1p(used2)
+    left1 = c1 - r1
+    cut1 = left1 + _log2_1p(used2)
     cut2 = _log2_1p(used1) + c2 - r2
-    cut12 = c1 - r1 + c2 - r2
+    cut12 = left1 + c2 - r2
     return both, cut1, cut2, cut12
 
 
 def _branch_min(rho1, rho2, c1, c2, r1, r2):
     """Minimum over the four cut branches at compression rates (r1, r2)."""
-    both, cut1, cut2, cut12 = _branches(rho1, rho2, c1, c2, r1, r2)
+    return _lowest(_branches(rho1, rho2, c1, c2, r1, r2))
+
+
+def _lowest(branches):
+    """Elementwise minimum of the four branches of _cut_branches."""
+    both, cut1, cut2, cut12 = branches
     return np.minimum(np.minimum(both, cut1), np.minimum(cut2, cut12))
 
 
-def _candidates(rho1, rho2, c1, c2):
-    """(r1, r2), each of shape (5, n): the points where the maximum can sit,
-    for lanes with both SNRs and both budgets positive.
+def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(r1, r2) stacked in one array of shape (2, 5, n): the points where the
+    maximum can sit, for lanes with both SNRs rho = (rho1, rho2) and both
+    budgets c = (c1, c2) positive, each of shape (2, n).
 
     Rows: the vertices K1 = K2 = K12, B = K1 = K12, B = K2 = K12 and
     B = K1 = K2, then the B-K12 tangency p = q (module docstring).  Every
     row is formed in r, never from p, q or alpha beta.  A row may leave the
-    box; the caller clips it.
+    box; the caller clips it.  Whatever both relays compute alike is
+    computed once on the (2, n) pair.
     """
+    rho1, rho2 = rho
+    c1, c2 = c
+    growth = np.expm1(c * _LN2)
     # K2 = K12 holds on the line r1 = s1 and K1 = K12 on r2 = s2, the
     # one-relay optima; B = K1 at a given r2 is relay 1's one-relay optimum
     # at SNR rho1 / (1 + rho2 u2), and B = K2 likewise.
-    s1 = _one_relay_rate(rho1, c1)
-    s2 = _one_relay_rate(rho2, c2)
-    r1_b_k1 = _one_relay_rate(rho1 / (1.0 + _snr_used(rho2, s2)), c1)
-    r2_b_k2 = _one_relay_rate(rho2 / (1.0 + _snr_used(rho1, s1)), c2)
+    s = _one_relay_rate(rho, c, growth)
+    r_b_k = _one_relay_rate(rho / (1.0 + _snr_used(rho[::-1], s[::-1])), c, growth)
 
     # B = K1 = K2: eliminating rho2 u2 leaves a quadratic in A = rho1 u1,
     # scaled by rho1 rho2 2^-(c1+c2) so that no coefficient overflows.  With
@@ -312,17 +327,14 @@ def _candidates(rho1, rho2, c1, c2):
     # A^2 + b A - U1 k = 0 after division by its leading coefficient
     # 1 + U2 + E1; the one positive root is taken in the form that does not
     # cancel for either sign of b, and hypot keeps b^2 from overflowing.
-    top1 = _snr_used(rho1, c1)
-    top2 = _snr_used(rho2, c2)
-    low1 = rho1 * np.exp2(-c1)
-    low2 = rho2 * np.exp2(-c2)
-    lead = 1.0 + top2 + low1
-    b = (low1 / lead) * low2 + (low1 + low2) / lead + ((1.0 + top2) / lead) * (1.0 - top1)
+    top1, top2 = _snr_used(rho, c)
+    low1, low2 = rho * np.exp2(-c)
+    rest2 = 1.0 + top2
+    lead = rest2 + low1
+    b = (low1 / lead) * low2 + (low1 + low2) / lead + (rest2 / lead) * (1.0 - top1)
     k = (1.0 + rho2) / lead
     m = np.abs(b) + np.hypot(b, 2.0 * np.sqrt(top1) * np.sqrt(k))
     used1 = np.minimum(np.where(b >= 0.0, top1 * (2.0 * k / m), 0.5 * m), top1)
-    r1_b_k1_k2 = -np.log1p(-used1 / rho1) / _LN2
-    r2_b_k1_k2 = _one_relay_rate(rho2 / (1.0 + used1), c2)
 
     # B-K12 tangency: p = q = w with alpha beta w^2 + 2 w - R = 0, so
     # w = R / (1 + S), S = sqrt(1 + alpha beta R), and
@@ -330,7 +342,8 @@ def _candidates(rho1, rho2, c1, c2):
     # g = log2(alpha beta R).  Near r_k = 0 (rho1 ~ rho2 large, S ~ 1) both
     # terms are small and are taken by log1p.
     total = 1.0 + rho1 + rho2
-    g = c1 + c2 + np.log2(total) - np.log2(rho1) - np.log2(rho2)
+    log_rho1, log_rho2 = np.log2(rho)
+    g = c1 + c2 + np.log2(total) - log_rho1 - log_rho2
     t = np.exp2(np.minimum(g, 0.0))
     half_g = 0.5 * np.maximum(g, 0.0)
     e = np.exp2(-half_g)
@@ -339,31 +352,36 @@ def _candidates(rho1, rho2, c1, c2):
         half_g - 1.0 + np.log2(e + np.sqrt(e * e + 1.0)),
         np.log1p(t / (2.0 + 2.0 * np.sqrt(1.0 + t))) / _LN2,
     )
+    x = (rho - rho[::-1] - 1.0) / total  # 2 rho / R - 1
 
-    def tangency(rho, other):
-        x = (rho - other - 1.0) / total  # 2 rho / R - 1
-        return np.where(x > -0.5, np.log1p(x) / _LN2, np.log2(2.0 * rho / total)) + lift
+    cand = np.empty((2, 5) + rho1.shape)
+    cand[:, 0] = s
+    cand[0, 1] = r_b_k[0]
+    cand[1, 1] = s[1]
+    cand[0, 2] = s[0]
+    cand[1, 2] = r_b_k[1]
+    cand[0, 3] = -np.log1p(-used1 / rho1) / _LN2
+    cand[1, 3] = _one_relay_rate(rho2 / (1.0 + used1), c2, growth[1])
+    cand[:, 4] = np.where(x > -0.5, np.log1p(x) / _LN2, np.log2(2.0 * rho / total)) + lift
+    return cand
 
-    r1 = np.stack([s1, r1_b_k1, s1, r1_b_k1_k2, tangency(rho1, rho2)])
-    r2 = np.stack([s2, s2, r2_b_k2, r2_b_k1_k2, tangency(rho2, rho1)])
-    return r1, r2
 
-
-def _kkt_slopes(rho1, rho2, r1, r2):
-    """(dvalue/dc1, dvalue/dc2, valid), each of shape (5, n), at the rows of
-    _candidates: the multiplier sums lambda_K1 + lambda_K12 and
-    lambda_K2 + lambda_K12 of each row's tight set, and whether all of its
-    multipliers are nonnegative (module docstring).  Every slope is a
-    ratio no larger than 1, or such a ratio times P <= rho1 or Q <= rho2,
-    so none overflows; only PQ may, on a row that is then not valid."""
-    used1 = _snr_used(rho1, r1)
-    used2 = _snr_used(rho2, r2)
-    p = rho1 * np.exp2(-r1)
-    q = rho2 * np.exp2(-r2)
-    lead1 = 1.0 + used1
-    lead2 = 1.0 + used2
-    pk = p / lead1  # P and Q of the module docstring
-    qk = q / lead2
+def _kkt_slopes(rho, r, used):
+    """(slopes, valid) at the rows r of _candidates, where the rates keep
+    the SNRs used: slopes[k] is dvalue/dc_k, the multiplier sum
+    lambda_K1 + lambda_K12 (k = 0) or lambda_K2 + lambda_K12 (k = 1) of each
+    row's tight set, and valid whether all of its multipliers are
+    nonnegative (module docstring); slopes has shape (2, 5, n) and valid
+    (5, n).  Every slope is a ratio no larger than 1, or such a ratio times
+    P <= rho1 or Q <= rho2, so none overflows; only PQ may, on a row that is
+    then not valid."""
+    rho1, rho2 = rho
+    used1, used2 = used
+    pq = rho[:, None] * np.exp2(-r)
+    lead = 1.0 + used
+    pk, qk = pq / lead  # P and Q of the module docstring
+    p, q = pq
+    lead1, lead2 = lead
     cross = pk * qk
     e1 = 1.0 + rho1
     e2 = 1.0 + rho2
@@ -371,25 +389,25 @@ def _kkt_slopes(rho1, rho2, r1, r2):
     t2 = e2 + used1[2]
     den = e1 + rho2 + cross[3]
     w = 0.5 * (p[4] + q[4])
-    tangent = w / (lead1[4] + used2[4] + w)
-    d1 = np.stack([
-        p[0] / e1,
-        p[1] / t1,
-        (p[2] / e1) * ((q[2] + lead1[2]) / t2),
-        pk[3] * ((q[3] + lead1[3]) / den),
-        tangent,
-    ])
-    d2 = np.stack([
-        q[0] / e2,
-        (q[1] / e2) * ((p[1] + lead2[1]) / t1),
-        q[2] / t2,
-        qk[3] * ((p[3] + lead2[3]) / den),
-        tangent,
-    ])
-    valid = np.stack([
-        cross[0] >= 1.0, p[1] >= q[1], q[2] >= p[2], cross[3] <= 1.0, np.ones_like(w, dtype=bool),
-    ])
-    return d1, d2, valid
+    slopes = np.empty_like(r)
+    d1, d2 = slopes
+    np.divide(p[0], e1, out=d1[0])
+    np.divide(q[0], e2, out=d2[0])
+    np.divide(p[1], t1, out=d1[1])
+    np.multiply(q[1] / e2, (p[1] + lead2[1]) / t1, out=d2[1])
+    np.multiply(p[2] / e1, (q[2] + lead1[2]) / t2, out=d1[2])
+    np.divide(q[2], t2, out=d2[2])
+    np.multiply(pk[3], (q[3] + lead1[3]) / den, out=d1[3])
+    np.multiply(qk[3], (p[3] + lead2[3]) / den, out=d2[3])
+    np.divide(w, lead1[4] + used2[4] + w, out=d1[4])
+    d2[4] = d1[4]
+    valid = np.empty(cross.shape, dtype=bool)
+    np.greater_equal(cross[0], 1.0, out=valid[0])
+    np.greater_equal(p[1], q[1], out=valid[1])
+    np.greater_equal(q[2], p[2], out=valid[2])
+    np.less_equal(cross[3], 1.0, out=valid[3])
+    valid[4] = True
+    return slopes, valid
 
 
 def _zero_budget_slope(rho_live, c_live, rho_zero):
@@ -410,81 +428,88 @@ def _maxmin_batch(rho1, rho2, c1, c2):
     broadcast inputs; slope_k is the value's derivative in c_k, the right
     derivative at c_k = 0.  A lane with both relays live scores the five
     candidates of _candidates (module docstring), clipped into the box, by
-    _branch_min in one (5, n) evaluation and keeps the first best; its
-    slopes are the multiplier sums of the best row whose multipliers are
-    valid (_kkt_slopes).  Relays
+    the branch minimum in one (5, n) evaluation and keeps the first best;
+    its slopes are the multiplier sums of the best row whose multipliers
+    are valid (_kkt_slopes).  Relays
     with zero SNR or zero budget are pinned at r = 0 and the problem
     collapses to the single-relay closed form.  A relay with zero SNR has
     slope 0.  Budgets above _BUDGET_CAP are solved at the cap, the excess
     goes to the live relay's r, and its slope is 0.  A lane with a
     non-finite input returns NaN in all five, which callers report as a
     failed cell.
+
+    Most of a call's cost is fixed, not per lane, so the two relays'
+    inputs and outputs travel as (2, n) pairs through one ufunc call each,
+    and the five outputs share one (5, n) array.  Every lane still goes
+    through exactly the arithmetic of its class, so no lane's bits depend
+    on the other lanes of the call.
     """
-    rho1, rho2, c1, c2 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (rho1, rho2, c1, c2))
-    )
-    shape = rho1.shape
-    rho1, rho2, c1, c2 = (a.reshape(-1).copy() for a in (rho1, rho2, c1, c2))
-    failed = ~(np.isfinite(rho1) & np.isfinite(rho2) & np.isfinite(c1) & np.isfinite(c2))
-    for a in (rho1, rho2, c1, c2):
-        a[failed] = 0.0
-    value, r1, r2 = (np.zeros_like(rho1) for _ in range(3))
+    arrays = [np.asarray(a, dtype=float) for a in (rho1, rho2, c1, c2)]
+    shape = np.broadcast(*arrays).shape
+    lanes = np.empty((4,) + shape)
+    for k, a in enumerate(arrays):
+        lanes[k] = a
+    lanes = lanes.reshape(4, -1)
+    # count_nonzero is the cheapest any/all test of a small mask
+    finite = np.isfinite(lanes)
+    any_failed = np.count_nonzero(finite) < finite.size
+    if any_failed:
+        failed = ~finite.all(axis=0)
+        lanes[:, failed] = 0.0
+    rho, c = lanes[:2], lanes[2:]
+    out = np.zeros((5, lanes.shape[1]))
+    value, r, slopes = out[0], out[1:3], out[3:]
 
-    live1 = (rho1 > 0.0) & (c1 > 0.0)
-    live2 = (rho2 > 0.0) & (c2 > 0.0)
-    excess1 = np.maximum(c1 - _BUDGET_CAP, 0.0)
-    excess2 = np.maximum(c2 - _BUDGET_CAP, 0.0)
-    np.minimum(c1, _BUDGET_CAP, out=c1)
-    np.minimum(c2, _BUDGET_CAP, out=c2)
+    live = (rho > 0.0) & (c > 0.0)
+    capped = c > _BUDGET_CAP
+    any_capped = np.count_nonzero(capped)
+    if any_capped:
+        excess = np.maximum(c - _BUDGET_CAP, 0.0)
+        np.minimum(c, _BUDGET_CAP, out=c)
 
-    only1 = live1 & ~live2
-    if np.any(only1):
-        value[only1] = _one_relay_value(rho1[only1], c1[only1])
-        r1[only1] = _one_relay_rate(rho1[only1], c1[only1])
-
-    only2 = live2 & ~live1
-    if np.any(only2):
-        value[only2] = _one_relay_value(rho2[only2], c2[only2])
-        r2[only2] = _one_relay_rate(rho2[only2], c2[only2])
+    # only[k]: relay k live, its partner not.  Masking a (2, n) pair picks
+    # relay 1's lanes, then relay 2's, in lane order.
+    only = live & ~live[::-1]
+    if np.count_nonzero(only):
+        rho_o, c_o = rho[only], c[only]
+        value[np.nonzero(only)[1]] = _one_relay_value(rho_o, c_o)
+        r[only] = _one_relay_rate(rho_o, c_o)
 
     # A relay with SNR whose partner is not live sees the one-relay slope,
     # at a zero budget too; facing a live partner, a zero budget has its own.
-    slope1 = np.where(live2, 0.0, _one_relay_slope(rho1, c1))
-    slope2 = np.where(live1, 0.0, _one_relay_slope(rho2, c2))
-    for slope, rho, rho_other, c_other, rising in (
-        (slope1, rho1, rho2, c2, only2 & (rho1 > 0.0)),
-        (slope2, rho2, rho1, c1, only1 & (rho2 > 0.0)),
-    ):
-        if np.any(rising):
-            slope[rising] = _zero_budget_slope(rho_other[rising], c_other[rising], rho[rising])
+    slopes[...] = np.where(live[::-1], 0.0, _one_relay_slope(rho, c))
+    rising = only[::-1] & (rho > 0.0)
+    if np.count_nonzero(rising):
+        slopes[rising] = _zero_budget_slope(rho[::-1][rising], c[::-1][rising], rho[rising])
 
-    both = live1 & live2
-    if np.any(both):
-        lanes = (rho1[both], rho2[both], c1[both], c2[both])
+    both = live[0] & live[1]
+    if np.count_nonzero(both):
+        lanes_b = lanes.compress(both, axis=1)
+        rho_b, c_b = lanes_b[:2], lanes_b[2:]
         with np.errstate(over="ignore", divide="ignore"):
-            cand1, cand2 = _candidates(*lanes)
-        np.clip(cand1, 0.0, lanes[2], out=cand1)
-        np.clip(cand2, 0.0, lanes[3], out=cand2)
-        scores = _branch_min(*lanes, cand1, cand2)
-        best = np.argmax(scores, axis=0), np.arange(scores.shape[1])
-        value[both] = scores[best]
-        r1[both] = cand1[best]
-        r2[both] = cand2[best]
+            cand = _candidates(rho_b, c_b)
+        cand.clip(0.0, c_b[:, None], out=cand)
+        used = _snr_used(rho_b[:, None], cand)
+        scores = _lowest(_cut_branches(*c_b, *cand, *used))
+        # Row-major flat indices of each lane's first best row; take on a
+        # flat index is much cheaper than indexing with (row, lane) pairs.
+        lane = np.arange(scores.shape[1])
+        best = scores.argmax(axis=0) * lane.size + lane
+        value[both] = scores.take(best)
+        for k, chosen in enumerate(cand.reshape(2, -1).take(best, axis=1)):
+            r[k][both] = chosen
         # Where branches nearly coincide rows can tie in value to the last
         # bit; the slopes come from the best row whose multipliers are valid.
         with np.errstate(over="ignore", invalid="ignore"):
-            d1, d2, valid = _kkt_slopes(lanes[0], lanes[1], cand1, cand2)
-        kkt = np.argmax(np.where(valid, scores, -np.inf), axis=0), best[1]
-        slope1[both] = d1[kkt]
-        slope2[both] = d2[kkt]
+            d, valid = _kkt_slopes(rho_b, cand, used)
+        kkt = np.where(valid, scores, -np.inf).argmax(axis=0) * lane.size + lane
+        for k, chosen in enumerate(d.reshape(2, -1).take(kkt, axis=1)):
+            slopes[k][both] = chosen
 
-    r1[live1] += excess1[live1]
-    r2[live2] += excess2[live2]
-    slope1[excess1 > 0.0] = 0.0
-    slope2[excess2 > 0.0] = 0.0
-    value = np.maximum(value, 0.0)
-    outputs = (value, r1, r2, slope1, slope2)
-    for a in outputs:
-        a[failed] = np.nan
-    return tuple(a.reshape(shape) for a in outputs)
-
+    if any_capped:
+        np.add(r, excess, out=r, where=live)
+        slopes[capped] = 0.0
+    np.maximum(value, 0.0, out=value)
+    if any_failed:
+        out[:, failed] = np.nan
+    return tuple(a.reshape(shape) for a in out)

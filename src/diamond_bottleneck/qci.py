@@ -9,7 +9,9 @@ problem solved by projected gradient ascent, with the exact gradient that
 the max-min kernel's slopes give and a Barzilai-Borwein step length per
 relay.  Every ascent starts from the one-relay water-filling split of each
 relay's residual, and stops after three consecutive gains below abs_tol, so
-its result depends on its operating point alone.
+its result depends on its operating point alone.  Each step projects onto
+the budget set exactly, by a plain loop over the at most J - 1 breakpoints
+of the spend curve.
 
 The ascent is a generator that asks for one evaluation at a time, and one
 driver runs any number of them in lock-step: each round sends the J x J
@@ -135,19 +137,29 @@ def _project_budget(x: np.ndarray, p: np.ndarray, budget: float) -> np.ndarray:
     breakpoints are x / p: with the k largest of them active, theta is
     (p_k . x_k - budget) / (p_k . p_k), and the active set is the largest
     k whose smallest breakpoint still exceeds that theta (Duchi et al.,
-    ICML 2008).
+    ICML 2008).  There are at most J - 1 breakpoints, so a plain loop over
+    them, largest first, finds that k: its running sums are accumulated in
+    order, as np.cumsum would, and cost no array call.
     """
     c = np.maximum(x, 0.0)
     spend = float(p @ c)
     if spend <= budget:
         return c
-    order = np.argsort(-(x / p), kind="stable")
-    xs, ps = x[order], p[order]
-    thetas = (np.cumsum(ps * xs) - budget) / np.cumsum(ps * ps)
-    above = np.flatnonzero(xs - thetas * ps > 0.0)
-    if above.size == 0:
+    xs, ps = x.tolist(), p.tolist()
+    ratios = [a / b for a, b in zip(xs, ps)]
+    # largest breakpoint first, ties in index order, NaN last: np.argsort's order
+    order = sorted(range(len(xs)), key=lambda i: (ratios[i] != ratios[i], -ratios[i]))
+    weighted = squared = 0.0
+    found = None
+    for i in order:
+        weighted += ps[i] * xs[i]
+        squared += ps[i] * ps[i]
+        theta = (weighted - budget) / squared
+        if xs[i] - theta * ps[i] > 0.0:
+            found = theta
+    if found is None:
         return np.zeros_like(x)
-    active = x - thetas[above[-1]] * p > 0.0
+    active = np.array([a - found * b > 0.0 for a, b in zip(xs, ps)])
     theta = (float(p[active] @ x[active]) - budget) / float(p[active] @ p[active])
     return np.maximum(x - max(theta, 0.0) * p, 0.0)
 

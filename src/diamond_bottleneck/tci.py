@@ -7,12 +7,19 @@ Gaussian channel whose noise power is the conditional mean of
 noise_power / gain, an exponential-integral closed form.  The bound mixes
 the one-active and both-active branch rates by the activity probabilities
 and picks the best threshold on a fixed grid.
+
+Only the conditional noise depends on the operating point, and only through
+a factor noise_power: the activity probability, the header entropy and
+e^t E1(t) of each threshold are computed once, on first use, and cached,
+and every point multiplies in its noise power, with the same product, and
+so the same bits, as computing them afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +56,26 @@ def _binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+@lru_cache(maxsize=32)
+def _threshold_stats(thresholds: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Read-only arrays p_active, header_bits and e^t E1(t), t = threshold^2,
+    over the thresholds: the part of the statistics that does not depend on
+    the noise power.  Cached per tuple of thresholds, so each threshold of
+    the grid pays for its E1 series or continued fraction once, on first
+    use, not at import."""
+    rows = []
+    for threshold in thresholds:
+        if not (threshold > 0.0):
+            raise DomainError("threshold must be positive; the conditional mean diverges at 0")
+        t = threshold * threshold
+        p_active = math.exp(-t)
+        rows.append((p_active, _binary_entropy(p_active), _e1_scaled(t)))
+    columns = tuple(np.array(column) for column in zip(*rows))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def conditional_stats(threshold: float, config: SystemConfig) -> ConditionalStats:
     """Activity probability, header entropy, and conditional noise stats.
 
@@ -56,61 +83,47 @@ def conditional_stats(threshold: float, config: SystemConfig) -> ConditionalStat
     probability is e^{-t} and E[1/g | g >= t] = e^t E1(t), so the
     conditional noise power is noise_power * e^t * E1(t).
     """
-    if not (threshold > 0.0):
-        raise DomainError("threshold must be positive; the conditional mean diverges at 0")
-    t = threshold * threshold
-    p_active = math.exp(-t)
-    cond_noise = config.noise_power * _e1_scaled(t)
+    p_active, header_bits, e1_scaled = (float(a[0]) for a in _threshold_stats((threshold,)))
+    cond_noise = config.noise_power * e1_scaled
     return ConditionalStats(
         p_active=p_active,
-        header_bits=_binary_entropy(p_active),
+        header_bits=header_bits,
         cond_noise=cond_noise,
         cond_snr=1.0 / cond_noise,
     )
 
 
-def _effective_budget(c: float, header: float, p_active: float) -> float:
-    # a budget below the header cost buys nothing; never a negative exponent
-    return max(c - header, 0.0) / p_active
+def _tci_rows(thresholds: tuple[float, ...], config: SystemConfig) -> list[tuple[float, ...]]:
+    """TciPoint fields at shared thresholds, one solver call for all of them.
 
-
-def _tci_points(thresholds, config: SystemConfig) -> list[TciPoint]:
-    """Bound values at shared thresholds, one solver call for all of them.
-
-    The conditional statistics and the rate mixture stay scalar; the
-    relay-1-only, relay-2-only and two-relay rates are three blocks of
-    lanes of the one call, a silent relay being a lane with SNR 0 and
-    budget 0.
+    The statistics and the rate mixture are elementwise array arithmetic,
+    the same operations, in the same order, as conditional_stats applies to
+    one threshold; the relay-1-only, relay-2-only and two-relay rates are
+    three blocks of lanes of the one call, a silent relay being a lane with
+    SNR 0 and budget 0.  A budget below the header cost buys nothing, and
+    never gives a negative exponent.
     """
-    stats = [conditional_stats(threshold, config) for threshold in thresholds]
-    rho = np.array([s.cond_snr for s in stats])
-    b1 = np.array([_effective_budget(config.c1, s.header_bits, s.p_active) for s in stats])
-    b2 = np.array([_effective_budget(config.c2, s.header_bits, s.p_active) for s in stats])
+    p, header_bits, e1_scaled = _threshold_stats(thresholds)
+    cond_noise = config.noise_power * e1_scaled
+    # past about 3,000 dB cond_noise is subnormal or 0 and rho inf: the
+    # kernel then fails the lane, and the sweep reports an empty cell
+    with np.errstate(divide="ignore", over="ignore"):
+        rho = 1.0 / cond_noise
+    b1 = np.maximum(config.c1 - header_bits, 0.0) / p
+    b2 = np.maximum(config.c2 - header_bits, 0.0) / p
     silent = np.zeros_like(rho)
     only1, only2, both = _maxmin_batch(
         [rho, silent, rho], [silent, rho, rho], [b1, silent, b1], [silent, b2, b2]
     )[0]
-    points = []
-    lanes = zip(thresholds, stats, only1.tolist(), only2.tolist(), both.tolist())
-    for threshold, s, one1, one2, two in lanes:
-        p = s.p_active
-        rate = p * (1.0 - p) * (one1 + one2) + p * p * two
-        points.append(TciPoint(
-            threshold=threshold,
-            p_active=s.p_active,
-            header_bits=s.header_bits,
-            cond_noise=s.cond_noise,
-            cond_snr=s.cond_snr,
-            rate=rate,
-        ))
-    return points
+    rate = p * (1.0 - p) * (only1 + only2) + p * p * both
+    return list(zip(thresholds, *(a.tolist() for a in (p, header_bits, cond_noise, rho, rate))))
 
 
 def tci_rate(threshold: float, config: SystemConfig) -> TciPoint:
     """Bound value at one shared threshold for both relays."""
-    return _tci_points((threshold,), config)[0]
+    return TciPoint(*_tci_rows((threshold,), config)[0])
 
 
 def tci_best(config: SystemConfig) -> TciPoint:
     """Best point over the fixed threshold grid; ties go to the smaller one."""
-    return max(_tci_points(THRESHOLD_GRID, config), key=lambda point: point.rate)
+    return TciPoint(*max(_tci_rows(THRESHOLD_GRID, config), key=lambda row: row[-1]))

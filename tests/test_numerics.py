@@ -490,6 +490,16 @@ def _bits(arrays):
 # 0 and 3 % of the budgets redrawn in [1,000, 2,000] bits, above the cap.
 K_PROBE_RECORD = Path(__file__).parent / "data" / "maxmin_kprobe.csv"
 
+# All five kernel outputs (value, r1, r2, slope1, slope2) as float.hex,
+# recorded with the kernel of commit 57608f6, before its fixed cost per call
+# was cut, which changed no floating-point operation on any lane.  Rows: the
+# 2,000 inputs of maxmin_kprobe.csv, the 14 PINNED_MAXMIN instances, then 20
+# hand-picked lanes of every masked class: a relay dead (SNR 0), a zero
+# budget facing a live relay (the right-derivative slope), SNR 0 with
+# positive budgets, no relay live, zero budgets, one or both budgets above
+# the 1,000-bit cap, and one NaN or +-inf input per position.
+OUTPUT_RECORD = Path(__file__).parent / "data" / "maxmin_outputs.csv"
+
 
 class TestMaxMinKernelBits:
     def test_never_below_the_k_probe_kernel(self):
@@ -499,6 +509,25 @@ class TestMaxMinKernelBits:
         ).T
         value = _maxmin_batch(rho1, rho2, c1, c2)[0]
         assert np.min(value - recorded) >= -1e-12
+
+    @staticmethod
+    def recorded_outputs():
+        rows = [row.split(",") for row in OUTPUT_RECORD.read_text().splitlines()[1:]]
+        inputs = np.array([[float.fromhex(x) for x in row[:4]] for row in rows]).T
+        return inputs, [row[4:] for row in rows]
+
+    def test_five_outputs_bit_for_bit(self):
+        inputs, recorded = self.recorded_outputs()
+        assert len(recorded) == 2034
+        outputs = np.array(_maxmin_batch(*inputs)).T.tolist()
+        assert [[x.hex() for x in lane] for lane in outputs] == recorded
+
+    def test_five_outputs_one_lane_at_a_time(self):
+        # the pinned and hand-picked lanes, each a call of its own
+        inputs, recorded = self.recorded_outputs()
+        for lane in range(2000, inputs.shape[1]):
+            outputs = _maxmin_batch(*inputs[:, lane])
+            assert [float(x).hex() for x in outputs] == recorded[lane]
 
     def test_pinned_instances_batched(self):
         inputs = np.array([case[:4] for case in PINNED_MAXMIN]).T

@@ -487,3 +487,69 @@ class TestProjectBudgetProperties:
             assert np.array_equal(c, np.maximum(x, 0.0))
         else:
             assert float(p @ c) == pytest.approx(budget, rel=0.0, abs=1e-12 * _scale(x, p, budget))
+
+
+def sorted_cumsum_projection(x, p, budget):
+    """The sort/cumsum formulation that _project_budget's breakpoint loop
+    replaced, kept verbatim as its oracle."""
+    c = np.maximum(x, 0.0)
+    spend = float(p @ c)
+    if spend <= budget:
+        return c
+    order = np.argsort(-(x / p), kind="stable")
+    xs, ps = x[order], p[order]
+    thetas = (np.cumsum(ps * xs) - budget) / np.cumsum(ps * ps)
+    above = np.flatnonzero(xs - thetas * ps > 0.0)
+    if above.size == 0:
+        return np.zeros_like(x)
+    active = x - thetas[above[-1]] * p > 0.0
+    theta = (float(p[active] @ x[active]) - budget) / float(p[active] @ p[active])
+    return np.maximum(x - max(theta, 0.0) * p, 0.0)
+
+
+class TestProjectBudgetBits:
+    @staticmethod
+    def cases(m):
+        """Seeded finite inputs: negative entries, tied breakpoints, budget 0
+        and points already inside the budget."""
+        rng = np.random.default_rng(100 + m)
+        for k in range(400):
+            x = rng.uniform(-20.0, 40.0, m) * 10.0 ** rng.integers(-3, 2)
+            if k % 2:
+                p = np.full(m, 1.0 / (m + 1))  # uniform cells, as on every QCI grid
+            else:
+                p = rng.uniform(1e-3, 1.0, m)
+            if m > 1 and k % 3 == 0:
+                # tied breakpoints; scaling x and p alike keeps x / p exact
+                for j, scale in zip((-1, 1), (1.0 if k % 2 else 0.5, 0.25)):
+                    x[j], p[j] = scale * x[0], scale * p[0]
+            spend = float(p @ np.maximum(x, 0.0))
+            budget = (0.0, spend, 1.5 * spend, 0.5 * spend, rng.uniform(0.0, 60.0))[k % 5]
+            yield x, p, budget
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_equals_the_sorted_cumsum_formulation(self, m):
+        inside = binding = 0
+        for x, p, budget in self.cases(m):
+            got = _project_budget(x, p, budget)
+            assert got.tobytes() == sorted_cumsum_projection(x, p, budget).tobytes(), (x, p, budget)
+            if float(p @ np.maximum(x, 0.0)) <= budget:
+                inside += 1
+            else:
+                binding += 1
+        assert inside > 50 and binding > 50
+
+    def test_ascent_inputs_match(self, monkeypatch):
+        # every projection that the three ascents of one preset point make
+        qci = importlib.import_module("diamond_bottleneck.qci")
+        calls = []
+
+        def spy(x, p, budget):
+            calls.append((x.copy(), p.copy(), budget))
+            return _project_budget(x, p, budget)
+
+        monkeypatch.setattr(qci, "_project_budget", spy)
+        qci_lower_bounds([2, 4, 8], SystemConfig(1.0 / db_to_linear(30.0), 10.0, 10.0), SETTINGS)
+        assert len(calls) > 20
+        for x, p, budget in calls:
+            assert _project_budget(x, p, budget).tobytes() == sorted_cumsum_projection(x, p, budget).tobytes()

@@ -1,6 +1,7 @@
 """Truncated-inversion scheme: conditional statistics, branch mixture, and
 threshold selection."""
 
+import dataclasses
 import importlib
 import math
 
@@ -10,8 +11,14 @@ import pytest
 from diamond_bottleneck.channel import SnrPair, SystemConfig
 from diamond_bottleneck.errors import DomainError
 from diamond_bottleneck.fixed_rate import fixed_rate
-from diamond_bottleneck.numerics import SolverSettings, _maxmin_batch
-from diamond_bottleneck.tci import THRESHOLD_GRID, conditional_stats, tci_best, tci_rate
+from diamond_bottleneck.numerics import SolverSettings, _e1_scaled, _maxmin_batch
+from diamond_bottleneck.tci import (
+    THRESHOLD_GRID,
+    TciPoint,
+    conditional_stats,
+    tci_best,
+    tci_rate,
+)
 from diamond_bottleneck.upper_bound import upper_bound
 
 SETTINGS = SolverSettings()
@@ -138,3 +145,42 @@ class TestTciBest:
                 tci_best(config).rate
                 <= upper_bound(config, SETTINGS).rate + 1e-6
             )
+
+
+def scalar_conditional_stats(threshold, config):
+    """conditional_stats as it was before the threshold statistics were
+    cached: the same arithmetic, one threshold at a time."""
+    t = threshold * threshold
+    p_active = math.exp(-t)
+    cond_noise = config.noise_power * _e1_scaled(t)
+    header = -p_active * math.log2(p_active) - (1.0 - p_active) * math.log2(1.0 - p_active)
+    return p_active, header, cond_noise, 1.0 / cond_noise
+
+
+def scalar_tci_best(config):
+    """tci_best from scalar_conditional_stats, with the budgets and the rate
+    mixture of that version, and the same kernel call."""
+    stats = [scalar_conditional_stats(t, config) for t in THRESHOLD_GRID]
+    rho = np.array([s[3] for s in stats])
+    b1 = np.array([max(config.c1 - s[1], 0.0) / s[0] for s in stats])
+    b2 = np.array([max(config.c2 - s[1], 0.0) / s[0] for s in stats])
+    silent = np.zeros_like(rho)
+    only1, only2, both = _maxmin_batch(
+        [rho, silent, rho], [silent, rho, rho], [b1, silent, b1], [silent, b2, b2]
+    )[0]
+    points = []
+    for t, (p, header, noise, snr), one1, one2, two in zip(
+        THRESHOLD_GRID, stats, only1.tolist(), only2.tolist(), both.tolist()
+    ):
+        rate = p * (1.0 - p) * (one1 + one2) + p * p * two
+        points.append(TciPoint(t, p, header, noise, snr, rate))
+    return max(points, key=lambda point: point.rate)
+
+
+@pytest.mark.parametrize("snr_db", range(-60, 151, 15))
+@pytest.mark.parametrize("c1, c2", [(10.0, 10.0), (0.5, 25.0), (3.0, 0.0), (60.0, 7.5)])
+def test_cached_statistics_change_no_bit(snr_db, c1, c2):
+    config = SystemConfig(10.0 ** (-snr_db / 10.0), c1, c2)
+    got = dataclasses.astuple(tci_best(config))
+    want = dataclasses.astuple(scalar_tci_best(config))
+    assert [x.hex() for x in got] == [x.hex() for x in want]
