@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .channel import SnrPair
 from .errors import InvalidArgument
-from .numerics import _branches, _maxmin_batch
+from .numerics import _branches, _maxmin_batch, _snr_used
 
 # Branch labels name the set of relays whose leftover-budget term is active.
 _SUBSET_LABELS = ("{}", "{1}", "{2}", "{1,2}")
@@ -39,7 +39,8 @@ def fixed_rate(snrs: SnrPair, budgets: tuple[float, float]) -> FixedRateResult:
     if len(budgets) != 2 or not all(math.isfinite(c) and c >= 0.0 for c in budgets):
         raise InvalidArgument(f"budgets must be two finite nonnegative values, got {budgets}")
     value, r1, r2 = (float(x) for x in _maxmin_batch(snrs.rho1, snrs.rho2, *budgets)[:3])
-    branches = [float(b) for b in _branches(snrs.rho1, snrs.rho2, *budgets, r1, r2)]
+    used = _snr_used(snrs.rho1, r1), _snr_used(snrs.rho2, r2)
+    branches = [float(b) for b in _branches(*budgets, r1, r2, *used)]
     floor = min(branches)
     active = tuple(
         label

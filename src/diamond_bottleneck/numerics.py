@@ -252,14 +252,11 @@ def _one_relay_value(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (np.log1p(rho) - np.log1p(rho * np.exp2(-c))) / _LN2
 
 
-def _one_relay_rate(rho: np.ndarray, c: np.ndarray, growth=None) -> np.ndarray:
+def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Compression rate at the single-relay optimum, where log2(1 + rho u)
     meets c - r: r = log2(1 + (2^c - 1)/(1 + rho)), clamped to c.  Unlike
-    c minus the value, it keeps its relative precision when r is tiny.
-    growth is 2^c - 1 when the caller already holds it."""
-    if growth is None:
-        growth = np.expm1(c * _LN2)
-    return np.minimum(np.log1p(growth / (1.0 + rho)) / _LN2, c)
+    c minus the value, it keeps its relative precision when r is tiny."""
+    return np.minimum(np.log1p(np.expm1(c * _LN2) / (1.0 + rho)) / _LN2, c)
 
 
 def _one_relay_slope(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -274,14 +271,10 @@ def _snr_used(rho, r):
     return rho * -np.expm1(-r * _LN2)
 
 
-def _branches(rho1, rho2, c1, c2, r1, r2):
-    """The four cut branches at compression rates (r1, r2): no cut, and the
-    leftover-budget terms of relay 1, of relay 2 and of both."""
-    return _cut_branches(c1, c2, r1, r2, _snr_used(rho1, r1), _snr_used(rho2, r2))
-
-
-def _cut_branches(c1, c2, r1, r2, used1, used2):
-    """_branches from the SNRs used1 and used2 that the rates keep."""
+def _branches(c1, c2, r1, r2, used1, used2):
+    """The four cut branches at compression rates (r1, r2) that keep the
+    SNRs used1 and used2 (_snr_used): no cut, and the leftover-budget terms
+    of relay 1, of relay 2 and of both."""
     both = _log2_1p(used1 + used2)
     left1 = c1 - r1
     cut1 = left1 + _log2_1p(used2)
@@ -292,11 +285,11 @@ def _cut_branches(c1, c2, r1, r2, used1, used2):
 
 def _branch_min(rho1, rho2, c1, c2, r1, r2):
     """Minimum over the four cut branches at compression rates (r1, r2)."""
-    return _lowest(_branches(rho1, rho2, c1, c2, r1, r2))
+    return _lowest(_branches(c1, c2, r1, r2, _snr_used(rho1, r1), _snr_used(rho2, r2)))
 
 
 def _lowest(branches):
-    """Elementwise minimum of the four branches of _cut_branches."""
+    """Elementwise minimum of the four branches of _branches."""
     both, cut1, cut2, cut12 = branches
     return np.minimum(np.minimum(both, cut1), np.minimum(cut2, cut12))
 
@@ -314,12 +307,11 @@ def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     rho1, rho2 = rho
     c1, c2 = c
-    growth = np.expm1(c * _LN2)
     # K2 = K12 holds on the line r1 = s1 and K1 = K12 on r2 = s2, the
     # one-relay optima; B = K1 at a given r2 is relay 1's one-relay optimum
     # at SNR rho1 / (1 + rho2 u2), and B = K2 likewise.
-    s = _one_relay_rate(rho, c, growth)
-    r_b_k = _one_relay_rate(rho / (1.0 + _snr_used(rho[::-1], s[::-1])), c, growth)
+    s = _one_relay_rate(rho, c)
+    r_b_k = _one_relay_rate(rho / (1.0 + _snr_used(rho[::-1], s[::-1])), c)
 
     # B = K1 = K2: eliminating rho2 u2 leaves a quadratic in A = rho1 u1,
     # scaled by rho1 rho2 2^-(c1+c2) so that no coefficient overflows.  With
@@ -361,7 +353,7 @@ def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     cand[0, 2] = s[0]
     cand[1, 2] = r_b_k[1]
     cand[0, 3] = -np.log1p(-used1 / rho1) / _LN2
-    cand[1, 3] = _one_relay_rate(rho2 / (1.0 + used1), c2, growth[1])
+    cand[1, 3] = _one_relay_rate(rho2 / (1.0 + used1), c2)
     cand[:, 4] = np.where(x > -0.5, np.log1p(x) / _LN2, np.log2(2.0 * rho / total)) + lift
     return cand
 
@@ -490,7 +482,7 @@ def _maxmin_batch(rho1, rho2, c1, c2):
             cand = _candidates(rho_b, c_b)
         cand.clip(0.0, c_b[:, None], out=cand)
         used = _snr_used(rho_b[:, None], cand)
-        scores = _lowest(_cut_branches(*c_b, *cand, *used))
+        scores = _lowest(_branches(*c_b, *cand, *used))
         # Row-major flat indices of each lane's first best row; take on a
         # flat index is much cheaper than indexing with (row, lane) pairs.
         lane = np.arange(scores.shape[1])

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +30,6 @@ from .numerics import _e1_scaled, _maxmin_batch
 # threshold grid: 0.1 .. 2.0. Zero is excluded because the conditional mean
 # of 1/gain diverges there (and the rate limit is 0 anyway).
 THRESHOLD_GRID = tuple(j / 10.0 for j in range(1, 21))
-
-
-class ConditionalStats(NamedTuple):
-    p_active: float
-    header_bits: float
-    cond_noise: float
-    cond_snr: float
 
 
 @dataclass(frozen=True)
@@ -76,29 +68,14 @@ def _threshold_stats(thresholds: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     return columns
 
 
-def conditional_stats(threshold: float, config: SystemConfig) -> ConditionalStats:
-    """Activity probability, header entropy, and conditional noise stats.
-
-    With unit-mean exponential gain g and t = threshold^2, the activity
-    probability is e^{-t} and E[1/g | g >= t] = e^t E1(t), so the
-    conditional noise power is noise_power * e^t * E1(t).
-    """
-    p_active, header_bits, e1_scaled = (float(a[0]) for a in _threshold_stats((threshold,)))
-    cond_noise = config.noise_power * e1_scaled
-    return ConditionalStats(
-        p_active=p_active,
-        header_bits=header_bits,
-        cond_noise=cond_noise,
-        cond_snr=1.0 / cond_noise,
-    )
-
-
 def _tci_rows(thresholds: tuple[float, ...], config: SystemConfig) -> list[tuple[float, ...]]:
     """TciPoint fields at shared thresholds, one solver call for all of them.
 
-    The statistics and the rate mixture are elementwise array arithmetic,
-    the same operations, in the same order, as conditional_stats applies to
-    one threshold; the relay-1-only, relay-2-only and two-relay rates are
+    With unit-mean exponential gain g and t = threshold^2, the activity
+    probability is e^{-t} and E[1/g | g >= t] = e^t E1(t), so the
+    conditional noise power is noise_power * e^t * E1(t) and the conditional
+    SNR its reciprocal.  The statistics and the rate mixture are elementwise
+    array arithmetic; the relay-1-only, relay-2-only and two-relay rates are
     three blocks of lanes of the one call, a silent relay being a lane with
     SNR 0 and budget 0.  A budget below the header cost buys nothing, and
     never gives a negative exponent.

@@ -16,7 +16,7 @@ from diamond_bottleneck.mmse import calibrate
 from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.qci import build_grid, qci_lower_bound
 from diamond_bottleneck.sweeps import db_to_linear
-from diamond_bottleneck.tci import conditional_stats, tci_best
+from diamond_bottleneck.tci import tci_best, tci_rate
 from diamond_bottleneck.upper_bound import upper_bound
 from diamond_bottleneck.verify import _MIN_GRID, maxmin_grid_oracle
 
@@ -174,7 +174,7 @@ def test_criterion_7_distributional_oracles():
     g = rng.exponential(size=n)
     s2 = 0.01
     for threshold in (0.5, 1.0, 1.4):
-        stats = conditional_stats(threshold, SystemConfig(s2, 10.0, 10.0))
+        stats = tci_rate(threshold, SystemConfig(s2, 10.0, 10.0))
         kept = s2 / g[g >= threshold * threshold]
         se = float(kept.std(ddof=1)) / math.sqrt(kept.size)
         worst_z = max(worst_z, abs(float(kept.mean()) - stats.cond_noise) / se)

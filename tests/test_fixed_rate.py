@@ -9,7 +9,7 @@ import pytest
 
 from diamond_bottleneck.channel import SnrPair
 from diamond_bottleneck.fixed_rate import FixedRateResult, fixed_rate
-from diamond_bottleneck.numerics import _branch_min, _branches, _maxmin_batch
+from diamond_bottleneck.numerics import _branch_min, _branches, _maxmin_batch, _snr_used
 from diamond_bottleneck.verify import maxmin_grid_oracle
 
 LOG2_4_3 = 0.41503749927884
@@ -149,7 +149,8 @@ class TestBranchMinimum:
             c = rng.uniform(0.0, 8.0, 2)
             r = (rng.uniform(0.0, c[0]), rng.uniform(0.0, c[1]))
             hand = hand_branch_values(rho[0], rho[1], c[0], c[1], *r)
-            branches = _branches(rho[0], rho[1], c[0], c[1], *r)
+            used = _snr_used(rho[0], r[0]), _snr_used(rho[1], r[1])
+            branches = _branches(c[0], c[1], *r, *used)
             assert branches == pytest.approx(tuple(hand.values()), abs=1e-9)
             value = _branch_min(rho[0], rho[1], c[0], c[1], *r)
             assert value == min(branches)

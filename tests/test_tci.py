@@ -15,7 +15,6 @@ from diamond_bottleneck.numerics import SolverSettings, _e1_scaled, _maxmin_batc
 from diamond_bottleneck.tci import (
     THRESHOLD_GRID,
     TciPoint,
-    conditional_stats,
     tci_best,
     tci_rate,
 )
@@ -32,44 +31,47 @@ def binary_entropy(p):
 
 
 class TestConditionalStats:
+    """The activity probability, header entropy and conditional noise and
+    SNR of a threshold, as tci_rate reports them."""
+
     def test_unit_threshold_unit_noise(self):
-        stats = conditional_stats(1.0, SystemConfig(1.0, 5.0, 5.0))
+        stats = tci_rate(1.0, SystemConfig(1.0, 5.0, 5.0))
         assert stats.p_active == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert stats.cond_noise == pytest.approx(COND_NOISE_AT_1, abs=1e-12)
         assert stats.cond_noise == pytest.approx(math.e * E1_AT_1, abs=1e-12)
 
     def test_snr_is_reciprocal_noise(self):
         for threshold in (0.2, 0.7, 1.4):
-            stats = conditional_stats(threshold, SystemConfig(0.01, 5.0, 5.0))
+            stats = tci_rate(threshold, SystemConfig(0.01, 5.0, 5.0))
             assert stats.cond_snr * stats.cond_noise == pytest.approx(1.0, abs=1e-12)
 
     def test_header_is_one_bit_at_half_probability(self):
-        stats = conditional_stats(HALF_PROB_THRESHOLD, SystemConfig(1.0, 5.0, 5.0))
+        stats = tci_rate(HALF_PROB_THRESHOLD, SystemConfig(1.0, 5.0, 5.0))
         assert stats.p_active == pytest.approx(0.5, abs=1e-12)
         assert stats.header_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_high_threshold_probability(self):
-        stats = conditional_stats(2.0, SystemConfig(1.0, 5.0, 5.0))
+        stats = tci_rate(2.0, SystemConfig(1.0, 5.0, 5.0))
         assert stats.p_active == pytest.approx(0.01831563888873, abs=1e-12)
         assert stats.header_bits == pytest.approx(
             binary_entropy(stats.p_active), abs=1e-14
         )
 
     def test_noise_scales_linearly(self):
-        a = conditional_stats(0.5, SystemConfig(1.0, 5.0, 5.0))
-        b = conditional_stats(0.5, SystemConfig(1e-4, 5.0, 5.0))
+        a = tci_rate(0.5, SystemConfig(1.0, 5.0, 5.0))
+        b = tci_rate(0.5, SystemConfig(1e-4, 5.0, 5.0))
         assert b.cond_noise == pytest.approx(1e-4 * a.cond_noise, rel=1e-12)
 
     def test_header_never_exceeds_one_bit(self):
         config = SystemConfig(1.0, 5.0, 5.0)
         for threshold in THRESHOLD_GRID:
-            assert 0.0 < conditional_stats(threshold, config).header_bits <= 1.0
+            assert 0.0 < tci_rate(threshold, config).header_bits <= 1.0
 
     def test_rejects_nonpositive_threshold(self):
         config = SystemConfig(1.0, 5.0, 5.0)
         for threshold in (0.0, -1.0):
             with pytest.raises(DomainError):
-                conditional_stats(threshold, config)
+                tci_rate(threshold, config)
 
 
 class TestTciRate:
@@ -148,8 +150,8 @@ class TestTciBest:
 
 
 def scalar_conditional_stats(threshold, config):
-    """conditional_stats as it was before the threshold statistics were
-    cached: the same arithmetic, one threshold at a time."""
+    """The conditional statistics as they were computed before the threshold
+    statistics were cached: the same arithmetic, one threshold at a time."""
     t = threshold * threshold
     p_active = math.exp(-t)
     cond_noise = config.noise_power * _e1_scaled(t)
