@@ -127,13 +127,15 @@ def _laguerre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     The exp(x_i) factor folds the e^{-x} kernel back out, so the rule applies
     to plain integrals over [0, inf).  The product is formed in log space:
     weights underflow near the largest nodes, and there the integrands we
-    meet have decayed far below double precision anyway.  SciPy is imported
-    here, not at module level, so that importing the package does not load it.
+    meet have decayed far below double precision anyway.  From order 364
+    SciPy's nodes or weights overflow, silently here, and the weights are
+    not finite.  SciPy is imported here, not at module level, so that
+    importing the package does not load it.
     """
     from scipy.special import roots_laguerre
 
-    nodes, weights = roots_laguerre(order)
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):
+        nodes, weights = roots_laguerre(order)
         scaled = np.exp(np.log(weights) + nodes)
     return nodes, scaled
 
@@ -147,7 +149,8 @@ def integrate_semiinfinite(
     """Integrate f over [lower, inf) by shifted Gauss-Laguerre quadrature.
 
     Starts at the given order and doubles it until two successive orders
-    agree within tol * max(1, |value|), giving up after four doublings.
+    agree within tol * max(1, |value|), giving up, with NonConvergent, after
+    four doublings or at the first order whose rule is not finite.
     f must accept a numpy array of evaluation points.
     """
     if not math.isfinite(lower) or lower < 0.0:
@@ -155,6 +158,8 @@ def integrate_semiinfinite(
     previous = None
     for _ in range(5):
         nodes, scaled = _laguerre_rule(order)
+        if not np.all(np.isfinite(scaled)):
+            break
         values = np.asarray(f(lower + nodes), dtype=float)
         if values.shape != nodes.shape:
             raise InvalidArgument("integrand must map an array of points to an array of values")
@@ -165,7 +170,7 @@ def integrate_semiinfinite(
             return estimate
         previous = estimate
         order *= 2
-    raise NonConvergent("quadrature orders failed to agree after four doublings")
+    raise NonConvergent(f"quadrature orders failed to agree below order {order}")
 
 
 def _e1_scaled(t: float) -> float:

@@ -41,18 +41,15 @@ _STALL_LIMIT = 3
 class QuantizationGrid:
     """Quantile levels for the inverse squared gain, with derived SNRs.
 
-    levels       b_1 <= ... <= b_{J-1} < b_J = +inf
-    probs        cell probabilities, uniform 1/J under quantile placement
+    levels       b_1 <= ... <= b_{J-1} < b_J = +inf, at the j/J quantiles, so
+                 every cell has probability 1/J
     snr_levels   1/(b_j sigma^2), exactly 0 for the infinite level
     header_bits  entropy of the cell index, log2(J) for uniform cells
-    budget_feasible  False when the header alone exceeds a link budget
     """
 
     levels: tuple[float, ...]
-    probs: tuple[float, ...]
     snr_levels: tuple[float, ...]
     header_bits: float
-    budget_feasible: bool
 
     @property
     def size(self) -> int:
@@ -81,14 +78,7 @@ def build_grid(J: int, config: SystemConfig) -> QuantizationGrid:
         raise InvalidArgument(f"need at least 2 quantization cells, got {J}")
     levels = tuple(xi_quantile(j / J) for j in range(1, J)) + (math.inf,)
     snr_levels = tuple(1.0 / (b * config.noise_power) for b in levels[:-1]) + (0.0,)
-    header = math.log2(J)
-    return QuantizationGrid(
-        levels=levels,
-        probs=(1.0 / J,) * J,
-        snr_levels=snr_levels,
-        header_bits=header,
-        budget_feasible=header <= min(config.c1, config.c2),
-    )
+    return QuantizationGrid(levels=levels, snr_levels=snr_levels, header_bits=math.log2(J))
 
 
 class _Objective:
@@ -129,39 +119,38 @@ class _Objective:
         return total, rates, g1, g2
 
 
-def _project_budget(x: np.ndarray, p: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection onto {c >= 0, p . c <= budget}.
+def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:
+    """Euclidean projection onto {c >= 0, sum(c) <= budget}.
 
-    The result is max(x - theta p, 0) with theta >= 0 the root of the
-    piecewise-linear spend curve theta -> p . max(0, x - theta p).  Its
-    breakpoints are x / p: with the k largest of them active, theta is
-    (p_k . x_k - budget) / (p_k . p_k), and the active set is the largest
-    k whose smallest breakpoint still exceeds that theta (Duchi et al.,
-    ICML 2008).  There are at most J - 1 breakpoints, so a plain loop over
-    them, largest first, finds that k: its running sums are accumulated in
-    order, as np.cumsum would, and cost no array call.
+    The cells are uniform, so a live cell's spend is its budget over J and
+    the set is {c >= 0, sum(c) <= J residual}.  The result is
+    max(x - theta, 0) with theta >= 0 the root of the piecewise-linear
+    spend curve theta -> sum(max(0, x - theta)).  Its breakpoints are the
+    entries of x: with the k largest of them active, theta is
+    (sum of those k - budget) / k, and the active set is the largest k whose
+    smallest entry still exceeds that theta (Duchi et al., ICML 2008).
+    There are at most J - 1 breakpoints, so a plain loop over them, largest
+    first, finds that k: its running sum is accumulated in order, as
+    np.cumsum would, and costs no array call.
     """
     c = np.maximum(x, 0.0)
-    spend = float(p @ c)
-    if spend <= budget:
+    if float(c.sum()) <= budget:
         return c
-    xs, ps = x.tolist(), p.tolist()
-    ratios = [a / b for a, b in zip(xs, ps)]
+    xs = x.tolist()
     # largest breakpoint first, ties in index order, NaN last: np.argsort's order
-    order = sorted(range(len(xs)), key=lambda i: (ratios[i] != ratios[i], -ratios[i]))
-    weighted = squared = 0.0
+    order = sorted(range(len(xs)), key=lambda i: (xs[i] != xs[i], -xs[i]))
+    total = 0.0
     found = None
-    for i in order:
-        weighted += ps[i] * xs[i]
-        squared += ps[i] * ps[i]
-        theta = (weighted - budget) / squared
-        if xs[i] - theta * ps[i] > 0.0:
+    for k, i in enumerate(order, start=1):
+        total += xs[i]
+        theta = (total - budget) / k
+        if xs[i] - theta > 0.0:
             found = theta
     if found is None:
         return np.zeros_like(x)
-    active = np.array([a - found * b > 0.0 for a, b in zip(xs, ps)])
-    theta = (float(p[active] @ x[active]) - budget) / float(p[active] @ p[active])
-    return np.maximum(x - max(theta, 0.0) * p, 0.0)
+    active = x - found > 0.0
+    theta = (float(x[active].sum()) - budget) / int(active.sum())
+    return np.maximum(x - max(theta, 0.0), 0.0)
 
 
 def _ascent(
@@ -193,7 +182,7 @@ def _ascent(
     m = J - 1
     residual1 = config.c1 - grid.header_bits
     residual2 = config.c2 - grid.header_bits
-    if not grid.budget_feasible or residual1 < 0.0 or residual2 < 0.0:
+    if residual1 < 0.0 or residual2 < 0.0:
         return QciAllocation(
             c=np.zeros((2, J)),
             rates=np.zeros((J, J)),
@@ -202,17 +191,16 @@ def _ascent(
             feasible=False,
         )
 
-    p = np.asarray(grid.probs[:m])
+    # each live cell spends its budget over J: the relays' budget sets are
+    # {c >= 0, sum(c) <= budget}
+    budget1, budget2 = J * residual1, J * residual2
     objective = _Objective(grid)
-    # log2 rho, lifted so that every cell holds at least residual / sum(p),
-    # overspends; on uniform cells the projection's shift theta p is one
-    # water level, so the projection is the water-filling split.
+    # log2 rho, lifted so that every cell holds at least budget / m,
+    # overspends; the projection's shift theta is one water level, so the
+    # projection is the water-filling split.
     log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
     lifted = log_rho - log_rho.min()
-    c1, c2 = (
-        _project_budget(lifted + residual / p.sum(), p, residual)
-        for residual in (residual1, residual2)
-    )
+    c1, c2 = (_project_budget(lifted + budget / m, budget) for budget in (budget1, budget2))
 
     # Every evaluation also yields the gradient, so an accepted candidate
     # brings the next iteration's gradient along.
@@ -225,8 +213,8 @@ def _ascent(
         moved = False
         scale = 1.0
         for _ in range(40):
-            cand1 = _project_budget(c1 + scale * step1 * g1, p, residual1)
-            cand2 = _project_budget(c2 + scale * step2 * g2, p, residual2)
+            cand1 = _project_budget(c1 + scale * step1 * g1, budget1)
+            cand2 = _project_budget(c2 + scale * step2 * g2, budget2)
             gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
             if gap <= 0.0:
                 break

@@ -1,16 +1,19 @@
-"""Self-check suite behind the `verify` CLI subcommand.
+"""Self-check suite behind the `verify` CLI subcommand, and the oracles of
+acceptance criteria 4, 5, 6 and 8.
 
 Each check pits an implementation path against an independent oracle:
 special functions against scipy and against raw quadrature, the max-min
-solver against an exhaustive lattice, distributional closed forms against
-Monte Carlo, and the calibration identities against their defining
-equations.  Prints one PASS/FAIL line per check and returns a process exit
-code (0 only when everything passes).  SciPy is imported only inside the
-checks that use it, so importing the package does not load it.
+solver against an exhaustive lattice, the library's quantile levels,
+conditional noise and estimator power against quadrature of the unit
+exponential gain density, and the calibration identities against their
+defining equations.  No check draws fading gains.  Prints one PASS/FAIL
+line per check and returns a process exit code (0 only when everything
+passes).  SciPy is imported only inside the checks that use it, so
+importing the package does not load it.
 
-The oracles' own knobs are parameters of verify, not solver settings: the
-RNG seed and draw count of the Monte Carlo checks and the base order of the
-quadrature checks.  No bound computation reads them.
+A check that draws random instances takes its generator's seed and the
+instance count: verify offsets its own seed by a constant per check, and
+each criterion passes its own.  No bound computation reads the seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from .channel import SnrPair, SystemConfig, sample_gains, xi_quantile
+from .channel import SnrPair, SystemConfig
 from .errors import InvalidArgument
 from .fixed_rate import fixed_rate
 from .mmse import calibrate
@@ -32,6 +35,7 @@ from .numerics import (
     integrate_semiinfinite,
 )
 from .qci import build_grid, qci_lower_bound
+from .tci import tci_rate
 from .upper_bound import budget_integral, rate_at_level, upper_bound
 
 # Fewest lattice points per axis of the solver-vs-lattice comparisons; finer
@@ -111,21 +115,25 @@ def _check_e1_reference():
     return worst <= 1e-12, f"max rel err {worst:.2e}"
 
 
-def _check_e1_quadrature(settings: SolverSettings, quad_order: int):
+def _quad(f, lower: float, settings: SolverSettings) -> float:
+    """Integral of f over [lower, inf), from Gauss-Laguerre order 64, which
+    integrate_semiinfinite doubles until two orders agree."""
+    return integrate_semiinfinite(f, lower, 64, settings.abs_tol)
+
+
+def _check_e1_quadrature(settings: SolverSettings):
     worst = 0.0
     for lower in (0.5, 1.0, 2.0):
-        quad = integrate_semiinfinite(
-            lambda lam: np.exp(-lam) / lam, lower, quad_order, settings.abs_tol
-        )
+        quad = _quad(lambda lam: np.exp(-lam) / lam, lower, settings)
         worst = max(worst, abs(quad - exp_integral_e1(lower)))
     return worst <= 1e-9, f"max abs err {worst:.2e}"
 
 
-def _check_solver_vs_grid(seed: int):
-    rng = np.random.default_rng(seed + 101)
+def _check_solver_vs_grid(seed: int, count: int):
+    rng = np.random.default_rng(seed)
     worst_gap = 0.0
     worst_under = 0.0
-    for _ in range(40):
+    for _ in range(count):
         snrs = tuple(rng.uniform(0.0, 100.0, 2))
         budgets = tuple(rng.uniform(0.0, 10.0, 2))
         value = fixed_rate(SnrPair(*snrs), budgets).rate
@@ -143,182 +151,166 @@ def _check_solver_vs_grid(seed: int):
         wide_under = max(wide_under, maxmin_grid_oracle(*snrs, *budgets, 2000) - value)
     ok = worst_gap <= 1e-3 and worst_under <= 1e-6 and wide_under <= 1e-9
     return ok, (
-        f"max gap {worst_gap:.2e}, max undershoot {worst_under:.2e}, "
-        f"to 150 dB {wide_under:.2e}"
+        f"max gap {worst_gap:.2e} (limit 1e-3), undershoot {worst_under:.2e} (limit 1e-6) "
+        f"over {count} instances, to 150 dB {wide_under:.2e} (limit 1e-9)"
     )
 
 
-def _check_one_relay(seed: int):
-    rng = np.random.default_rng(seed + 202)
+def _check_one_relay(seed: int, count: int):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(50):
+    for _ in range(count):
         rho = float(rng.uniform(0.1, 1000.0))
         c = float(rng.uniform(0.1, 15.0))
         result = fixed_rate(SnrPair(rho, 0.0), (c, 0.0))
         worst = max(worst, abs(result.rate - _one_relay_closed_form(rho, c)))
-    return worst <= 1e-5, f"max abs err {worst:.2e}"
+    return worst <= 1e-5, f"max abs err {worst:.2e} (limit 1e-5) over {count} instances"
 
 
-def _check_quantiles(seed: int, samples: int):
-    rng = np.random.default_rng(seed + 303)
-    xi = 1.0 / sample_gains(rng, samples)
-    n = xi.size
-    worst_sigma = 0.0
+def _check_quantiles(settings: SolverSettings):
+    # level b_j of the J-cell grid holds P(1/g <= b_j) = P(g >= 1/b_j) = j/J
+    worst = 0.0
     for J in (2, 4, 8):
-        for j in range(1, J):
-            p = j / J
-            fraction = float(np.mean(xi <= xi_quantile(p)))
-            sigma = math.sqrt(p * (1.0 - p) / n)
-            worst_sigma = max(worst_sigma, abs(fraction - p) / sigma)
-    return worst_sigma <= 3.0, f"worst deviation {worst_sigma:.2f} sigma"
+        levels = build_grid(J, SystemConfig(1.0, 1.0, 1.0)).levels[:-1]
+        for j, level in enumerate(levels, start=1):
+            mass = _quad(lambda g: np.exp(-g), 1.0 / level, settings)
+            worst = max(worst, abs(mass - j / J))
+    return worst <= 1e-9, f"max abs err {worst:.2e}"
 
 
-def _check_conditional_noise(seed: int, samples: int):
-    noise_power = 0.5
-    threshold = 1.0
-    rng = np.random.default_rng(seed + 404)
-    gains = sample_gains(rng, samples)
-    kept = gains[gains >= threshold**2]
-    samples = noise_power / kept
-    closed = noise_power * math.exp(threshold**2) * exp_integral_e1(threshold**2)
-    sigma = float(samples.std(ddof=1)) / math.sqrt(samples.size)
-    deviation = abs(float(samples.mean()) - closed) / sigma
-    return deviation <= 3.0, f"deviation {deviation:.2f} sigma"
+def _check_conditional_noise(settings: SolverSettings):
+    # E[noise_power / g | g >= t], t = threshold^2, activity probability e^-t
+    worst = 0.0
+    for noise_power in (0.01, 0.5):
+        config = SystemConfig(noise_power, 10.0, 10.0)
+        for threshold in (0.5, 1.0, 1.4):
+            t = threshold * threshold
+            quad = _quad(lambda g: noise_power * np.exp(t - g) / g, t, settings)
+            worst = max(worst, abs(quad - tci_rate(threshold, config).cond_noise))
+    return worst <= 1e-9, f"max abs err {worst:.2e}"
 
 
-def _check_est_power(seed: int, samples: int):
-    noise_power = 1.0
-    rng = np.random.default_rng(seed + 505)
-    gains = sample_gains(rng, samples)
-    samples = gains / (gains + noise_power)
-    closed = 1.0 - noise_power * math.exp(noise_power) * exp_integral_e1(noise_power)
-    sigma = float(samples.std(ddof=1)) / math.sqrt(samples.size)
-    deviation = abs(float(samples.mean()) - closed) / sigma
-    return deviation <= 3.0, f"deviation {deviation:.2f} sigma"
+def _check_est_power(settings: SolverSettings):
+    # E[g / (g + s)], s the noise power; below s = 0.5 the pole at -s keeps
+    # the quadrature orders apart up to the largest finite rule
+    worst = 0.0
+    for s in (0.5, 1.0, 2.0, 10.0):
+        quad = _quad(lambda g: g / (g + s) * np.exp(-g), 0.0, settings)
+        est_power = calibrate(SystemConfig(s, 5.0, 5.0)).est_power
+        worst = max(worst, *(abs(quad - power) for power in est_power))
+    return worst <= 1e-9, f"max abs err {worst:.2e}"
 
 
-def _check_water_level(settings: SolverSettings, seed: int, quad_order: int):
+def _check_water_level(settings: SolverSettings, seed: int, count: int):
     # by-parts closed forms against raw quadrature at benign water levels
     worst_identity = 0.0
     for noise_power, nu in ((1.0, 0.3), (0.25, 1.0), (2.0, 0.05)):
         a = nu * noise_power
-        budget_quad = integrate_semiinfinite(
-            lambda lam: np.log2(lam / a) * lam * np.exp(-lam), a, quad_order, settings.abs_tol
-        )
-        rate_quad = integrate_semiinfinite(
+        budget_quad = _quad(lambda lam: np.log2(lam / a) * lam * np.exp(-lam), a, settings)
+        rate_quad = _quad(
             lambda lam: (np.log2(1.0 + lam / noise_power) - math.log2(1.0 + nu))
             * lam * np.exp(-lam),
             a,
-            quad_order,
-            settings.abs_tol,
+            settings,
         )
         worst_identity = max(
             worst_identity,
             abs(budget_quad - budget_integral(nu, noise_power)),
             abs(rate_quad - rate_at_level(nu, noise_power)),
         )
-    if worst_identity > 1e-7:
-        return False, f"by-parts identity err {worst_identity:.2e}"
 
-    # calibrated level reproduces the budget, checked via scipy's E1
+    # the calibrated level re-spends the budget, checked via scipy's E1, and
+    # the rate lies in [0, c1 + c2]
     from scipy.special import exp1
 
-    rng = np.random.default_rng(seed + 606)
+    rng = np.random.default_rng(seed)
     worst_residual = 0.0
-    cap_ok = True
-    for _ in range(10):
-        config = SystemConfig(
-            noise_power=float(rng.uniform(0.1, 2.0)),
-            c1=float(rng.uniform(0.2, 4.0)),
-            c2=float(rng.uniform(0.3, 4.0)),
-        )
-        total = config.c1 + config.c2
-        result = upper_bound(config, settings)
-        a = result.nu * config.noise_power
-        residual = (float(exp1(a)) + math.exp(-a)) / _LN2 - total
+    worst_excess = -math.inf
+    lowest = math.inf
+    for _ in range(count):
+        noise_power = 10.0 ** rng.uniform(-6.0, 0.0)
+        c1, c2 = rng.uniform(0.05, 15.0, 2)
+        result = upper_bound(SystemConfig(noise_power, float(c1), float(c2)), settings)
+        a = result.nu * noise_power
+        residual = (float(exp1(a)) + math.exp(-a)) / _LN2 - (c1 + c2)
         worst_residual = max(worst_residual, abs(residual))
-        cap_ok = cap_ok and result.rate <= total + 1e-8 and result.rate >= 0.0
-    ok = worst_residual <= 1e-6 and cap_ok
-    return ok, f"identity err {worst_identity:.2e}, residual {worst_residual:.2e}"
+        worst_excess = max(worst_excess, result.rate - (c1 + c2))
+        lowest = min(lowest, result.rate)
+    ok = worst_identity <= 1e-7 and worst_residual <= 1e-6 and worst_excess <= 1e-8
+    return ok and lowest >= 0.0, (
+        f"identity err {worst_identity:.2e} (limit 1e-7), residual {worst_residual:.2e} "
+        f"(limit 1e-6), rate over budget {worst_excess:.2e} (limit 1e-8), lowest rate "
+        f"{lowest:.3g} over {count} configs"
+    )
 
 
 def _check_qci_feasibility(settings: SolverSettings):
-    config = SystemConfig(noise_power=0.01, c1=6.0, c2=5.0)
-    J = 4
-    grid = build_grid(J, config)
-    if grid.header_bits != 2.0:
-        return False, "header is not exactly log2(J)"
-    allocation = qci_lower_bound(J, config, settings)
-    probs = np.asarray(grid.probs)
-    slack_ok = True
-    for k, budget in enumerate(config.budgets):
-        spend = float(probs[: J - 1] @ allocation.c[k, : J - 1])
-        slack_ok = slack_ok and spend <= budget - grid.header_bits + 1e-9
-    shape_ok = (
-        np.all(allocation.c >= 0.0)
-        and allocation.c[0, J - 1] == 0.0
-        and allocation.c[1, J - 1] == 0.0
-    )
-    # any feasible point lower-bounds the optimum; try the uniform split,
-    # which spends each relay's whole residual
-    uniform = [(budget - grid.header_bits) * J / (J - 1) for budget in config.budgets]
-    rho = grid.snr_levels
-    value = 0.0
-    for j1 in range(J):
-        for j2 in range(J):
-            c1 = uniform[0] if j1 < J - 1 else 0.0
-            c2 = uniform[1] if j2 < J - 1 else 0.0
-            cell = fixed_rate(SnrPair(rho[j1], rho[j2]), (c1, c2)).rate
-            value += probs[j1] * probs[j2] * cell
-    improved = allocation.lower_bound >= value - 1e-9
-    ok = bool(slack_ok and shape_ok and improved and allocation.feasible)
+    # Each allocation has a header of exactly log2(J) bits, spends at most
+    # each relay's residual (every cell has probability 1/J), gives no cell
+    # a negative budget and the dead cell none, and is no worse than the
+    # uniform split, a feasible point that spends each whole residual.
+    worst_spend = worst_shortfall = -math.inf
+    exact = True
+    for J, noise_power, c1, c2 in (
+        (4, 0.01, 6.0, 5.0), (2, 1e-2, 4.0, 4.0), (4, 1e-3, 6.0, 4.0), (8, 1e-4, 10.0, 7.0)
+    ):
+        config = SystemConfig(noise_power, c1, c2)
+        grid = build_grid(J, config)
+        allocation = qci_lower_bound(J, config, settings)
+        residuals = np.array(config.budgets) - grid.header_bits
+        worst_spend = max(worst_spend, float(np.max(allocation.c.sum(axis=1) / J - residuals)))
+        exact = bool(
+            exact and allocation.feasible and grid.header_bits == math.log2(J)
+            and np.all(allocation.c >= 0.0) and not np.any(allocation.c[:, -1])
+        )
+        split = [(r * J / (J - 1),) * (J - 1) + (0.0,) for r in residuals]
+        uniform = sum(
+            fixed_rate(SnrPair(grid.snr_levels[j1], grid.snr_levels[j2]), (b1, b2)).rate
+            for j1, b1 in enumerate(split[0]) for j2, b2 in enumerate(split[1])
+        ) / J**2
+        worst_shortfall = max(worst_shortfall, uniform - allocation.lower_bound)
+    ok = exact and worst_spend <= 1e-9 and worst_shortfall <= 1e-9
     return ok, (
-        f"optimized {allocation.lower_bound:.6f} vs uniform {value:.6f}, "
-        f"{allocation.iterations} iterations"
+        f"overspend {worst_spend:.2e} (limit 1e-9), shortfall against the uniform split "
+        f"{worst_shortfall:.2e} (limit 1e-9), header, signs and dead cell "
+        f"{'exact' if exact else 'WRONG'}, over 4 allocations"
     )
 
 
 def _check_mmse_calibration():
-    config = SystemConfig(noise_power=1.0, c1=7.0, c2=3.0)
-    cal = calibrate(config)
-    worst = max(
-        abs(math.log1p(cal.est_power[0] / cal.distortion[0]) / _LN2 - config.c1),
-        abs(math.log1p(cal.est_power[1] / cal.distortion[1]) / _LN2 - config.c2),
+    worst = 0.0
+    in_range = True
+    for config in (SystemConfig(1.0, 7.0, 3.0), SystemConfig(1e-4, 10.0, 10.0),
+                   SystemConfig(0.5, 3.0, 12.0)):
+        cal = calibrate(config)
+        for power, distortion, budget in zip(cal.est_power, cal.distortion, config.budgets):
+            worst = max(worst, abs(math.log1p(power / distortion) / _LN2 - budget))
+            in_range = in_range and 0.0 <= power <= 1.0
+    return worst <= 1e-9 and in_range, (
+        f"budget mismatch {worst:.2e} (limit 1e-9), estimator power in [0, 1]: "
+        f"{'yes' if in_range else 'no'}, over 3 configs"
     )
-    in_range = all(0.0 <= p <= 1.0 for p in cal.est_power)
-    return worst <= 1e-9 and in_range, f"budget mismatch {worst:.2e}"
 
 
-def verify(
-    settings: SolverSettings | None = None,
-    *,
-    seed: int = 0,
-    samples: int = 1_000_000,
-    quad_order: int = 64,
-) -> int:
+def verify(settings: SolverSettings | None = None, *, seed: int = 0) -> int:
     """Run every check, print a PASS/FAIL table, and return an exit code.
 
-    seed and samples set the RNG seed and draw count of the Monte Carlo
-    oracles, each check offsetting the seed by its own constant; quad_order
-    is the base Gauss-Laguerre order of the quadrature checks.  All three
-    are validated before any check runs.
+    seed seeds the random instances of the solver, one-relay and water-level
+    checks, each check offsetting it by its own constant; it is validated
+    before any check runs.
     """
     if seed < 0:
         raise InvalidArgument("seed must be a nonnegative integer")
-    if samples < 1000:
-        raise InvalidArgument("samples must be at least 1000")
-    if quad_order < 8:
-        raise InvalidArgument("quad_order must be at least 8")
     settings = settings or SolverSettings()
     checks = [
         ("e1_vs_scipy", _check_e1_reference),
-        ("e1_vs_quadrature", lambda: _check_e1_quadrature(settings, quad_order)),
-        ("solver_vs_grid", lambda: _check_solver_vs_grid(seed)),
-        ("one_relay_reduction", lambda: _check_one_relay(seed)),
-        ("quantile_cells", lambda: _check_quantiles(seed, samples)),
-        ("tci_conditional_noise", lambda: _check_conditional_noise(seed, samples)),
-        ("mmse_est_power", lambda: _check_est_power(seed, samples)),
-        ("water_level", lambda: _check_water_level(settings, seed, quad_order)),
+        ("e1_vs_quadrature", lambda: _check_e1_quadrature(settings)),
+        ("solver_vs_grid", lambda: _check_solver_vs_grid(seed + 101, 40)),
+        ("one_relay_reduction", lambda: _check_one_relay(seed + 202, 50)),
+        ("quantile_cells", lambda: _check_quantiles(settings)),
+        ("tci_conditional_noise", lambda: _check_conditional_noise(settings)),
+        ("mmse_est_power", lambda: _check_est_power(settings)),
+        ("water_level", lambda: _check_water_level(settings, seed + 606, 10)),
         ("qci_feasibility", lambda: _check_qci_feasibility(settings)),
         ("mmse_calibration", _check_mmse_calibration),
     ]

@@ -8,17 +8,20 @@ that run the installed command-line tool in fresh working directories.
 import math
 
 import numpy as np
-from scipy.special import exp1
 
-from diamond_bottleneck.channel import SnrPair, SystemConfig, sample_gains
-from diamond_bottleneck.fixed_rate import fixed_rate
+from diamond_bottleneck.channel import SystemConfig
 from diamond_bottleneck.mmse import calibrate
 from diamond_bottleneck.numerics import SolverSettings
-from diamond_bottleneck.qci import build_grid, qci_lower_bound
+from diamond_bottleneck.qci import build_grid
 from diamond_bottleneck.sweeps import db_to_linear
 from diamond_bottleneck.tci import tci_best, tci_rate
-from diamond_bottleneck.upper_bound import upper_bound
-from diamond_bottleneck.verify import _MIN_GRID, maxmin_grid_oracle
+from diamond_bottleneck.verify import (
+    _check_mmse_calibration,
+    _check_one_relay,
+    _check_qci_feasibility,
+    _check_solver_vs_grid,
+    _check_water_level,
+)
 
 SETTINGS = SolverSettings()
 LOWER_COLUMNS = ("qci_J2", "qci_J4", "qci_J8", "tci", "mmse")
@@ -98,59 +101,18 @@ def test_criterion_3_large_budget_saturation(fig3_table):
 
 
 def test_criterion_4_one_relay_reduction():
-    rng = np.random.default_rng(404)
-    worst = 0.0
-    for _ in range(50):
-        rho = rng.uniform(0.1, 1000.0)
-        c = rng.uniform(0.1, 15.0)
-        result = fixed_rate(SnrPair(rho, 0.0), (c, 0.0))
-        closed = math.log2((1.0 + rho) / (1.0 + rho * 2.0**-c))
-        worst = max(worst, abs(result.rate - closed))
-    ok = worst <= 1e-5
-    _report(4, ok, f"worst one-relay closed-form gap {worst:.3e} over 50 draws (limit 1e-5)")
+    ok, detail = _check_one_relay(404, 50)
+    _report(4, ok, f"one-relay rate against its closed form: {detail}")
 
 
 def test_criterion_5_solver_vs_grid_oracle():
-    rng = np.random.default_rng(1234)
-    worst_gap = 0.0
-    worst_under = 0.0
-    for _ in range(100):
-        rho = rng.uniform(0.0, 100.0, 2)
-        c = rng.uniform(0.0, 10.0, 2)
-        value = fixed_rate(SnrPair(*rho), tuple(c)).rate
-        density = max(_MIN_GRID, int(20000.0 * (c[0] + c[1])) + 2)
-        oracle = maxmin_grid_oracle(*rho, *c, density)
-        worst_gap = max(worst_gap, abs(value - oracle))
-        worst_under = max(worst_under, oracle - value)
-    ok = worst_gap <= 1e-3 and worst_under <= 1e-6
-    _report(
-        5,
-        ok,
-        f"worst solver-vs-lattice gap {worst_gap:.3e} (limit 1e-3), worst "
-        f"undershoot {worst_under:.3e} (limit 1e-6) over 100 instances",
-    )
+    ok, detail = _check_solver_vs_grid(1234, 100)
+    _report(5, ok, f"solver against the lattice oracle: {detail}")
 
 
 def test_criterion_6_water_level_consistency():
-    rng = np.random.default_rng(606)
-    worst_budget = 0.0
-    worst_excess = -math.inf
-    ln2 = math.log(2.0)
-    for _ in range(20):
-        s2 = 10.0 ** rng.uniform(-6.0, 0.0)
-        c1, c2 = rng.uniform(0.05, 15.0, 2)
-        result = upper_bound(SystemConfig(s2, c1, c2), SETTINGS)
-        a = result.nu * s2
-        respent = (float(exp1(a)) + math.exp(-a)) / ln2  # independent special function
-        worst_budget = max(worst_budget, abs(respent - (c1 + c2)))
-        worst_excess = max(worst_excess, result.rate - (c1 + c2))
-    ok = worst_budget <= 1e-6 and worst_excess <= 1e-8
-    _report(
-        6,
-        ok,
-        f"worst re-spent budget error {worst_budget:.3e} (limit 1e-6), worst "
-        f"rate-over-budget excess {worst_excess:.3e} (limit 1e-8) over 20 configs",
-    )
+    ok, detail = _check_water_level(SETTINGS, 606, 20)
+    _report(6, ok, f"water level re-spends the budget: {detail}")
 
 
 def test_criterion_7_distributional_oracles():
@@ -206,30 +168,10 @@ def test_criterion_7_distributional_oracles():
 
 
 def test_criterion_8_feasibility_and_calibration():
-    worst = 0.0
-    header_exact = True
-    for J, s2, c1, c2 in [(2, 1e-2, 4.0, 4.0), (4, 1e-3, 6.0, 4.0), (8, 1e-4, 10.0, 7.0)]:
-        config = SystemConfig(s2, c1, c2)
-        grid = build_grid(J, config)
-        header_exact = header_exact and grid.header_bits == math.log2(J)
-        allocation = qci_lower_bound(J, config, SETTINGS)
-        probs = np.asarray(grid.probs)
-        for k, budget in enumerate((c1, c2)):
-            spend = float(probs @ allocation.c[k])
-            worst = max(worst, spend - (budget - grid.header_bits))
-        worst = max(worst, float(-allocation.c.min()))
-        worst = max(worst, float(np.abs(allocation.c[:, -1]).max()))
-    for s2, c1, c2 in [(1e-4, 10.0, 10.0), (0.5, 3.0, 12.0)]:
-        cal = calibrate(SystemConfig(s2, c1, c2))
-        for k, budget in enumerate((c1, c2)):
-            described = math.log2(1.0 + cal.est_power[k] / cal.distortion[k])
-            worst = max(worst, abs(described - budget))
-    ok = worst <= 1e-9 and header_exact
+    qci_ok, qci_detail = _check_qci_feasibility(SETTINGS)
+    mmse_ok, mmse_detail = _check_mmse_calibration()
     _report(
-        8,
-        ok,
-        f"worst feasibility/calibration residual {worst:.3e} (limit 1e-9), "
-        f"header bits exactly log2(J): {'yes' if header_exact else 'no'}",
+        8, qci_ok and mmse_ok, f"QCI allocations: {qci_detail}; MMSE calibration: {mmse_detail}"
     )
 
 

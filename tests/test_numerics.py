@@ -98,6 +98,18 @@ class TestIntegrateSemiinfinite:
                 lambda x: np.full_like(x, np.nan), 0.0, QUAD_ORDER, TOL
             )
 
+    def test_slow_integrand_stops_at_the_last_finite_rule(self):
+        # The pole at -0.1 keeps orders 64 to 256 apart, and SciPy cannot
+        # form the rule of order 512 in float64: that is a failure to
+        # converge, raised without a RuntimeWarning, not a fault of the
+        # integrand.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent, match="below order 512"):
+                integrate_semiinfinite(
+                    lambda g: g / (g + 0.1) * np.exp(-g), 0.0, QUAD_ORDER, TOL
+                )
+
 
 class TestExpIntegral:
     def test_reference_values(self):
@@ -250,9 +262,10 @@ class TestSolveMaxmin:
         assert [a[0] for a in outputs] == finite
 
     def test_verify_check_reaches_high_snr(self):
-        # Seed 46 draws an instance above 140 dB where an inner solve that
-        # cancels falls 1e-3 bits below the 2000-point lattice.
-        ok, detail = _check_solver_vs_grid(seed=46)
+        # verify's seed 46 (generator seed 46 + 101) draws an instance above
+        # 140 dB where an inner solve that cancels falls 1e-3 bits below the
+        # 2000-point lattice.
+        ok, detail = _check_solver_vs_grid(46 + 101, 40)
         assert ok, detail
 
 

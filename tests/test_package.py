@@ -40,7 +40,7 @@ POINT_FLAGS = {"--config", "--tol", "--sigma2", "--snr-db", "--c1", "--c2", "--s
 COMMAND_FLAGS = {
     "bound": POINT_FLAGS,
     "sweep": POINT_FLAGS | {"--preset", "--sweep", "--start", "--stop", "--step"},
-    "verify": {"--config", "--tol", "--seed", "--samples", "--quad-order"},
+    "verify": {"--config", "--tol", "--seed"},
 }
 
 
@@ -67,7 +67,7 @@ def test_settings_and_flags_are_only_those_read():
     for name, parser in commands.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
-    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [8, 13, 5]
+    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [8, 13, 3]
 
 
 def test_cli_leaves_verify_unimported():

@@ -61,9 +61,11 @@ class TestBuildGrid:
             assert a == pytest.approx(1e4 * b, rel=1e-12)
 
     def test_uniform_probs(self):
+        # P(1/g <= b_j) = exp(-1/b_j) = j/J: every cell has probability 1/J
         for J in (2, 4, 8):
             grid = build_grid(J, SystemConfig(0.01, 5.0, 5.0))
-            assert grid.probs == (1.0 / J,) * J
+            cdf = [math.exp(-1.0 / level) for level in grid.levels]
+            assert cdf == pytest.approx([j / J for j in range(1, J + 1)], abs=1e-15)
 
     def test_header_bits_exact(self):
         config = SystemConfig(0.01, 5.0, 5.0)
@@ -72,9 +74,10 @@ class TestBuildGrid:
         assert build_grid(8, config).header_bits == 3.0
 
     def test_budget_feasible_flag(self):
-        assert build_grid(8, SystemConfig(0.01, 3.0, 5.0)).budget_feasible
-        assert not build_grid(8, SystemConfig(0.01, 2.9, 5.0)).budget_feasible
-        assert not build_grid(8, SystemConfig(0.01, 5.0, 2.9)).budget_feasible
+        # feasible exactly when the header fits both link budgets
+        assert qci_lower_bound(8, SystemConfig(0.01, 3.0, 5.0), SETTINGS).feasible
+        assert not qci_lower_bound(8, SystemConfig(0.01, 2.9, 5.0), SETTINGS).feasible
+        assert not qci_lower_bound(8, SystemConfig(0.01, 5.0, 2.9), SETTINGS).feasible
 
     def test_rejects_small_J(self):
         config = SystemConfig(0.01, 5.0, 5.0)
@@ -227,9 +230,9 @@ class TestOptimizeAllocation:
         grid = build_grid(4, config)
         result = qci_lower_bound(4, config, SETTINGS)
         assert result.feasible
-        probs = np.asarray(grid.probs)
-        assert float(probs @ result.c[0]) <= config.c1 - grid.header_bits + 1e-9
-        assert float(probs @ result.c[1]) <= config.c2 - grid.header_bits + 1e-9
+        # every cell has probability 1/4
+        assert float(result.c[0].sum()) / 4 <= config.c1 - grid.header_bits + 1e-9
+        assert float(result.c[1].sum()) / 4 <= config.c2 - grid.header_bits + 1e-9
         assert np.all(result.c >= 0.0)
         assert np.all(result.c[:, -1] == 0.0)
 
@@ -314,12 +317,11 @@ class TestColdStart:
     def test_water_filling_split(self, monkeypatch, J, config):
         grid = build_grid(J, config)
         m = J - 1
-        p = np.asarray(grid.probs[:m])
         log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
         for c, budget in zip(cold_start(monkeypatch, J, config), config.budgets):
             residual = budget - grid.header_bits
             assert np.all(c >= 0.0)
-            assert float(p @ c) == pytest.approx(residual, rel=1e-12, abs=1e-12)
+            assert float(c.sum()) / J == pytest.approx(residual, rel=1e-12, abs=1e-12)
             live = c > 0.0
             if not np.any(live):
                 assert residual == 0.0
@@ -438,60 +440,60 @@ class TestLockStep:
 
 @st.composite
 def projection_inputs(draw):
-    """(x, p, budget): a point, positive cell weights, a bit budget."""
+    """(x, budget): a point and a budget."""
     n = draw(st.integers(1, 8))
     coords = st.floats(-60.0, 60.0, allow_nan=False, allow_infinity=False)
     x = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        p = np.full(n, 1.0 / draw(st.sampled_from([2, 4, 8, 3, 5])))
-    else:
-        p = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
-    budget = draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
-    return x, p, budget
+    budget = draw(st.one_of(st.just(0.0), st.floats(0.0, 480.0)))
+    return x, budget
 
 
-def _scale(x, p, budget):
-    return max(1.0, budget, float(p @ np.abs(x)))
+def _scale(x, budget):
+    return max(1.0, budget, float(np.abs(x).sum()))
 
 
 class TestProjectBudgetProperties:
     @given(projection_inputs())
     def test_feasible(self, case):
-        x, p, budget = case
-        c = _project_budget(x, p, budget)
+        x, budget = case
+        c = _project_budget(x, budget)
         assert np.all(c >= 0.0)
-        assert float(p @ c) <= budget + 1e-12 * _scale(x, p, budget)
+        assert float(c.sum()) <= budget + 1e-12 * _scale(x, budget)
 
     @given(projection_inputs())
     def test_shrinks_along_p(self, case):
-        # c = max(x - theta p, 0) for one theta >= 0
-        x, p, budget = case
-        c = _project_budget(x, p, budget)
+        # c = max(x - theta, 0) for one theta >= 0: every cell weighs 1/J, so
+        # the shift along the weights is the same for every entry
+        x, budget = case
+        c = _project_budget(x, budget)
         live = c > 0.0
         if not np.any(live):
-            theta = max(float(np.max(x / p)), 0.0)
+            theta = max(float(np.max(x)), 0.0)
         else:
-            thetas = (x[live] - c[live]) / p[live]
+            thetas = x[live] - c[live]
             theta = float(np.median(thetas))
-            assert np.allclose(thetas, theta, rtol=0.0, atol=1e-9 * _scale(x, p, budget))
-        assert theta >= -1e-12 * _scale(x, p, budget)
-        expected = np.maximum(x - max(theta, 0.0) * p, 0.0)
-        assert np.allclose(c, expected, rtol=0.0, atol=1e-9 * _scale(x, p, budget))
+            assert np.allclose(thetas, theta, rtol=0.0, atol=1e-9 * _scale(x, budget))
+        assert theta >= -1e-12 * _scale(x, budget)
+        expected = np.maximum(x - max(theta, 0.0), 0.0)
+        assert np.allclose(c, expected, rtol=0.0, atol=1e-9 * _scale(x, budget))
 
     @given(projection_inputs())
     def test_spends_whole_budget_when_it_binds(self, case):
-        # theta > 0 exactly when max(x, 0) overspends; then p . c = budget
-        x, p, budget = case
-        c = _project_budget(x, p, budget)
-        if float(p @ np.maximum(x, 0.0)) <= budget:
+        # theta > 0 exactly when max(x, 0) overspends; then sum(c) = budget
+        x, budget = case
+        c = _project_budget(x, budget)
+        if float(np.maximum(x, 0.0).sum()) <= budget:
             assert np.array_equal(c, np.maximum(x, 0.0))
         else:
-            assert float(p @ c) == pytest.approx(budget, rel=0.0, abs=1e-12 * _scale(x, p, budget))
+            assert float(c.sum()) == pytest.approx(budget, rel=0.0, abs=1e-12 * _scale(x, budget))
 
 
 def sorted_cumsum_projection(x, p, budget):
-    """The sort/cumsum formulation that _project_budget's breakpoint loop
-    replaced, kept verbatim as its oracle."""
+    """The weighted sort/cumsum projection onto {c >= 0, p . c <= budget}
+    that _project_budget's breakpoint loop replaced, kept verbatim as its
+    oracle.  At the uniform weights p = 1/J of the QCI grids, J a power of
+    two, every product with p and every division by p . p is exact, so it
+    equals _project_budget(x, J budget) bit for bit."""
     c = np.maximum(x, 0.0)
     spend = float(p @ c)
     if spend <= budget:
@@ -513,27 +515,24 @@ class TestProjectBudgetBits:
         """Seeded finite inputs: negative entries, tied breakpoints, budget 0
         and points already inside the budget."""
         rng = np.random.default_rng(100 + m)
-        for k in range(400):
+        for k in range(600):
             x = rng.uniform(-20.0, 40.0, m) * 10.0 ** rng.integers(-3, 2)
-            if k % 2:
-                p = np.full(m, 1.0 / (m + 1))  # uniform cells, as on every QCI grid
-            else:
-                p = rng.uniform(1e-3, 1.0, m)
-            if m > 1 and k % 3 == 0:
-                # tied breakpoints; scaling x and p alike keeps x / p exact
-                for j, scale in zip((-1, 1), (1.0 if k % 2 else 0.5, 0.25)):
-                    x[j], p[j] = scale * x[0], scale * p[0]
-            spend = float(p @ np.maximum(x, 0.0))
+            J = (2, 4, 8)[k % 3]  # the uniform weight 1/J of the QCI grids
+            if m > 1 and k % 4 == 0:
+                # tied breakpoints
+                x[-1] = x[1] = x[0]
+            spend = float(np.maximum(x, 0.0).sum()) / J
             budget = (0.0, spend, 1.5 * spend, 0.5 * spend, rng.uniform(0.0, 60.0))[k % 5]
-            yield x, p, budget
+            yield x, J, budget
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_equals_the_sorted_cumsum_formulation(self, m):
         inside = binding = 0
-        for x, p, budget in self.cases(m):
-            got = _project_budget(x, p, budget)
-            assert got.tobytes() == sorted_cumsum_projection(x, p, budget).tobytes(), (x, p, budget)
-            if float(p @ np.maximum(x, 0.0)) <= budget:
+        for x, J, budget in self.cases(m):
+            got = _project_budget(x, J * budget)
+            expected = sorted_cumsum_projection(x, np.full(m, 1.0 / J), budget)
+            assert got.tobytes() == expected.tobytes(), (x, J, budget)
+            if float(np.maximum(x, 0.0).sum()) / J <= budget:
                 inside += 1
             else:
                 binding += 1
@@ -544,12 +543,14 @@ class TestProjectBudgetBits:
         qci = importlib.import_module("diamond_bottleneck.qci")
         calls = []
 
-        def spy(x, p, budget):
-            calls.append((x.copy(), p.copy(), budget))
-            return _project_budget(x, p, budget)
+        def spy(x, budget):
+            calls.append((x.copy(), budget))
+            return _project_budget(x, budget)
 
         monkeypatch.setattr(qci, "_project_budget", spy)
         qci_lower_bounds([2, 4, 8], SystemConfig(1.0 / db_to_linear(30.0), 10.0, 10.0), SETTINGS)
         assert len(calls) > 20
-        for x, p, budget in calls:
-            assert _project_budget(x, p, budget).tobytes() == sorted_cumsum_projection(x, p, budget).tobytes()
+        for x, budget in calls:
+            J = x.size + 1
+            expected = sorted_cumsum_projection(x, np.full(x.size, 1.0 / J), budget / J)
+            assert _project_budget(x, budget).tobytes() == expected.tobytes()

@@ -300,7 +300,8 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
     def test_zero_setting_exits_2(self, tmp_path, flag):
-        # rejected before the first check runs: nothing is printed
+        # rejected before the first check runs: nothing is printed;
+        # --quad-order and --samples are no flags of verify at all
         result = run_cli(["verify", flag, "0"], tmp_path)
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
@@ -314,12 +315,10 @@ class TestCommandLine:
 
     def test_seed_zero_accepted(self, stubbed_checks, capsys):
         assert main(["verify", "--seed", "0"]) == 0
-        assert stubbed_checks == {"seed": 0}
+        assert stubbed_checks == {"seed": 101}  # solver_vs_grid's offset
         assert capsys.readouterr().out.endswith("10/10 checks passed\n")
 
-    @pytest.mark.parametrize(
-        "key, value", [("quad_order", 7), ("samples", 999), ("seed", -1)]
-    )
+    @pytest.mark.parametrize("key, value", [("seed", -1)])
     def test_verify_rejects_one_below_oracle_limit(self, stubbed_checks, capsys, key, value):
         with pytest.raises(InvalidArgument):
             verify.verify(**{key: value})
@@ -331,8 +330,8 @@ class TestCommandLine:
         assert stubbed_checks == {}  # rejected before the first check ran
 
     def test_verify_accepts_oracle_limits(self, stubbed_checks, capsys):
-        assert verify.verify(quad_order=8, samples=1000, seed=0) == 0
-        assert stubbed_checks == {"seed": 0}
+        assert verify.verify(seed=0) == 0
+        assert stubbed_checks == {"seed": 101}
         assert capsys.readouterr().out.endswith("10/10 checks passed\n")
 
     @pytest.mark.parametrize(
@@ -342,6 +341,9 @@ class TestCommandLine:
             ["sweep", "--preset", "fig2", "--samples", "10"],
             ["verify", "--c1", "5"],
             ["verify", "--scheme", "ub", "--out", "z.csv"],
+            # verify draws no fading gains and its quadrature order is fixed
+            ["verify", "--samples", "10"],
+            ["verify", "--quad-order", "64"],
         ],
     )
     def test_flag_a_subcommand_does_not_read_exits_2(self, tmp_path, args):
@@ -378,7 +380,7 @@ class TestCommandLine:
             ("bound", "snrdb = 40", "'snrdb' is not a bound key"),
             ("bound", "seed = 3", "'seed' is not a bound key"),
             ("verify", "c1 = 5", "'c1' is not a verify key"),
-            ("verify", "samples = 1000.9", "samples = '1000.9' is not a valid int"),
+            ("verify", "seed = 1.5", "seed = '1.5' is not a valid int"),
             ("bound", "c1 = ten", "c1 = 'ten' is not a valid float"),
         ],
     )
@@ -548,7 +550,9 @@ class TestCommandLine:
         def crash():
             raise RuntimeError("synthetic crash")
 
-        monkeypatch.setattr(verify, "_check_one_relay", lambda seed: (False, "synthetic miss"))
+        monkeypatch.setattr(
+            verify, "_check_one_relay", lambda seed, count: (False, "synthetic miss")
+        )
         monkeypatch.setattr(verify, "_check_mmse_calibration", crash)
         assert main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -562,13 +566,13 @@ class TestCommandLine:
 @pytest.fixture
 def stubbed_checks(monkeypatch):
     """Replace every verify check by one that passes at once; returns the
-    seed that reached solver_vs_grid."""
+    generator seed that reached solver_vs_grid."""
     seen = {}
 
     def passing(*args, **kwargs):
         return True, "stub"
 
-    def solver_vs_grid(seed):
+    def solver_vs_grid(seed, count):
         seen["seed"] = seed
         return True, "stub"
 
