@@ -20,11 +20,11 @@ variance plus distortion.  E[|estimate|^2] collapses to E[U] because the
 conditional error variance is U (1 - U) * ...; expanding the second moment
 gives U^2 + U s/(g+s) = U.
 
-The expectations are evaluated by a fixed Gauss-Legendre rule in the log
-gain t = ln g (see _gain_rule): a tensor rule for the joint term, the same
-nodes for the corrections.  No random numbers are drawn.  The rule runs at
-two orders; the higher one gives the rate and the gap between them is
-reported as its error estimate.
+The expectations are evaluated by the package's one quadrature rule,
+Gauss-Legendre in the log gain t = ln g (see _gain_rule): a tensor rule for
+the joint term, the same nodes for the corrections.  No random numbers are
+drawn.  The rule runs at two orders; the higher one gives the rate and the
+gap between them is reported as its error estimate.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import DegenerateBudget
-from .numerics import _LN2, SolverSettings, _e1_scaled
+from .numerics import _LN2, SolverSettings, _e1_scaled, _log_rule
 
 # Not called here.  The benchmark's tracer (bench/tracer.py) wraps these two
 # attributes of this module by name, and its smoke test expects them to
@@ -45,8 +45,6 @@ from .numerics import _LN2, SolverSettings, _e1_scaled
 from .channel import sample_gains  # noqa: F401
 from .numerics import integrate_semiinfinite  # noqa: F401
 
-# The probability mass of ln g outside this interval is below 3e-20.
-_LOG_GAIN_RANGE = (-45.0, 4.0)
 # The rate comes from the last order; the gap to the first is the error estimate.
 _ORDERS = (100, 200)
 
@@ -94,17 +92,13 @@ def calibrate(config: SystemConfig) -> MmseCalibration:
 def _gain_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes g_i and weights w_i with sum_i w_i f(g_i) ~ E[f(g)], g ~ Exp(1).
 
-    Gauss-Legendre in t = ln g over _LOG_GAIN_RANGE, where t has density
-    e^t exp(-e^t); the weights carry that density.  Integrating in t puts
-    nodes at every scale of g, so the features of the integrands near
-    g = noise_power are resolved from -60 to 150 dB.  The arrays are shared
-    by every caller and therefore read-only.
+    numerics._log_rule over [0, inf), Gauss-Legendre in t = ln g on
+    [-45, 4], with the density e^-g folded into its weights.  Nodes at every
+    scale of g resolve the integrands' features near g = noise_power from
+    -60 to 150 dB.  The arrays are shared by every caller and read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
-    low, high = _LOG_GAIN_RANGE
-    half = 0.5 * (high - low)
-    gains = np.exp(low + half * (x + 1.0))
-    weights = half * w * gains * np.exp(-gains)
+    gains, jacobian = _log_rule(order, 0.0)
+    weights = jacobian * np.exp(-gains)
     gains.flags.writeable = False
     weights.flags.writeable = False
     return gains, weights

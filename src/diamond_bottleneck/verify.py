@@ -6,7 +6,9 @@ special functions against scipy and against raw quadrature, the max-min
 solver against an exhaustive lattice, the library's quantile levels,
 conditional noise and estimator power against quadrature of the unit
 exponential gain density, and the calibration identities against their
-defining equations.  No check draws fading gains.  Prints one PASS/FAIL
+defining equations.  The quadrature is numerics.integrate_semiinfinite
+(the package's one rule at orders 128 and 256, which must agree to 1e-12),
+at noise powers from 1e-6 to 10.  No check draws fading gains.  Prints one PASS/FAIL
 line per check and returns a process exit code (0 only when everything
 passes).  SciPy is imported only inside the checks that use it, so
 importing the package does not load it.
@@ -115,16 +117,10 @@ def _check_e1_reference():
     return worst <= 1e-12, f"max rel err {worst:.2e}"
 
 
-def _quad(f, lower: float, settings: SolverSettings) -> float:
-    """Integral of f over [lower, inf), from Gauss-Laguerre order 64, which
-    integrate_semiinfinite doubles until two orders agree."""
-    return integrate_semiinfinite(f, lower, 64, settings.abs_tol)
-
-
-def _check_e1_quadrature(settings: SolverSettings):
+def _check_e1_quadrature():
     worst = 0.0
-    for lower in (0.5, 1.0, 2.0):
-        quad = _quad(lambda lam: np.exp(-lam) / lam, lower, settings)
+    for lower in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0):
+        quad = integrate_semiinfinite(lambda lam: np.exp(-lam) / lam, lower)
         worst = max(worst, abs(quad - exp_integral_e1(lower)))
     return worst <= 1e-9, f"max abs err {worst:.2e}"
 
@@ -167,51 +163,50 @@ def _check_one_relay(seed: int, count: int):
     return worst <= 1e-5, f"max abs err {worst:.2e} (limit 1e-5) over {count} instances"
 
 
-def _check_quantiles(settings: SolverSettings):
+def _check_quantiles():
     # level b_j of the J-cell grid holds P(1/g <= b_j) = P(g >= 1/b_j) = j/J
     worst = 0.0
     for J in (2, 4, 8):
         levels = build_grid(J, SystemConfig(1.0, 1.0, 1.0)).levels[:-1]
         for j, level in enumerate(levels, start=1):
-            mass = _quad(lambda g: np.exp(-g), 1.0 / level, settings)
+            mass = integrate_semiinfinite(lambda g: np.exp(-g), 1.0 / level)
             worst = max(worst, abs(mass - j / J))
     return worst <= 1e-9, f"max abs err {worst:.2e}"
 
 
-def _check_conditional_noise(settings: SolverSettings):
+def _check_conditional_noise():
     # E[noise_power / g | g >= t], t = threshold^2, activity probability e^-t
     worst = 0.0
     for noise_power in (0.01, 0.5):
         config = SystemConfig(noise_power, 10.0, 10.0)
         for threshold in (0.5, 1.0, 1.4):
             t = threshold * threshold
-            quad = _quad(lambda g: noise_power * np.exp(t - g) / g, t, settings)
+            quad = integrate_semiinfinite(lambda g: noise_power * np.exp(t - g) / g, t)
             worst = max(worst, abs(quad - tci_rate(threshold, config).cond_noise))
     return worst <= 1e-9, f"max abs err {worst:.2e}"
 
 
-def _check_est_power(settings: SolverSettings):
-    # E[g / (g + s)], s the noise power; below s = 0.5 the pole at -s keeps
-    # the quadrature orders apart up to the largest finite rule
+def _check_est_power():
+    # E[g / (g + s)], s the noise power, 60 dB to -10 dB
     worst = 0.0
-    for s in (0.5, 1.0, 2.0, 10.0):
-        quad = _quad(lambda g: g / (g + s) * np.exp(-g), 0.0, settings)
+    for s in (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0):
+        quad = integrate_semiinfinite(lambda g: g / (g + s) * np.exp(-g), 0.0)
         est_power = calibrate(SystemConfig(s, 5.0, 5.0)).est_power
         worst = max(worst, *(abs(quad - power) for power in est_power))
     return worst <= 1e-9, f"max abs err {worst:.2e}"
 
 
 def _check_water_level(settings: SolverSettings, seed: int, count: int):
-    # by-parts closed forms against raw quadrature at benign water levels
+    # by-parts closed forms against raw quadrature, at benign water levels
+    # and at 60 dB (noise power 1e-6) with levels that spend 5.7 and 3.9 bits
     worst_identity = 0.0
-    for noise_power, nu in ((1.0, 0.3), (0.25, 1.0), (2.0, 0.05)):
+    for noise_power, nu in ((1.0, 0.3), (0.25, 1.0), (2.0, 0.05), (1e-6, 3e4), (1e-6, 1e5)):
         a = nu * noise_power
-        budget_quad = _quad(lambda lam: np.log2(lam / a) * lam * np.exp(-lam), a, settings)
-        rate_quad = _quad(
+        budget_quad = integrate_semiinfinite(lambda lam: np.log2(lam / a) * lam * np.exp(-lam), a)
+        rate_quad = integrate_semiinfinite(
             lambda lam: (np.log2(1.0 + lam / noise_power) - math.log2(1.0 + nu))
             * lam * np.exp(-lam),
             a,
-            settings,
         )
         worst_identity = max(
             worst_identity,
@@ -220,7 +215,9 @@ def _check_water_level(settings: SolverSettings, seed: int, count: int):
         )
 
     # the calibrated level re-spends the budget, checked via scipy's E1, and
-    # the rate lies in [0, c1 + c2]
+    # the rate lies in [0, c1 + c2].  upper_bound bisects in ln(nu) to
+    # abs_tol, and the budget moves at most 1/ln 2 bits per unit of ln(nu),
+    # so at a coarse abs_tol the residual may reach abs_tol / ln 2.
     from scipy.special import exp1
 
     rng = np.random.default_rng(seed)
@@ -236,11 +233,12 @@ def _check_water_level(settings: SolverSettings, seed: int, count: int):
         worst_residual = max(worst_residual, abs(residual))
         worst_excess = max(worst_excess, result.rate - (c1 + c2))
         lowest = min(lowest, result.rate)
-    ok = worst_identity <= 1e-7 and worst_residual <= 1e-6 and worst_excess <= 1e-8
+    residual_limit = max(1e-6, settings.abs_tol / _LN2)
+    ok = worst_identity <= 1e-7 and worst_residual <= residual_limit and worst_excess <= 1e-8
     return ok and lowest >= 0.0, (
         f"identity err {worst_identity:.2e} (limit 1e-7), residual {worst_residual:.2e} "
-        f"(limit 1e-6), rate over budget {worst_excess:.2e} (limit 1e-8), lowest rate "
-        f"{lowest:.3g} over {count} configs"
+        f"(limit {residual_limit:.2g}), rate over budget {worst_excess:.2e} (limit 1e-8), "
+        f"lowest rate {lowest:.3g} over {count} configs"
     )
 
 
@@ -304,12 +302,12 @@ def verify(settings: SolverSettings | None = None, *, seed: int = 0) -> int:
     settings = settings or SolverSettings()
     checks = [
         ("e1_vs_scipy", _check_e1_reference),
-        ("e1_vs_quadrature", lambda: _check_e1_quadrature(settings)),
+        ("e1_vs_quadrature", _check_e1_quadrature),
         ("solver_vs_grid", lambda: _check_solver_vs_grid(seed + 101, 40)),
         ("one_relay_reduction", lambda: _check_one_relay(seed + 202, 50)),
-        ("quantile_cells", lambda: _check_quantiles(settings)),
-        ("tci_conditional_noise", lambda: _check_conditional_noise(settings)),
-        ("mmse_est_power", lambda: _check_est_power(settings)),
+        ("quantile_cells", _check_quantiles),
+        ("tci_conditional_noise", _check_conditional_noise),
+        ("mmse_est_power", _check_est_power),
         ("water_level", lambda: _check_water_level(settings, seed + 606, 10)),
         ("qci_feasibility", lambda: _check_qci_feasibility(settings)),
         ("mmse_calibration", _check_mmse_calibration),

@@ -1,6 +1,7 @@
 """Estimate-forwarding scheme: moment calibration, the log-gain quadrature
 rule, and the assembled rate."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +28,14 @@ EULER_GAMMA = 0.57721566490153286
 # The Monte Carlo estimate at 40 dB, C = 10 (10^6 draws per gain, seed 0) and
 # its 95% half-width, from before the quadrature rule replaced it.
 MONTE_CARLO_AT_40_DB = (9.66333416, 1.28e-3)
+# SHA-256 of the nodes' and of the weights' little-endian float64 bytes,
+# recorded before the rule was built on numerics._log_rule.
+GAIN_RULE_DIGESTS = {
+    100: ("8b428457ea1e976b7dd6ad62542da91aeb830ad77432031c1c6665a8d80b6f3e",
+          "f4c4f52541ec6fd114077901ff077fd859ba4d9342da99e139c29af0abd33460"),
+    200: ("ddcfe3a5d6d77250e66851397e56b392576f0356a830043467ea31c8fc7dfe81",
+          "2810492bd5dc7db977c7f095703e1c2a5e64106a22f47c2e6208f620e65fd837"),
+}
 
 
 def scaled_e1(s):
@@ -131,6 +140,13 @@ class TestGainRule:
     def test_log_mean(self, order):
         gains, weights = _gain_rule(order)
         assert abs(weights @ np.log(gains) + EULER_GAMMA) <= 1e-12
+
+    @pytest.mark.parametrize("order", sorted(GAIN_RULE_DIGESTS))
+    def test_bits_are_pinned(self, order):
+        digests = tuple(
+            hashlib.sha256(a.astype("<f8").tobytes()).hexdigest() for a in _gain_rule(order)
+        )
+        assert digests == GAIN_RULE_DIGESTS[order]
 
     def test_shared_arrays_are_read_only(self):
         gains, weights = _gain_rule(_ORDERS[0])

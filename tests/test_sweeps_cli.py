@@ -546,6 +546,32 @@ class TestCommandLine:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_quadrature_and_mmse_do_not_load_scipy(self, tmp_path):
+        code = (
+            "import sys, numpy as np\n"
+            "from diamond_bottleneck import SolverSettings, SystemConfig, mmse_rate\n"
+            "from diamond_bottleneck.numerics import integrate_semiinfinite\n"
+            "integrate_semiinfinite(lambda x: np.exp(-x) / x, 0.5)\n"
+            "mmse_rate(SystemConfig(1e-4, 10.0, 10.0), SolverSettings())\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_verify_passes_at_a_coarse_tolerance(self, monkeypatch, capsys):
+        # --tol loosens upper_bound's bisection and water_level's residual
+        # limit with it; solver_vs_grid reads no tolerance and is stubbed to
+        # spare its lattices
+        monkeypatch.setattr(verify, "_check_solver_vs_grid", lambda seed, count: (True, "stub"))
+        code = main(["verify", "--tol", "1e-3"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.endswith("10/10 checks passed\n")
+
     def test_verify_detects_seeded_fault(self, stubbed_checks, monkeypatch, capsys):
         def crash():
             raise RuntimeError("synthetic crash")

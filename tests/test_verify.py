@@ -41,12 +41,12 @@ FAULTS = {
     "cond_noise": (
         "tci_rate",
         lambda point: replace(point, cond_noise=point.cond_noise * (1.0 + 1e-6)),
-        lambda: verify._check_conditional_noise(SETTINGS),
+        verify._check_conditional_noise,
     ),
     "est_power": (
         "calibrate",
         lambda cal: replace(cal, est_power=tuple(p * (1.0 + 1e-6) for p in cal.est_power)),
-        lambda: verify._check_est_power(SETTINGS),
+        verify._check_est_power,
     ),
     "qci_spend": (
         "qci_lower_bound",
