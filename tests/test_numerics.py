@@ -93,9 +93,10 @@ class TestIntegrateSemiinfinite:
         with pytest.raises(DomainError):
             integrate_semiinfinite(lambda x: np.full_like(x, np.nan), 0.0)
 
-    def test_orders_that_disagree_raise(self):
-        # A jump at x = 1 keeps orders 128 and 256 far apart: a failure to
-        # converge, raised without a warning, not a fault of the integrand.
+    def test_slow_integrand_stops_at_the_last_finite_rule(self):
+        # A jump at x = 1 converges slowly, so order 256, the last rule,
+        # still differs from order 128 by far more than the limit: a failure
+        # to converge, raised without a warning, not a fault of the integrand.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergent, match="128 and 256"):
