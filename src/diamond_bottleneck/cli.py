@@ -19,7 +19,6 @@ from .numerics import SolverSettings
 from .sweeps import (
     SCHEMES,
     SweepSpec,
-    db_to_linear,
     fig2_spec,
     fig3_spec,
     linear_to_db,
@@ -27,7 +26,9 @@ from .sweeps import (
     run_sweep,
 )
 
-_PRESETS = ("fig2", "fig3")
+_PRESETS = {"fig2": fig2_spec, "fig3": fig3_spec}
+# A custom axis starts from the preset on that axis; its flags override.
+_PRESET_OF_AXIS = {"snr": "fig2", "budget": "fig3"}
 
 # Every flag by its key, the flag's name with '_' for '-'.  A config-file
 # value goes through the same type as its flag.
@@ -121,25 +122,19 @@ def _schemes(values: dict) -> tuple[str, ...]:
     return tuple(flat)
 
 
-def _noise_power(values: dict, default_snr_db: float | None = None) -> tuple[float, float]:
-    """Resolve (noise_power, snr_db) from --snr-db / --sigma2 / default."""
+def _snr_db(values: dict) -> float | None:
+    """The SNR in dB that --snr-db or --sigma2 sets; None when neither is given."""
     if "snr_db" in values and "sigma2" in values:
         raise InvalidArgument("--snr-db and --sigma2 both set the noise power; give one")
-    snr_db = values.get("snr_db")
-    if snr_db is not None:
-        return 1.0 / db_to_linear(snr_db), snr_db
-    sigma2 = values.get("sigma2")
-    if sigma2 is not None:
-        if sigma2 <= 0.0:
-            raise InvalidArgument("sigma2 must be positive")
-        return sigma2, linear_to_db(1.0 / sigma2)
-    if default_snr_db is not None:
-        return 1.0 / db_to_linear(default_snr_db), default_snr_db
-    return 1.0, 0.0
+    if "sigma2" not in values:
+        return values.get("snr_db")
+    if values["sigma2"] <= 0.0:
+        raise InvalidArgument("sigma2 must be positive")
+    return linear_to_db(1.0 / values["sigma2"])
 
 
 def _cmd_bound(values: dict) -> int:
-    _, snr_db = _noise_power(values)
+    snr_db = _snr_db(values)
     c1 = values.get("c1", 10.0)
     out = values.get("out")
     spec = SweepSpec(
@@ -149,13 +144,18 @@ def _cmd_bound(values: dict) -> int:
         output_path=out or "bound.csv",
         fixed_c=c1,
         fixed_c2=values.get("c2", c1),
-        fixed_snr_db=snr_db,
+        fixed_snr_db=0.0 if snr_db is None else snr_db,
     )
     if out:
         run_sweep(spec)
     else:
         print("\n".join(render_rows(spec)))
     return 0
+
+
+def _axis_flags(values: dict, preset_range: tuple) -> tuple:
+    """(start, stop, step): each flag given, else the preset's value."""
+    return tuple(values.get(key, v) for key, v in zip(("start", "stop", "step"), preset_range))
 
 
 def _cmd_sweep(values: dict) -> int:
@@ -170,7 +170,7 @@ def _cmd_sweep(values: dict) -> int:
         if preset not in _PRESETS:
             raise InvalidArgument(f"unknown preset {preset!r}; valid: {', '.join(_PRESETS)}")
         kind, label = "preset", f"preset {preset}"
-    elif mode in ("snr", "budget"):
+    elif mode in _PRESET_OF_AXIS:
         kind, label = mode, f"--sweep {mode}"
     elif mode is None:
         raise InvalidArgument("sweep needs --preset fig2|fig3 or --sweep snr|budget")
@@ -180,36 +180,22 @@ def _cmd_sweep(values: dict) -> int:
     if unread:
         raise InvalidArgument(f"{label} does not read {', '.join(unread)}")
 
-    out = values.get("out")
-    start = values.get("start", 0.0)
-    if preset:
-        base = fig2_spec if preset == "fig2" else fig3_spec
-        spec = base(out or f"{preset}.csv", settings)
-        if values.get("scheme"):
-            spec = replace(spec, schemes=_schemes(values))
-    elif mode == "snr":
-        c1 = values.get("c1", 10.0)
+    name = preset or _PRESET_OF_AXIS[mode]
+    out = values.get("out") or (f"{name}.csv" if preset else "sweep.csv")
+    spec = _PRESETS[name](out, settings)
+    custom = {}
+    if mode == "snr":
+        c1 = values.get("c1", spec.fixed_c)
         if values.get("c2", c1) != c1:
             raise InvalidArgument("snr sweeps use equal budgets; set --c1 only")
-        spec = SweepSpec(
-            mode="snr_sweep",
-            schemes=_schemes(values),
-            settings=settings,
-            output_path=out or "sweep.csv",
-            snr_db_range=(start, values.get("stop", 60.0), values.get("step", 2.0)),
-            fixed_c=c1,
+        custom = dict(fixed_c=c1, snr_db_range=_axis_flags(values, spec.snr_db_range))
+    elif mode == "budget":
+        snr_db = _snr_db(values)
+        custom = dict(
+            budget_range=_axis_flags(values, spec.budget_range),
+            fixed_snr_db=spec.fixed_snr_db if snr_db is None else snr_db,
         )
-    else:
-        _, snr_db = _noise_power(values, default_snr_db=40.0)
-        spec = SweepSpec(
-            mode="budget_sweep",
-            schemes=_schemes(values),
-            settings=settings,
-            output_path=out or "sweep.csv",
-            budget_range=(start, values.get("stop", 25.0), values.get("step", 1.0)),
-            fixed_snr_db=snr_db,
-        )
-    path = run_sweep(spec)
+    path = run_sweep(replace(spec, schemes=_schemes(values), **custom))
     print(f"wrote {path}")
     return 0
 

@@ -133,7 +133,8 @@ def _rate_at_order(order: int, noise_power: float, cal: MmseCalibration) -> floa
             qr = q * r
             total += float(weights @ (np.log1p(qr) - np.log1p(q * spread)))
             ratios.append(u * u * q / (1.0 + qr))
-        joint = np.log1p(ratios[0][:, None] + ratios[1])
+        joint = np.add.outer(*ratios)
+        np.log1p(joint, out=joint)
     return (total + float(weights @ joint @ weights)) / _LN2
 
 

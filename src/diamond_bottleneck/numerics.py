@@ -101,23 +101,22 @@ _EULER_GAMMA = 0.577215664901532860606512
 # log2(1 + rho) for any SNR under 2^900.
 _BUDGET_CAP = 1000.0
 
+_MAX_ITER = 200  # bisect's cap on bisection steps
+
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Convergence knobs of the iterative solvers.
+    """Convergence tolerance of the iterative solvers, each of which caps its
+    own iterations (numerics._MAX_ITER, qci._MAX_ITER).
 
     abs_tol      absolute convergence tolerance (bits) for iterative solvers
-    max_iter     iteration cap for bisection and the allocation ascent
     """
 
     abs_tol: float = 1e-9
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
             raise InvalidArgument("abs_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise InvalidArgument("max_iter must be at least 1")
 
 
 # A unit exponential puts less than 3e-20 of its mass outside [e^-45, e^4].
@@ -218,7 +217,7 @@ def bisect(
 
     Stops when |g(x)| <= abs_tol or the half-interval falls below abs_tol.
     Raises BracketError when g(lo) and g(hi) share a sign, NonConvergent
-    when max_iter bisections are not enough.
+    when _MAX_ITER bisections are not enough.
     """
     if not (lo < hi):
         raise InvalidArgument(f"need lo < hi, got [{lo}, {hi}]")
@@ -230,7 +229,7 @@ def bisect(
         return hi
     if (g_lo > 0.0) == (g_hi > 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3g}, {g_hi:.3g}")
-    for _ in range(settings.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
         if abs(g_mid) <= settings.abs_tol or 0.5 * (hi - lo) <= settings.abs_tol:
@@ -239,7 +238,7 @@ def bisect(
             lo, g_lo = mid, g_mid
         else:
             hi = mid
-    raise NonConvergent("bisection exhausted max_iter without meeting abs_tol")
+    raise NonConvergent(f"bisection exhausted {_MAX_ITER} steps without meeting abs_tol")
 
 
 def _log2_1p(x: np.ndarray) -> np.ndarray:
@@ -487,15 +486,13 @@ def _maxmin_batch(rho1, rho2, c1, c2):
         lane = np.arange(scores.shape[1])
         best = scores.argmax(axis=0) * lane.size + lane
         value[both] = scores.take(best)
-        for k, chosen in enumerate(cand.reshape(2, -1).take(best, axis=1)):
-            r[k][both] = chosen
+        r[:, both] = cand.reshape(2, -1).take(best, axis=1)
         # Where branches nearly coincide rows can tie in value to the last
         # bit; the slopes come from the best row whose multipliers are valid.
         with np.errstate(over="ignore", invalid="ignore"):
             d, valid = _kkt_slopes(rho_b, cand, used)
         kkt = np.where(valid, scores, -np.inf).argmax(axis=0) * lane.size + lane
-        for k, chosen in enumerate(d.reshape(2, -1).take(kkt, axis=1)):
-            slopes[k][both] = chosen
+        slopes[:, both] = d.reshape(2, -1).take(kkt, axis=1)
 
     if any_capped:
         np.add(r, excess, out=r, where=live)

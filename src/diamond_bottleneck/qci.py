@@ -35,6 +35,7 @@ from .numerics import SolverSettings, _maxmin_batch
 
 _ARMIJO_SLOPE = 1e-4
 _STALL_LIMIT = 3
+_MAX_ITER = 200  # the allocation ascent's iteration cap
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def _ascent(
     stalls = 0
     last_gain = math.inf
     iterations = 0
-    for iterations in range(1, settings.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         moved = False
         scale = 1.0
         for _ in range(40):
@@ -247,7 +248,7 @@ def _ascent(
     else:
         if last_gain > 1e-6:
             raise NonConvergent(
-                "allocation ascent still improving by more than 1e-6 at max_iter"
+                f"allocation ascent still improving by more than 1e-6 after {_MAX_ITER} iterations"
             )
 
     c_full = np.zeros((2, J))

@@ -20,6 +20,7 @@ from diamond_bottleneck.mmse import (
     mmse_rate,
 )
 from diamond_bottleneck.numerics import SolverSettings
+from diamond_bottleneck.sweeps import db_to_linear
 from diamond_bottleneck.upper_bound import upper_bound
 
 SETTINGS = SolverSettings()
@@ -194,6 +195,23 @@ class TestMmseRate:
         b = mmse_rate(config, SETTINGS)
         assert a.rate.hex() == b.rate.hex()
         assert a.error_estimate.hex() == b.error_estimate.hex()
+
+    @pytest.mark.parametrize(
+        "snr_db, c1, c2, rate, error",
+        [
+            (-10.0, 60.0, 0.5, "-0x1.31e3cdc5fa57bp-1", "0x1.d800000000000p-47"),
+            (0.0, 3.0, 7.0, "0x1.28174855511b0p-1", "0x1.e200000000000p-46"),
+            (20.0, 10.0, 2.5, "0x1.2dbe1251d2d4ep+2", "0x1.1200000000000p-43"),
+            (40.0, 10.0, 10.0, "0x1.3536005d61e3ep+3", "0x1.0c00000000000p-42"),
+            (60.0, 25.0, 1.0, "0x1.03498febc7049p+4", "0x1.dc00000000000p-42"),
+            (100.0, 12.0, 40.0, "0x1.cbb43b0ac53dbp+4", "0x1.a200000000000p-41"),
+        ],
+    )
+    def test_bits_are_pinned(self, snr_db, c1, c2, rate, error):
+        # float.hex of the rate and the error estimate, recorded with the
+        # joint term summed into a fresh array and then passed to log1p
+        result = mmse_rate(SystemConfig(1.0 / db_to_linear(snr_db), c1, c2), SETTINGS)
+        assert (result.rate.hex(), result.error_estimate.hex()) == (rate, error)
 
     def test_degenerate_budget(self):
         result = mmse_rate(SystemConfig(0.01, 0.0, 5.0), SETTINGS)

@@ -11,6 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import exp1
 
+import diamond_bottleneck.numerics as numerics
+import diamond_bottleneck.qci as qci
 from diamond_bottleneck.channel import SnrPair
 from diamond_bottleneck.errors import (
     BracketError,
@@ -45,27 +47,30 @@ LOG2_21 = 4.39231742277876  # log2(1 + 10 + 10)
 
 class TestSolverSettings:
     def test_defaults_are_valid(self):
-        s = SolverSettings()
-        assert s.abs_tol == 1e-9
-        assert s.max_iter == 200
+        assert SolverSettings().abs_tol == 1e-9
+        # each solver's own iteration cap
+        assert numerics._MAX_ITER == 200
+        assert qci._MAX_ITER == 200
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"abs_tol": 0.0},
             {"abs_tol": -1e-9},
-            {"max_iter": 0},
             {"abs_tol": math.nan},
             {"abs_tol": math.inf},
-            {"max_iter": -1},
         ],
+        # the ids these cases had beside the iteration-cap cases
+        ids=["kwargs0", "kwargs1", "kwargs3", "kwargs4"],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(InvalidArgument):
             SolverSettings(**kwargs)
 
-    def test_boundary_values_accepted(self):
-        SolverSettings(abs_tol=5e-324, max_iter=1)
+    def test_boundary_values_accepted(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 1)
+        # one bisection step suffices when the first midpoint is the root
+        assert bisect(lambda x: x - 1.0, 0.0, 2.0, SolverSettings(abs_tol=5e-324)) == 1.0
 
 
 class TestIntegrateSemiinfinite:
@@ -147,10 +152,10 @@ class TestBisect:
         with pytest.raises(BracketError):
             bisect(lambda x: x + 1.0, 0.0, 5.0, SETTINGS)
 
-    def test_nonconvergent_when_iterations_exhausted(self):
-        tight = SolverSettings(abs_tol=1e-300, max_iter=5)
+    def test_nonconvergent_when_iterations_exhausted(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 5)
         with pytest.raises(NonConvergent):
-            bisect(lambda x: x - 2.0, 0.0, 5.0, tight)
+            bisect(lambda x: x - 2.0, 0.0, 5.0, SolverSettings(abs_tol=1e-300))
 
 
 class TestMaxMinProblem:

@@ -47,7 +47,7 @@ COMMAND_FLAGS = {
 def test_settings_and_flags_are_only_those_read():
     # A new knob needs a reader and a deliberate edit here.
     fields = tuple(field.name for field in dataclasses.fields(diamond_bottleneck.SolverSettings))
-    assert fields == ("abs_tol", "max_iter")
+    assert fields == ("abs_tol",)
     # every QCI ascent starts from the water-filling split: no start knob;
     # compute_point's warm_start accepts only None
     parameters = {

@@ -268,10 +268,10 @@ class TestOptimizeAllocation:
         assert result.lower_bound >= 0.85 * ub
         assert result.lower_bound == pytest.approx(11.885, abs=0.05)
 
-    def test_nonconvergent_at_tiny_iteration_cap(self):
-        tight = SolverSettings(max_iter=1)
+    def test_nonconvergent_at_tiny_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("diamond_bottleneck.qci"), "_MAX_ITER", 1)
         with pytest.raises(NonConvergent):
-            qci_lower_bound(4, SystemConfig(1e-4, 8.0, 8.0), tight)
+            qci_lower_bound(4, SystemConfig(1e-4, 8.0, 8.0), SETTINGS)
 
     def test_deterministic(self):
         config = SystemConfig(1e-3, 5.0, 5.0)
@@ -381,7 +381,8 @@ class TestAgainstRecordedFloor:
         assert worst >= -1e-9
 
     def test_no_ascent_reaches_the_cap(self, floor_rows):
-        assert max(now.iterations for _, now in floor_rows) < SETTINGS.max_iter
+        cap = importlib.import_module("diamond_bottleneck.qci")._MAX_ITER
+        assert max(now.iterations for _, now in floor_rows) < cap
 
     def test_fewer_iterations(self, floor_rows):
         before = sum(int(row["iterations"]) for row, _ in floor_rows)

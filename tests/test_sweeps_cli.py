@@ -10,6 +10,7 @@ import pytest
 
 from conftest import _child_env, parse_csv, run_cli
 
+import diamond_bottleneck.qci as qci
 import diamond_bottleneck.sweeps as sweeps
 import diamond_bottleneck.verify as verify
 from diamond_bottleneck.cli import main
@@ -185,9 +186,9 @@ class TestComputePoint:
 
 
     @pytest.mark.parametrize("snr_db, c", [(40.0, 10.0), (60.0, 4.0)])
-    def test_lock_step_failure_fails_only_its_cell(self, capsys, snr_db, c):
-        # at max_iter=2, J = 2 converges and J = 8 (or J = 4) does not
-        tight = SolverSettings(max_iter=2)
+    def test_lock_step_failure_fails_only_its_cell(self, monkeypatch, capsys, snr_db, c):
+        # capped at 2 iterations, J = 2 converges and J = 8 (or J = 4) does not
+        monkeypatch.setattr(qci, "_MAX_ITER", 2)
         config = SystemConfig(1.0 / db_to_linear(snr_db), c, c)
         schemes = ("qci_J2", "tci", "qci_J4", "qci_J8")
         expected, warnings = [], []
@@ -197,7 +198,7 @@ class TestComputePoint:
                     point = tci_best(config)
                     expected.append((point.rate, point.threshold))
                 else:
-                    allocation = qci_lower_bound(int(scheme[5:]), config, tight)
+                    allocation = qci_lower_bound(int(scheme[5:]), config, SETTINGS)
                     expected.append((allocation.lower_bound, allocation.iterations))
             except NonConvergent as error:
                 expected.append((None, None))
@@ -207,7 +208,7 @@ class TestComputePoint:
                 )
         assert expected[0][0] is not None and None in (expected[2][0], expected[3][0])
         capsys.readouterr()
-        results = compute_point(config, schemes, tight)
+        results = compute_point(config, schemes, SETTINGS)
         assert [(r.rate, r.diagnostic) for r in results] == expected
         assert capsys.readouterr().err.splitlines() == warnings
 
@@ -502,6 +503,25 @@ class TestCommandLine:
         assert result.returncode == 2, result.stderr
         assert f"error: {message}" in result.stderr
         assert not (tmp_path / "o.csv").exists()
+
+    def test_custom_axes_start_from_the_presets(
+        self, tmp_path, monkeypatch, capsys, fig2_runs, fig3_run
+    ):
+        # --sweep snr defaults to fig2's grid and budget, --sweep budget to
+        # fig3's grid and SNR
+        monkeypatch.chdir(tmp_path)
+
+        def written(args, name):
+            assert main(["sweep", *args]) == 0
+            return (tmp_path / name).read_bytes()
+
+        two = ["--scheme", "ub,tci"]
+        snr = written(["--sweep", "snr", *two], "sweep.csv")
+        assert snr == written(["--preset", "fig2", *two], "fig2.csv")
+        assert written(["--sweep", "budget"], "sweep.csv") == fig3_run[0]
+        head = written(["--sweep", "snr", "--stop", "10"], "sweep.csv")
+        assert head.splitlines() == fig2_runs[0].splitlines()[:7]
+        assert capsys.readouterr().err == ""
 
     def test_custom_snr_sweep_rejects_unequal_budgets(self, tmp_path):
         result = run_cli(
