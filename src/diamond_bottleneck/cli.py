@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Three subcommands: `bound` evaluates the requested schemes at a single
-operating point, `sweep` reproduces the preset curves (or a custom axis)
-as CSV, and `verify` runs the oracle self-checks.  Each accepts only the
-flags it reads.  Flags override values from an optional key=value config
-file, whose keys are checked like the flags; everything else falls back to
-documented defaults.
+operating point and `sweep` along a preset curve or a custom axis, both
+through one CSV row function; `verify` runs the oracle self-checks.
+Each input has one flag (the noise only `--snr-db`), and each subcommand
+and kind of sweep accepts only the flags it reads.  Flags override values
+from an optional key=value config file, whose keys are checked like the
+flags; everything else falls back to `bound`'s defaults or the presets.
 """
 
 from __future__ import annotations
@@ -18,45 +19,49 @@ from .errors import InvalidArgument
 from .numerics import SolverSettings
 from .sweeps import (
     SCHEMES,
-    SweepSpec,
+    check_schemes,
     fig2_spec,
     fig3_spec,
-    linear_to_db,
-    render_rows,
+    render_points,
     run_sweep,
+    write_csv,
 )
 
 _PRESETS = {"fig2": fig2_spec, "fig3": fig3_spec}
 # A custom axis starts from the preset on that axis; its flags override.
 _PRESET_OF_AXIS = {"snr": "fig2", "budget": "fig3"}
+_FROM_PRESETS = " or ".join(f"{preset}'s for {axis}" for axis, preset in _PRESET_OF_AXIS.items())
+# bound's operating point where its flags give none.
+_BOUND_DEFAULTS = {"snr_db": 0.0, "c1": 10.0}
 
 # Every flag by its key, the flag's name with '_' for '-'.  A config-file
 # value goes through the same type as its flag.
 _FLAGS = {
     "config": dict(help="key=value config file; flags override it"),
     "tol": dict(type=float, help="absolute solver tolerance (default 1e-9)"),
-    "sigma2": dict(type=float, help="noise power (default 1.0)"),
-    "snr_db": dict(type=float, help="SNR in dB; give this or --sigma2, not both"),
-    "c1": dict(type=float, help="budget of link 1 in bits (default 10)"),
+    "snr_db": dict(type=float, help=f"SNR in dB (default: {_BOUND_DEFAULTS['snr_db']:g} "
+                                    "for bound, fig3's for --sweep budget)"),
+    "c1": dict(type=float, help=f"budget of link 1 in bits (default: {_BOUND_DEFAULTS['c1']:g} "
+                                "for bound, fig2's for --sweep snr)"),
     "c2": dict(type=float, help="budget of link 2 in bits (default: c1)"),
     "scheme": dict(action="append",
                    help=f"scheme to evaluate, repeatable or comma-separated; "
                         f"one of {', '.join(SCHEMES)} (default: all)"),
     "out": dict(help="output CSV path"),
     "preset": dict(help="named sweep: fig2 (rate vs SNR) or fig3 (rate vs C)"),
-    "sweep": dict(help="custom axis: snr or budget (presets also accepted)"),
-    "start": dict(type=float, help="axis start (default 0)"),
-    "stop": dict(type=float, help="axis stop (default 60 dB or 25 bits)"),
-    "step": dict(type=float, help="axis step (default 2 dB or 1 bit)"),
+    "sweep": dict(help="custom axis: snr or budget"),
+    "start": dict(type=float, help=f"axis start (default: {_FROM_PRESETS})"),
+    "stop": dict(type=float, help=f"axis stop (default: {_FROM_PRESETS})"),
+    "step": dict(type=float, help=f"axis step (default: {_FROM_PRESETS})"),
     "seed": dict(type=int, help="RNG seed of the checks' random instances (default 0)"),
 }
-_POINT_FLAGS = ("config", "tol", "sigma2", "snr_db", "c1", "c2", "scheme", "out")
+_BOUND_FLAGS = ("config", "tol", "snr_db", "c1", "c2", "scheme", "out")
 
 # The flags each kind of sweep does not read, and so rejects.
 _UNREAD_BY_SWEEP = {
-    "preset": ("sigma2", "snr_db", "c1", "c2", "start", "stop", "step"),
-    "snr": ("sigma2", "snr_db"),
-    "budget": ("c1", "c2"),
+    "preset": ("snr_db", "c1", "start", "stop", "step"),
+    "snr": ("snr_db",),
+    "budget": ("c1",),
 }
 
 
@@ -108,48 +113,25 @@ def _settings(values: dict) -> SolverSettings:
 
 
 def _schemes(values: dict) -> tuple[str, ...]:
-    requested = values.get("scheme")
-    if not requested:
+    entries = values.get("scheme") or ["all"]
+    flat = tuple(part.strip() for entry in entries for part in entry.split(",") if part.strip())
+    if flat == ("all",):
         return SCHEMES
-    flat: list[str] = []
-    for entry in requested:
-        flat.extend(part.strip() for part in entry.split(",") if part.strip())
-    if flat == ["all"]:
-        return SCHEMES
-    for name in flat:
-        if name not in SCHEMES:
-            raise InvalidArgument(f"unknown scheme {name!r}; valid: {', '.join(SCHEMES)}")
-    return tuple(flat)
-
-
-def _snr_db(values: dict) -> float | None:
-    """The SNR in dB that --snr-db or --sigma2 sets; None when neither is given."""
-    if "snr_db" in values and "sigma2" in values:
-        raise InvalidArgument("--snr-db and --sigma2 both set the noise power; give one")
-    if "sigma2" not in values:
-        return values.get("snr_db")
-    if values["sigma2"] <= 0.0:
-        raise InvalidArgument("sigma2 must be positive")
-    return linear_to_db(1.0 / values["sigma2"])
+    check_schemes(flat)
+    return flat
 
 
 def _cmd_bound(values: dict) -> int:
-    snr_db = _snr_db(values)
-    c1 = values.get("c1", 10.0)
+    schemes = _schemes(values)
+    settings = _settings(values)
+    c1 = values.get("c1", _BOUND_DEFAULTS["c1"])
+    point = (values.get("snr_db", _BOUND_DEFAULTS["snr_db"]), c1, values.get("c2", c1))
+    lines = render_points([point], schemes, settings)
     out = values.get("out")
-    spec = SweepSpec(
-        mode="single",
-        schemes=_schemes(values),
-        settings=_settings(values),
-        output_path=out or "bound.csv",
-        fixed_c=c1,
-        fixed_c2=values.get("c2", c1),
-        fixed_snr_db=0.0 if snr_db is None else snr_db,
-    )
     if out:
-        run_sweep(spec)
+        write_csv(out, lines)
     else:
-        print("\n".join(render_rows(spec)))
+        print("\n".join(lines))
     return 0
 
 
@@ -164,8 +146,6 @@ def _cmd_sweep(values: dict) -> int:
     mode = values.get("sweep")
     if preset and mode:
         raise InvalidArgument("use either --preset or --sweep, not both")
-    if mode in _PRESETS:
-        preset, mode = mode, None
     if preset:
         if preset not in _PRESETS:
             raise InvalidArgument(f"unknown preset {preset!r}; valid: {', '.join(_PRESETS)}")
@@ -185,16 +165,11 @@ def _cmd_sweep(values: dict) -> int:
     spec = _PRESETS[name](out, settings)
     custom = {}
     if mode == "snr":
-        c1 = values.get("c1", spec.fixed_c)
-        if values.get("c2", c1) != c1:
-            raise InvalidArgument("snr sweeps use equal budgets; set --c1 only")
-        custom = dict(fixed_c=c1, snr_db_range=_axis_flags(values, spec.snr_db_range))
+        custom = dict(fixed_c=values.get("c1", spec.fixed_c),
+                      snr_db_range=_axis_flags(values, spec.snr_db_range))
     elif mode == "budget":
-        snr_db = _snr_db(values)
-        custom = dict(
-            budget_range=_axis_flags(values, spec.budget_range),
-            fixed_snr_db=spec.fixed_snr_db if snr_db is None else snr_db,
-        )
+        custom = dict(fixed_snr_db=values.get("snr_db", spec.fixed_snr_db),
+                      budget_range=_axis_flags(values, spec.budget_range))
     path = run_sweep(replace(spec, schemes=_schemes(values), **custom))
     print(f"wrote {path}")
     return 0
@@ -208,11 +183,12 @@ def _cmd_verify(values: dict) -> int:
 
 
 _COMMANDS = {
-    "bound": ("evaluate one operating point", _cmd_bound, _POINT_FLAGS),
+    "bound": ("evaluate one operating point", _cmd_bound, _BOUND_FLAGS),
     "sweep": (
         "write a CSV over an SNR or budget axis",
         _cmd_sweep,
-        _POINT_FLAGS + ("preset", "sweep", "start", "stop", "step"),
+        ("config", "tol", "snr_db", "c1", "scheme", "out",
+         "preset", "sweep", "start", "stop", "step"),
     ),
     "verify": (
         "run the oracle self-checks",

@@ -5,10 +5,10 @@ the requested bounds at every point, and writes one CSV row per point:
 axis columns first, then one rate column per scheme, then one diagnostic
 column per scheme.  Failed schemes, including those that return a
 non-finite rate, leave their cells empty and report on stderr; the other
-columns of the row are unaffected.  Each row is computed from its own
-point alone, so a sweep row equals the row `bound` prints at that point.
-No scheme draws random numbers, so every run of a spec gives a
-byte-identical file.
+columns of the row are unaffected.  Every row, of a sweep or of `bound`'s
+one point, comes from render_points and from its own point alone, so a
+sweep row equals the row `bound` prints at that point.  No scheme draws
+random numbers, so every run of a spec gives a byte-identical file.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -43,15 +43,27 @@ _DIAGNOSTIC_COLUMN = {
     "mmse": "mmse_halfwidth",
 }
 
-_MODES = ("snr_sweep", "budget_sweep", "single")
+_MODES = ("snr_sweep", "budget_sweep")
+
+# The most points a sweep axis may have.  The axis is listed before its first
+# point is evaluated, and a point takes milliseconds (fig2 has 31), so a longer
+# axis is a mistyped step, not a curve: this many already take minutes.
+_MAX_POINTS = 100_000
 
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    return 10.0 * math.log10(value)
+def check_schemes(schemes: tuple[str, ...]) -> None:
+    """Raise InvalidArgument unless there are schemes, each known and given once."""
+    if not schemes:
+        raise InvalidArgument("at least one scheme is required")
+    for k, scheme in enumerate(schemes):
+        if scheme not in SCHEMES:
+            raise InvalidArgument(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
+        if scheme in schemes[:k]:
+            raise InvalidArgument(f"scheme {scheme!r} is given twice")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,24 +97,16 @@ class SweepSpec:
     budget_range: tuple[float, float, float] | None = None
     fixed_c: float | None = None
     fixed_snr_db: float | None = None
-    fixed_c2: float | None = None  # single mode only; defaults to fixed_c
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise InvalidArgument(f"unknown sweep mode {self.mode!r}")
-        if not self.schemes:
-            raise InvalidArgument("at least one scheme is required")
-        for scheme in self.schemes:
-            if scheme not in SCHEMES:
-                raise InvalidArgument(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
+        check_schemes(self.schemes)
         if self.mode == "snr_sweep":
             self._check_range(self.snr_db_range, "snr_db_range")
             self._need(self.fixed_c, "fixed_c")
-        elif self.mode == "budget_sweep":
-            self._check_range(self.budget_range, "budget_range")
-            self._need(self.fixed_snr_db, "fixed_snr_db")
         else:
-            self._need(self.fixed_c, "fixed_c")
+            self._check_range(self.budget_range, "budget_range")
             self._need(self.fixed_snr_db, "fixed_snr_db")
 
     @staticmethod
@@ -121,6 +125,8 @@ class SweepSpec:
             raise InvalidArgument(f"{name} step must be positive")
         if start > stop:
             raise InvalidArgument(f"{name} start must not exceed stop")
+        if not _steps(rng) < _MAX_POINTS:  # an infinite count too
+            raise InvalidArgument(f"{name} has more than {_MAX_POINTS} points; raise its step")
 
 
 def fig2_spec(output_path: str = "fig2.csv", settings: SolverSettings | None = None) -> SweepSpec:
@@ -147,20 +153,22 @@ def fig3_spec(output_path: str = "fig3.csv", settings: SolverSettings | None = N
     )
 
 
-def _axis(rng: tuple[float, float, float]) -> list[float]:
+def _steps(rng: tuple[float, float, float]) -> float:
+    """Steps from start to stop, with slack for a stop that division rounds down."""
     start, stop, step = rng
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    return (stop - start) / step + 1e-9
+
+
+def _axis(rng: tuple[float, float, float]) -> list[float]:
+    start, _, step = rng
+    return [start + k * step for k in range(math.floor(_steps(rng)) + 1)]
 
 
 def sweep_points(spec: SweepSpec) -> list[tuple[float, float, float]]:
     """(snr_db, c1, c2) triples of the sweep, in row order."""
     if spec.mode == "snr_sweep":
         return [(db, spec.fixed_c, spec.fixed_c) for db in _axis(spec.snr_db_range)]
-    if spec.mode == "budget_sweep":
-        return [(spec.fixed_snr_db, c, c) for c in _axis(spec.budget_range)]
-    c2 = spec.fixed_c if spec.fixed_c2 is None else spec.fixed_c2
-    return [(spec.fixed_snr_db, spec.fixed_c, c2)]
+    return [(spec.fixed_snr_db, c, c) for c in _axis(spec.budget_range)]
 
 
 def compute_point(
@@ -225,23 +233,34 @@ def _cell(value: float | None) -> str:
     return format(float(value), ".9g")
 
 
-def render_rows(spec: SweepSpec) -> list[str]:
-    """Header plus one CSV line per sweep point, in sweep order."""
-    diag_columns = [_DIAGNOSTIC_COLUMN[s] for s in spec.schemes]
-    header = ",".join(["rho_db", "c_bits", *spec.schemes, *diag_columns])
-    lines = [header]
-    for snr_db, c1, c2 in sweep_points(spec):
+def render_points(
+    points: Iterable[tuple], schemes: tuple[str, ...], settings: SolverSettings
+) -> list[str]:
+    """Header plus one CSV line per (snr_db, c1, c2) point, each from its point
+    alone; the schemes are as check_schemes accepts them."""
+    diag_columns = [_DIAGNOSTIC_COLUMN[s] for s in schemes]
+    lines = [",".join(["rho_db", "c_bits", *schemes, *diag_columns])]
+    for snr_db, c1, c2 in points:
         config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
-        results = compute_point(config, spec.schemes, spec.settings)
+        results = compute_point(config, schemes, settings)
         rates = [_cell(r.rate) for r in results]
         diags = [_cell(r.diagnostic) for r in results]
         lines.append(",".join([_cell(snr_db), _cell(c1), *rates, *diags]))
     return lines
 
 
+def render_rows(spec: SweepSpec) -> list[str]:
+    """Header plus one CSV line per sweep point, in sweep order."""
+    return render_points(sweep_points(spec), spec.schemes, spec.settings)
+
+
+def write_csv(path: str, lines: list[str]) -> str:
+    """Write the lines, each ended by a newline; returns the path."""
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return path
+
+
 def run_sweep(spec: SweepSpec) -> str:
     """Run the sweep and write its CSV; returns the output path."""
-    lines = render_rows(spec)
-    with open(spec.output_path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return spec.output_path
+    return write_csv(spec.output_path, render_rows(spec))

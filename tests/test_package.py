@@ -14,7 +14,7 @@ import diamond_bottleneck
 from conftest import _child_env
 from diamond_bottleneck.cli import build_parser
 from diamond_bottleneck.qci import qci_lower_bounds
-from diamond_bottleneck.sweeps import compute_point
+from diamond_bottleneck.sweeps import SweepSpec, compute_point
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -36,9 +36,9 @@ def test_root_exports_library_api():
         assert hasattr(diamond_bottleneck, name)
 
 
-POINT_FLAGS = {"--config", "--tol", "--sigma2", "--snr-db", "--c1", "--c2", "--scheme", "--out"}
+POINT_FLAGS = {"--config", "--tol", "--snr-db", "--c1", "--scheme", "--out"}
 COMMAND_FLAGS = {
-    "bound": POINT_FLAGS,
+    "bound": POINT_FLAGS | {"--c2"},
     "sweep": POINT_FLAGS | {"--preset", "--sweep", "--start", "--stop", "--step"},
     "verify": {"--config", "--tol", "--seed"},
 }
@@ -67,7 +67,11 @@ def test_settings_and_flags_are_only_those_read():
     for name, parser in commands.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
-    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [8, 13, 3]
+    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [7, 11, 3]
+    assert [field.name for field in dataclasses.fields(SweepSpec)] == [
+        "mode", "schemes", "settings", "output_path",
+        "snr_db_range", "budget_range", "fixed_c", "fixed_snr_db",
+    ]
 
 
 def test_cli_leaves_verify_unimported():

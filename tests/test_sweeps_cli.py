@@ -24,8 +24,7 @@ from diamond_bottleneck.sweeps import (
     db_to_linear,
     fig2_spec,
     fig3_spec,
-    linear_to_db,
-    render_rows,
+    render_points,
     run_sweep,
     sweep_points,
     _cell,
@@ -38,15 +37,10 @@ SETTINGS = SolverSettings()
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def single_spec(snr_db, c1, c2=None, schemes=("ub", "tci")):
+def snr_spec(schemes, snr_db_range=(0.0, 60.0, 2.0)):
     return SweepSpec(
-        mode="single",
-        schemes=tuple(schemes),
-        settings=SETTINGS,
-        output_path="out.csv",
-        fixed_c=c1,
-        fixed_c2=c2,
-        fixed_snr_db=snr_db,
+        mode="snr_sweep", schemes=schemes, settings=SETTINGS,
+        output_path="x", snr_db_range=snr_db_range, fixed_c=10.0,
     )
 
 
@@ -58,7 +52,7 @@ class TestDbConversion:
 
     def test_round_trip(self):
         for db in (-7.0, 0.0, 13.5, 60.0):
-            assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+            assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
 
 class TestSweepSpecValidation:
@@ -68,11 +62,16 @@ class TestSweepSpecValidation:
 
     def test_empty_schemes(self):
         with pytest.raises(InvalidArgument):
-            single_spec(10.0, 5.0, schemes=())
+            snr_spec(())
 
     def test_unknown_scheme(self):
         with pytest.raises(InvalidArgument):
-            single_spec(10.0, 5.0, schemes=("ub", "magic"))
+            snr_spec(("ub", "magic"))
+
+    @pytest.mark.parametrize("schemes", [("ub", "ub"), ("tci", "ub", "mmse", "tci")])
+    def test_repeated_scheme(self, schemes):
+        with pytest.raises(InvalidArgument, match="is given twice"):
+            snr_spec(schemes)
 
     def test_snr_mode_needs_range_and_budget(self):
         with pytest.raises(InvalidArgument):
@@ -100,10 +99,22 @@ class TestSweepSpecValidation:
             (nan, 60.0, 2.0), (0.0, inf, 2.0), (-inf, 60.0, 2.0), (0.0, 60.0, inf),
         ]:
             with pytest.raises(InvalidArgument):
-                SweepSpec(
-                    mode="snr_sweep", schemes=SCHEMES, settings=SETTINGS,
-                    output_path="x", snr_db_range=rng, fixed_c=10.0,
-                )
+                snr_spec(SCHEMES, rng)
+
+    @pytest.mark.parametrize(
+        "rng",
+        [(0.0, 60.0, 5e-324), (0.0, 60.0, 1e-300), (-1e308, 1e308, 1.0),
+         (0.0, sweeps._MAX_POINTS, 1.0)],
+        ids=["subnormal-step", "tiny-step", "overflowing-span", "one-too-many"],
+    )
+    def test_point_count_bounded(self, rng):
+        # rejected when the spec is built, before any point is listed
+        with pytest.raises(InvalidArgument, match="points"):
+            snr_spec(("ub",), rng)
+
+    def test_largest_point_count_accepted(self):
+        spec = snr_spec(("ub",), (0.0, sweeps._MAX_POINTS - 1.0, 1.0))
+        assert len(sweep_points(spec)) == sweeps._MAX_POINTS
 
 
 class TestSweepPoints:
@@ -121,10 +132,6 @@ class TestSweepPoints:
         assert points[0] == (40.0, 0.0, 0.0)
         assert points[-1] == (40.0, 25.0, 25.0)
         assert all(db == 40.0 for db, _, _ in points)
-
-    def test_single_point_default_c2(self):
-        assert sweep_points(single_spec(12.0, 4.0)) == [(12.0, 4.0, 4.0)]
-        assert sweep_points(single_spec(12.0, 4.0, 6.0)) == [(12.0, 4.0, 6.0)]
 
     def test_inclusive_endpoint_with_float_step(self):
         spec = SweepSpec(
@@ -214,8 +221,10 @@ class TestComputePoint:
 
 
 class TestRenderRows:
+    POINT = [(10.0, 3.0, 3.0)]
+
     def test_header_layout(self):
-        lines = render_rows(single_spec(10.0, 3.0))
+        lines = render_points(self.POINT, ("ub", "tci"), SETTINGS)
         assert lines[0] == "rho_db,c_bits,ub,tci,ub_residual,tci_threshold"
         assert len(lines) == 2
         cells = lines[1].split(",")
@@ -229,7 +238,7 @@ class TestRenderRows:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(sweeps, "upper_bound", explode)
-        lines = render_rows(single_spec(10.0, 3.0))
+        lines = render_points(self.POINT, ("ub", "tci"), SETTINGS)
         cells = lines[1].split(",")
         assert cells[2] == "" and cells[4] == ""
         assert cells[3] != "" and cells[5] != ""
@@ -273,10 +282,20 @@ class TestCommandLine:
         assert rows[0]["c_bits"] == 10.0
 
     def test_bound_sigma2_flag(self, tmp_path):
+        # a noise power X is --snr-db 10*log10(1/X); --sigma2 is no flag
         result = run_cli(["bound", "--sigma2", "0.01", "--scheme", "ub"], tmp_path)
-        assert result.returncode == 0, result.stderr
-        rows = parse_csv(result.stdout.encode())
-        assert rows[0]["rho_db"] == pytest.approx(20.0, abs=1e-9)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "unrecognized arguments: --sigma2 0.01" in result.stderr
+
+    def test_bound_c2_defaults_to_c1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for extra in ([], ["--c2", "4"], ["--c2", "6"]):
+            assert main(["bound", "--c1", "4", "--scheme", "ub,tci", *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out != outputs[2].out
 
     @pytest.mark.parametrize(
         "command, flags, lines",
@@ -288,16 +307,63 @@ class TestCommandLine:
         ],
         ids=["flags", "flag-and-file", "file", "budget-sweep"],
     )
-    def test_sigma2_and_snr_db_together_exit_2(
-        self, tmp_path, monkeypatch, capsys, command, flags, lines
-    ):
-        monkeypatch.chdir(tmp_path)
+    def test_sigma2_and_snr_db_together_exit_2(self, tmp_path, command, flags, lines):
+        # --snr-db is the one noise input: --sigma2 is neither a flag nor a
+        # config key, beside --snr-db or not
         (tmp_path / "run.cfg").write_text(lines)
-        assert main([command, *flags, "--config", "run.cfg", "--scheme", "ub"]) == 2
+        result = run_cli([command, *flags, "--config", "run.cfg", "--scheme", "ub"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "sigma2" in result.stderr.splitlines()[-1]
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (["sweep", "--sigma2", "0.01"], None),
+            (["sweep", "--sweep", "fig2"], None),
+            (["sweep", "--sweep", "snr", "--c2", "10"], None),
+            (["sweep", "--sweep", "snr"], "c2 = 10\n"),
+        ],
+        ids=["sigma2", "preset-as-sweep", "c2", "c2-in-config"],
+    )
+    def test_removed_spelling_exits_2(self, tmp_path, args, config):
+        # --snr-db is the one noise flag, --preset the one preset flag, and
+        # no sweep reads a second budget
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            args = [*args, "--config", "run.cfg"]
+        result = run_cli([*args, "--scheme", "ub", "--out", "o.csv"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "error:" in result.stderr
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "schemes", [["--scheme", "ub,ub"], ["--scheme", "ub,tci", "--scheme", "ub"]]
+    )
+    def test_repeated_scheme_exits_2(self, tmp_path, monkeypatch, capsys, schemes):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bound", "--snr-db", "10", *schemes]) == 2
+        assert main(["sweep", "--sweep", "snr", "--stop", "2", *schemes]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "--snr-db and --sigma2" in err
-        assert not list(tmp_path.glob("*.csv"))
+        assert err.count("error: scheme 'ub' is given twice") == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_overlong_sweep_axis_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a step whose point count overflows; a merely huge count (step
+        # 1e-300) is left to test_point_count_bounded, which lists no axis
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sweeps, "compute_point", unreachable)
+        assert main(["sweep", "--sweep", "snr", "--step", "5e-324"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: snr_db_range has more than" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
     def test_zero_setting_exits_2(self, tmp_path, flag):
@@ -524,20 +590,11 @@ class TestCommandLine:
         assert capsys.readouterr().err == ""
 
     def test_custom_snr_sweep_rejects_unequal_budgets(self, tmp_path):
+        # sweep has no --c2: both budgets of an snr sweep are --c1
         result = run_cli(
             ["sweep", "--sweep", "snr", "--c1", "4", "--c2", "6"], tmp_path
         )
         assert result.returncode == 2, result.stderr
-
-    def test_preset_name_accepted_as_sweep_value(self, tmp_path):
-        result = run_cli(
-            ["sweep", "--sweep", "fig3", "--scheme", "ub", "--out", "f.csv"],
-            tmp_path,
-        )
-        assert result.returncode == 0, result.stderr
-        rows = parse_csv((tmp_path / "f.csv").read_bytes())
-        assert len(rows) == 26
-        assert set(rows[0]) == {"rho_db", "c_bits", "ub", "ub_residual"}
 
     def test_repeatable_scheme_flag(self, tmp_path):
         result = run_cli(
@@ -665,9 +722,9 @@ class TestPresetGolden:
 
 
 class TestRowsStandAlone:
-    """Every preset row equals, byte for byte, the row that a one-point spec
-    renders at its point, which is what `bound` prints: no row depends on
-    the rows before it."""
+    """Every preset row equals, byte for byte, the row that render_points
+    gives for its point alone, which is what `bound` prints: no row depends
+    on the rows before it."""
 
     @staticmethod
     def check(data: bytes, spec: SweepSpec) -> None:
@@ -675,7 +732,7 @@ class TestRowsStandAlone:
         points = sweep_points(spec)
         assert len(lines) == len(points) + 1
         for line, (snr_db, c1, c2) in zip(lines[1:], points):
-            assert render_rows(single_spec(snr_db, c1, c2, SCHEMES)) == [lines[0], line]
+            assert render_points([(snr_db, c1, c2)], SCHEMES, SETTINGS) == [lines[0], line]
 
     def test_fig2(self, fig2_runs):
         self.check(fig2_runs[0], fig2_spec())
