@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Three subcommands: `bound` evaluates the requested schemes at a single
-operating point and `sweep` along a preset curve or a custom axis, both
-through one CSV row function; `verify` runs the oracle self-checks.
-Each input has one flag (the noise only `--snr-db`), and each subcommand
-and kind of sweep accepts only the flags it reads.  Flags override values
-from an optional key=value config file, whose keys are checked like the
-flags; everything else falls back to `bound`'s defaults or the presets.
+operating point and `sweep` along a preset's curve, both through one CSV
+row function; `verify` runs the oracle self-checks.  Each input has one
+flag (the noise only `--snr-db`), and each subcommand and preset accepts
+only the flags it reads.  Flags override values from an optional
+key=value config file, whose keys are checked like the flags; everything
+else falls back to `bound`'s defaults or the preset's.
 """
 
 from __future__ import annotations
@@ -27,10 +27,14 @@ from .sweeps import (
     write_csv,
 )
 
-_PRESETS = {"fig2": fig2_spec, "fig3": fig3_spec}
-# A custom axis starts from the preset on that axis; its flags override.
-_PRESET_OF_AXIS = {"snr": "fig2", "budget": "fig3"}
-_FROM_PRESETS = " or ".join(f"{preset}'s for {axis}" for axis, preset in _PRESET_OF_AXIS.items())
+# Each preset with the SweepSpec field of its axis, which --start, --stop and
+# --step move, and its fixed input: the SweepSpec field and the flag's key.
+# A preset rejects the other preset's fixed input.
+_PRESETS = {
+    "fig2": (fig2_spec, "snr_db_range", "fixed_c", "c1"),
+    "fig3": (fig3_spec, "budget_range", "fixed_snr_db", "snr_db"),
+}
+_AXIS_KEYS = ("start", "stop", "step")
 # bound's operating point where its flags give none.
 _BOUND_DEFAULTS = {"snr_db": 0.0, "c1": 10.0}
 
@@ -40,29 +44,21 @@ _FLAGS = {
     "config": dict(help="key=value config file; flags override it"),
     "tol": dict(type=float, help="absolute solver tolerance (default 1e-9)"),
     "snr_db": dict(type=float, help=f"SNR in dB (default: {_BOUND_DEFAULTS['snr_db']:g} "
-                                    "for bound, fig3's for --sweep budget)"),
+                                    "for bound, the preset's for --preset fig3)"),
     "c1": dict(type=float, help=f"budget of link 1 in bits (default: {_BOUND_DEFAULTS['c1']:g} "
-                                "for bound, fig2's for --sweep snr)"),
+                                "for bound, the preset's for --preset fig2)"),
     "c2": dict(type=float, help="budget of link 2 in bits (default: c1)"),
     "scheme": dict(action="append",
                    help=f"scheme to evaluate, repeatable or comma-separated; "
                         f"one of {', '.join(SCHEMES)} (default: all)"),
     "out": dict(help="output CSV path"),
-    "preset": dict(help="named sweep: fig2 (rate vs SNR) or fig3 (rate vs C)"),
-    "sweep": dict(help="custom axis: snr or budget"),
-    "start": dict(type=float, help=f"axis start (default: {_FROM_PRESETS})"),
-    "stop": dict(type=float, help=f"axis stop (default: {_FROM_PRESETS})"),
-    "step": dict(type=float, help=f"axis step (default: {_FROM_PRESETS})"),
+    "preset": dict(help="fig2 (rate vs SNR, at --c1) or fig3 (rate vs C, at --snr-db)"),
+    "start": dict(type=float, help="axis start (default: the preset's)"),
+    "stop": dict(type=float, help="axis stop (default: the preset's)"),
+    "step": dict(type=float, help="axis step (default: the preset's)"),
     "seed": dict(type=int, help="RNG seed of the checks' random instances (default 0)"),
 }
 _BOUND_FLAGS = ("config", "tol", "snr_db", "c1", "c2", "scheme", "out")
-
-# The flags each kind of sweep does not read, and so rejects.
-_UNREAD_BY_SWEEP = {
-    "preset": ("snr_db", "c1", "start", "stop", "step"),
-    "snr": ("snr_db",),
-    "budget": ("c1",),
-}
 
 
 def _flag(key: str) -> str:
@@ -135,41 +131,24 @@ def _cmd_bound(values: dict) -> int:
     return 0
 
 
-def _axis_flags(values: dict, preset_range: tuple) -> tuple:
-    """(start, stop, step): each flag given, else the preset's value."""
-    return tuple(values.get(key, v) for key, v in zip(("start", "stop", "step"), preset_range))
-
-
 def _cmd_sweep(values: dict) -> int:
     settings = _settings(values)
     preset = values.get("preset")
-    mode = values.get("sweep")
-    if preset and mode:
-        raise InvalidArgument("use either --preset or --sweep, not both")
-    if preset:
-        if preset not in _PRESETS:
-            raise InvalidArgument(f"unknown preset {preset!r}; valid: {', '.join(_PRESETS)}")
-        kind, label = "preset", f"preset {preset}"
-    elif mode in _PRESET_OF_AXIS:
-        kind, label = mode, f"--sweep {mode}"
-    elif mode is None:
-        raise InvalidArgument("sweep needs --preset fig2|fig3 or --sweep snr|budget")
-    else:
-        raise InvalidArgument(f"unknown sweep mode {mode!r}; valid: snr, budget")
-    unread = [_flag(key) for key in _UNREAD_BY_SWEEP[kind] if key in values]
+    if preset not in _PRESETS:
+        given = f", not {preset!r}" if preset else ""
+        raise InvalidArgument(f"sweep needs --preset {' or '.join(_PRESETS)}{given}")
+    make_spec, axis, fixed, fixed_key = _PRESETS[preset]
+    unread = [_flag(key) for *_, key in _PRESETS.values() if key != fixed_key and key in values]
     if unread:
-        raise InvalidArgument(f"{label} does not read {', '.join(unread)}")
+        raise InvalidArgument(f"preset {preset} does not read {', '.join(unread)}")
 
-    name = preset or _PRESET_OF_AXIS[mode]
-    out = values.get("out") or (f"{name}.csv" if preset else "sweep.csv")
-    spec = _PRESETS[name](out, settings)
-    custom = {}
-    if mode == "snr":
-        custom = dict(fixed_c=values.get("c1", spec.fixed_c),
-                      snr_db_range=_axis_flags(values, spec.snr_db_range))
-    elif mode == "budget":
-        custom = dict(fixed_snr_db=values.get("snr_db", spec.fixed_snr_db),
-                      budget_range=_axis_flags(values, spec.budget_range))
+    # A moved preset writes sweep.csv, so it never overwrites the preset's file.
+    moved = any(key in values for key in (*_AXIS_KEYS, fixed_key))
+    spec = make_spec(values.get("out") or ("sweep.csv" if moved else f"{preset}.csv"), settings)
+    custom = {
+        axis: tuple(values.get(key, v) for key, v in zip(_AXIS_KEYS, getattr(spec, axis))),
+        fixed: values.get(fixed_key, getattr(spec, fixed)),
+    }
     path = run_sweep(replace(spec, schemes=_schemes(values), **custom))
     print(f"wrote {path}")
     return 0
@@ -185,10 +164,9 @@ def _cmd_verify(values: dict) -> int:
 _COMMANDS = {
     "bound": ("evaluate one operating point", _cmd_bound, _BOUND_FLAGS),
     "sweep": (
-        "write a CSV over an SNR or budget axis",
+        "write a preset's CSV over its SNR or budget axis",
         _cmd_sweep,
-        ("config", "tol", "snr_db", "c1", "scheme", "out",
-         "preset", "sweep", "start", "stop", "step"),
+        ("config", "tol", "snr_db", "c1", "scheme", "out", "preset", *_AXIS_KEYS),
     ),
     "verify": (
         "run the oracle self-checks",

@@ -43,6 +43,9 @@ _DIAGNOSTIC_COLUMN = {
     "mmse": "mmse_halfwidth",
 }
 
+# The cell count J of each quantized scheme, read from its name in SCHEMES.
+_QCI_CELLS = {s: int(s.removeprefix("qci_J")) for s in SCHEMES if s.startswith("qci_J")}
+
 _MODES = ("snr_sweep", "budget_sweep")
 
 # The most points a sweep axis may have.  The axis is listed before its first
@@ -52,7 +55,15 @@ _MAX_POINTS = 100_000
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(dB/10), checked to be a finite normal float so that its
+    reciprocal, the noise power, is finite too: about -3076 to 3082 dB."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+        if sys.float_info.min <= linear < math.inf:
+            return linear
+    except OverflowError:
+        pass
+    raise InvalidArgument(f"SNR {db:g} dB is out of range (about -3076 to 3082 dB)")
 
 
 def check_schemes(schemes: tuple[str, ...]) -> None:
@@ -105,9 +116,13 @@ class SweepSpec:
         if self.mode == "snr_sweep":
             self._check_range(self.snr_db_range, "snr_db_range")
             self._need(self.fixed_c, "fixed_c")
+            snr_db = self.snr_db_range[:2]
         else:
             self._check_range(self.budget_range, "budget_range")
             self._need(self.fixed_snr_db, "fixed_snr_db")
+            snr_db = (self.fixed_snr_db,)
+        for db in snr_db:  # rejected here, before any point is evaluated
+            db_to_linear(db)
 
     @staticmethod
     def _need(value, name: str) -> None:
@@ -192,8 +207,8 @@ def compute_point(
     if warm_start is not None:
         raise InvalidArgument("compute_point has no warm start; pass warm_start=None or omit it")
     schemes = tuple(schemes)
-    quantized = [s for s in dict.fromkeys(schemes) if s.startswith("qci_J") and s[5:].isdigit()]
-    outcomes = qci_lower_bounds([int(s[5:]) for s in quantized], config, settings)
+    quantized = [s for s in dict.fromkeys(schemes) if s in _QCI_CELLS]
+    outcomes = qci_lower_bounds([_QCI_CELLS[s] for s in quantized], config, settings)
     allocations = dict(zip(quantized, outcomes))
     results = []
     for scheme in schemes:

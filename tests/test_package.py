@@ -1,9 +1,11 @@
-"""The package root's API, the command line's flags, and the demo scripts
-that import past the root."""
+"""The package root's API, the command line's flags and README commands,
+and the demo scripts that import past the root."""
 
 import argparse
 import dataclasses
 import inspect
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,8 @@ from diamond_bottleneck.cli import build_parser
 from diamond_bottleneck.qci import qci_lower_bounds
 from diamond_bottleneck.sweeps import SweepSpec, compute_point
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 LIBRARY_API = {
     # problem, settings, bounds and the fixed-fading rate
@@ -39,7 +42,7 @@ def test_root_exports_library_api():
 POINT_FLAGS = {"--config", "--tol", "--snr-db", "--c1", "--scheme", "--out"}
 COMMAND_FLAGS = {
     "bound": POINT_FLAGS | {"--c2"},
-    "sweep": POINT_FLAGS | {"--preset", "--sweep", "--start", "--stop", "--step"},
+    "sweep": POINT_FLAGS | {"--preset", "--start", "--stop", "--step"},
     "verify": {"--config", "--tol", "--seed"},
 }
 
@@ -67,11 +70,36 @@ def test_settings_and_flags_are_only_those_read():
     for name, parser in commands.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
-    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [7, 11, 3]
+    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [7, 10, 3]
     assert [field.name for field in dataclasses.fields(SweepSpec)] == [
         "mode", "schemes", "settings", "output_path",
         "snr_db_range", "budget_range", "fixed_c", "fixed_snr_db",
     ]
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `diamond-bottleneck` command in README.md's sh
+    blocks, with continuation lines joined and comments dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["diamond-bottleneck"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # parsed only, nothing is evaluated: a flag the parser lacks exits 2
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"bound", "sweep", "verify"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: diamond-bottleneck {shlex.join(argv)}")
 
 
 def test_cli_leaves_verify_unimported():

@@ -54,6 +54,17 @@ class TestDbConversion:
         for db in (-7.0, 0.0, 13.5, 60.0):
             assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
+    def test_in_range_bits_kept(self):
+        for db in (-3076.0, -300.0, -60.0, 0.0, 13.5, 150.0, 3082.0):
+            assert db_to_linear(db) == 10.0 ** (db / 10.0)
+
+    @pytest.mark.parametrize("db", [3083.0, 4000.0, -3077.0, -4000.0, math.inf, -math.inf, math.nan])
+    def test_out_of_range_raises(self, db):
+        # 10^(dB/10) overflows, or is too small for its reciprocal, the noise
+        # power, to be finite
+        with pytest.raises(InvalidArgument, match="out of range"):
+            db_to_linear(db)
+
 
 class TestSweepSpecValidation:
     def test_unknown_mode(self):
@@ -112,8 +123,23 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidArgument, match="points"):
             snr_spec(("ub",), rng)
 
+    def test_snr_out_of_range(self):
+        # each end of the SNR axis, and a budget sweep's SNR, through db_to_linear
+        for rng in [(0.0, 4000.0, 2.0), (-4000.0, 0.0, 2.0)]:
+            with pytest.raises(InvalidArgument, match="4000 dB is out of range"):
+                snr_spec(("ub",), rng)
+        with pytest.raises(InvalidArgument, match="4000 dB is out of range"):
+            SweepSpec(
+                mode="budget_sweep", schemes=("ub",), settings=SETTINGS, output_path="x",
+                budget_range=(0.0, 25.0, 1.0), fixed_snr_db=4000.0,
+            )
+
     def test_largest_point_count_accepted(self):
-        spec = snr_spec(("ub",), (0.0, sweeps._MAX_POINTS - 1.0, 1.0))
+        # on a budget axis: an SNR axis this long would leave the dB range
+        spec = SweepSpec(
+            mode="budget_sweep", schemes=("ub",), settings=SETTINGS, output_path="x",
+            budget_range=(0.0, sweeps._MAX_POINTS - 1.0, 1.0), fixed_snr_db=20.0,
+        )
         assert len(sweep_points(spec)) == sweeps._MAX_POINTS
 
 
@@ -177,6 +203,26 @@ class TestComputePoint:
         assert compute_point(config, ("qci_J2",), SETTINGS, warm_start=None) == alone
         with pytest.raises(InvalidArgument):
             compute_point(config, ("qci_J2",), SETTINGS, warm_start={})
+
+    def test_only_listed_schemes_are_evaluated(self, monkeypatch, capsys):
+        # qci_J3 and qci_J016 are spelled like quantized schemes but are not
+        # in SCHEMES: each fails its own cell, and only qci_J2's ascent runs
+        config = SystemConfig(1e-2, 4.0, 4.0)
+        alone = compute_point(config, ("qci_J2",), SETTINGS)
+        requested = []
+
+        def spy(cells, config, settings):
+            requested.append(list(cells))
+            return qci.qci_lower_bounds(cells, config, settings)
+
+        monkeypatch.setattr(sweeps, "qci_lower_bounds", spy)
+        results = compute_point(config, ("qci_J3", "qci_J2", "qci_J016"), SETTINGS)
+        assert requested == [[2]]
+        assert results[1] == alone[0]
+        for result in (results[0], results[2]):
+            assert result.rate is None and result.diagnostics == {}
+        err = capsys.readouterr().err
+        assert "unknown scheme 'qci_J3'" in err and "unknown scheme 'qci_J016'" in err
 
     def test_failure_isolated_to_one_cell(self, monkeypatch, capsys):
         def explode(config, settings):
@@ -303,7 +349,7 @@ class TestCommandLine:
             ("bound", ["--sigma2", "0.01", "--snr-db", "10"], ""),
             ("bound", ["--snr-db", "10"], "sigma2 = 0.01\n"),
             ("bound", [], "snr-db = 10\nsigma2 = 0.01\n"),
-            ("sweep", ["--sweep", "budget", "--sigma2", "0.01"], "snr_db = 10\n"),
+            ("sweep", ["--preset", "fig3", "--sigma2", "0.01"], "snr_db = 10\n"),
         ],
         ids=["flags", "flag-and-file", "file", "budget-sweep"],
     )
@@ -322,13 +368,14 @@ class TestCommandLine:
         [
             (["sweep", "--sigma2", "0.01"], None),
             (["sweep", "--sweep", "fig2"], None),
-            (["sweep", "--sweep", "snr", "--c2", "10"], None),
-            (["sweep", "--sweep", "snr"], "c2 = 10\n"),
+            (["sweep", "--sweep", "snr"], None),
+            (["sweep", "--preset", "fig2", "--c2", "10"], None),
+            (["sweep", "--preset", "fig2"], "c2 = 10\n"),
         ],
-        ids=["sigma2", "preset-as-sweep", "c2", "c2-in-config"],
+        ids=["sigma2", "preset-as-sweep", "sweep", "c2", "c2-in-config"],
     )
     def test_removed_spelling_exits_2(self, tmp_path, args, config):
-        # --snr-db is the one noise flag, --preset the one preset flag, and
+        # --snr-db is the one noise flag, --preset the one sweep selector, and
         # no sweep reads a second budget
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)
@@ -345,7 +392,7 @@ class TestCommandLine:
     def test_repeated_scheme_exits_2(self, tmp_path, monkeypatch, capsys, schemes):
         monkeypatch.chdir(tmp_path)
         assert main(["bound", "--snr-db", "10", *schemes]) == 2
-        assert main(["sweep", "--sweep", "snr", "--stop", "2", *schemes]) == 2
+        assert main(["sweep", "--preset", "fig2", "--stop", "2", *schemes]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("error: scheme 'ub' is given twice") == 2
@@ -359,10 +406,33 @@ class TestCommandLine:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sweeps, "compute_point", unreachable)
-        assert main(["sweep", "--sweep", "snr", "--step", "5e-324"]) == 2
+        assert main(["sweep", "--preset", "fig2", "--step", "5e-324"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: snr_db_range has more than" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "--snr-db", "4000"],
+            ["bound", "--snr-db", "-4000"],
+            ["sweep", "--preset", "fig3", "--snr-db", "4000"],
+            ["sweep", "--preset", "fig2", "--stop", "4000"],
+        ],
+        ids=["bound-high", "bound-low", "fig3-snr", "fig2-stop"],
+    )
+    def test_out_of_range_snr_exits_2(self, tmp_path, monkeypatch, capsys, args):
+        # 10^(dB/10) overflows or underflows: rejected before any point
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sweeps, "compute_point", unreachable)
+        assert main([*args, "--scheme", "ub", "--out", "o.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "dB is out of range" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
@@ -505,8 +575,8 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "axis",
         [
-            ["--sweep", "budget", "--start", "nan", "--stop", "2"],
-            ["--sweep", "snr", "--stop", "inf"],
+            ["--preset", "fig3", "--start", "nan", "--stop", "2"],
+            ["--preset", "fig2", "--stop", "inf"],
         ],
     )
     def test_nonfinite_sweep_axis_exits_2(self, tmp_path, axis):
@@ -516,15 +586,15 @@ class TestCommandLine:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "o.csv").exists()  # no point was evaluated
 
-    def test_sweep_needs_mode(self, tmp_path):
-        result = run_cli(["sweep"], tmp_path)
-        assert result.returncode == 2, result.stderr
-
-    def test_sweep_rejects_preset_plus_mode(self, tmp_path):
-        result = run_cli(
-            ["sweep", "--preset", "fig2", "--sweep", "snr"], tmp_path
-        )
-        assert result.returncode == 2, result.stderr
+    def test_sweep_needs_mode(self, tmp_path, monkeypatch, capsys):
+        # --preset is the only selector: axis flags alone pick no axis
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep"]) == 2
+        assert main(["sweep", "--stop", "10", "--scheme", "ub", "--out", "o.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error: sweep needs --preset fig2 or fig3\n") == 2
+        assert not list(tmp_path.iterdir())
 
     def test_sweep_unknown_preset(self, tmp_path):
         result = run_cli(["sweep", "--preset", "fig9"], tmp_path)
@@ -533,7 +603,7 @@ class TestCommandLine:
     def test_custom_budget_sweep(self, tmp_path):
         result = run_cli(
             [
-                "sweep", "--sweep", "budget", "--start", "2", "--stop", "4",
+                "sweep", "--preset", "fig3", "--start", "2", "--stop", "4",
                 "--step", "1", "--scheme", "ub", "--out", "o.csv",
             ],
             tmp_path,
@@ -548,10 +618,11 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "mode, unread, message",
         [
-            (["--preset", "fig3"], {"c1": "3", "snr-db": "10"},
-             "preset fig3 does not read --snr-db, --c1"),
-            (["--sweep", "snr"], {"snr-db": "30"}, "--sweep snr does not read --snr-db"),
-            (["--sweep", "budget"], {"c1": "4"}, "--sweep budget does not read --c1"),
+            # the fixed input and axis it reads pass; the other preset's is named
+            (["--preset", "fig2"], {"c1": "3", "stop": "10", "snr-db": "10"},
+             "preset fig2 does not read --snr-db"),
+            (["--preset", "fig2"], {"snr-db": "30"}, "preset fig2 does not read --snr-db"),
+            (["--preset", "fig3"], {"c1": "4"}, "preset fig3 does not read --c1"),
         ],
         ids=["preset", "snr", "budget"],
     )
@@ -573,8 +644,8 @@ class TestCommandLine:
     def test_custom_axes_start_from_the_presets(
         self, tmp_path, monkeypatch, capsys, fig2_runs, fig3_run
     ):
-        # --sweep snr defaults to fig2's grid and budget, --sweep budget to
-        # fig3's grid and SNR
+        # an axis or fixed-input flag changes only what it gives, and writes
+        # sweep.csv, so a custom curve never overwrites the preset's file
         monkeypatch.chdir(tmp_path)
 
         def written(args, name):
@@ -582,17 +653,19 @@ class TestCommandLine:
             return (tmp_path / name).read_bytes()
 
         two = ["--scheme", "ub,tci"]
-        snr = written(["--sweep", "snr", *two], "sweep.csv")
-        assert snr == written(["--preset", "fig2", *two], "fig2.csv")
-        assert written(["--sweep", "budget"], "sweep.csv") == fig3_run[0]
-        head = written(["--sweep", "snr", "--stop", "10"], "sweep.csv")
+        fig2 = written(["--preset", "fig2", *two], "fig2.csv")
+        assert written(["--preset", "fig2", "--c1", "10", *two], "sweep.csv") == fig2
+        assert written(["--preset", "fig3", "--snr-db", "40"], "sweep.csv") == fig3_run[0]
+        head = written(["--preset", "fig2", "--stop", "10"], "sweep.csv")
         assert head.splitlines() == fig2_runs[0].splitlines()[:7]
+        assert (tmp_path / "fig2.csv").read_bytes() == fig2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fig2.csv", "sweep.csv"]
         assert capsys.readouterr().err == ""
 
     def test_custom_snr_sweep_rejects_unequal_budgets(self, tmp_path):
         # sweep has no --c2: both budgets of an snr sweep are --c1
         result = run_cli(
-            ["sweep", "--sweep", "snr", "--c1", "4", "--c2", "6"], tmp_path
+            ["sweep", "--preset", "fig2", "--c1", "4", "--c2", "6"], tmp_path
         )
         assert result.returncode == 2, result.stderr
 
