@@ -38,10 +38,20 @@ _AXIS_KEYS = ("start", "stop", "step")
 # bound's operating point where its flags give none.
 _BOUND_DEFAULTS = {"snr_db": 0.0, "c1": 10.0}
 
+
+def path(text: str) -> str:
+    """A file path from a flag or a config line.  An empty one is an error,
+    never a request for the default; argparse's message names this type
+    ("invalid path value")."""
+    if not text:
+        raise InvalidArgument("empty path")
+    return text
+
+
 # Every flag by its key, the flag's name with '_' for '-'.  A config-file
 # value goes through the same type as its flag.
 _FLAGS = {
-    "config": dict(help="key=value config file; flags override it"),
+    "config": dict(type=path, help="key=value config file; flags override it"),
     "tol": dict(type=float, help="absolute solver tolerance (default 1e-9)"),
     "snr_db": dict(type=float, help=f"SNR in dB (default: {_BOUND_DEFAULTS['snr_db']:g} "
                                     "for bound, the preset's for --preset fig3)"),
@@ -51,7 +61,7 @@ _FLAGS = {
     "scheme": dict(action="append",
                    help=f"scheme to evaluate, repeatable or comma-separated; "
                         f"one of {', '.join(SCHEMES)} (default: all)"),
-    "out": dict(help="output CSV path"),
+    "out": dict(type=path, help="output CSV path"),
     "preset": dict(help="fig2 (rate vs SNR, at --c1) or fig3 (rate vs C, at --snr-db)"),
     "start": dict(type=float, help="axis start (default: the preset's)"),
     "stop": dict(type=float, help="axis stop (default: the preset's)"),
@@ -123,9 +133,8 @@ def _cmd_bound(values: dict) -> int:
     c1 = values.get("c1", _BOUND_DEFAULTS["c1"])
     point = (values.get("snr_db", _BOUND_DEFAULTS["snr_db"]), c1, values.get("c2", c1))
     lines = render_points([point], schemes, settings)
-    out = values.get("out")
-    if out:
-        write_csv(out, lines)
+    if "out" in values:
+        write_csv(values["out"], lines)
     else:
         print("\n".join(lines))
     return 0
@@ -144,7 +153,7 @@ def _cmd_sweep(values: dict) -> int:
 
     # A moved preset writes sweep.csv, so it never overwrites the preset's file.
     moved = any(key in values for key in (*_AXIS_KEYS, fixed_key))
-    spec = make_spec(values.get("out") or ("sweep.csv" if moved else f"{preset}.csv"), settings)
+    spec = make_spec(values.get("out", "sweep.csv" if moved else f"{preset}.csv"), settings)
     custom = {
         axis: tuple(values.get(key, v) for key, v in zip(_AXIS_KEYS, getattr(spec, axis))),
         fixed: values.get(fixed_key, getattr(spec, fixed)),
@@ -193,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _, handler, keys = _COMMANDS[args.command]
     try:
-        values = _load_config_file(args.config, args.command) if args.config else {}
+        values = {} if args.config is None else _load_config_file(args.config, args.command)
         values.update(
             (key, getattr(args, key)) for key in keys if getattr(args, key) is not None
         )

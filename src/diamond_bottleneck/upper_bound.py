@@ -63,6 +63,11 @@ def upper_bound(config: SystemConfig, settings: SolverSettings) -> UpperBoundRes
     the log parameterization keeps the bracket well conditioned when large
     budgets push nu far below float-epsilon scale.  A zero total budget is
     degenerate, not an error: rate 0 with an infinite water level.
+
+    The bisection stops on an absolute budget residual, so at a total budget
+    no larger than that residual the level may spend several times the
+    budget; the rate is capped at the cut-set value c1 + c2, itself an
+    upper bound.
     """
     total = config.c1 + config.c2
     if total == 0.0:
@@ -88,7 +93,7 @@ def upper_bound(config: SystemConfig, settings: SolverSettings) -> UpperBoundRes
     log_nu = bisect(gap, math.log(lo), math.log(hi), settings)
     nu = math.exp(log_nu)
     return UpperBoundResult(
-        rate=rate_at_level(nu, config.noise_power),
+        rate=min(rate_at_level(nu, config.noise_power), total),
         nu=nu,
         constraint_residual=budget_integral(nu, config.noise_power) - total,
     )

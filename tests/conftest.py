@@ -1,5 +1,6 @@
-"""Shared fixtures: CLI sweep runs (used by several acceptance criteria) and
-CSV parsing helpers."""
+"""Shared fixtures: the command line in process and in a child interpreter,
+CLI sweep runs (used by several acceptance criteria), and CSV parsing
+helpers."""
 
 from __future__ import annotations
 
@@ -10,18 +11,18 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
 import diamond_bottleneck
+from diamond_bottleneck.cli import main
 
 # Property tests draw the same examples on every run, so the gate stays
 # deterministic; no example database is written.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
-
-CLI = [sys.executable, "-m", "diamond_bottleneck"]
 
 # The directory that holds the package this test process imported, whether
 # that is the checkout's src/ or an install.  A relative PYTHONPATH entry
@@ -30,21 +31,44 @@ CLI = [sys.executable, "-m", "diamond_bottleneck"]
 PACKAGE_ROOT = str(Path(diamond_bottleneck.__file__).resolve().parent.parent)
 
 
-def _child_env() -> dict[str, str]:
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_python(args: list[str], cwd=None) -> subprocess.CompletedProcess:
+    """Run a child interpreter with `args` in `cwd`, importing the package
+    that this test process imported."""
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [PACKAGE_ROOT, inherited])))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
     )
-    return env
 
 
 def run_cli(args: list[str], cwd) -> subprocess.CompletedProcess:
-    """Run the command-line front end of the imported package in `cwd`."""
-    return subprocess.run(
-        CLI + args, cwd=cwd, env=_child_env(), capture_output=True, text=True,
-        timeout=600,
-    )
+    """Run the command-line front end of the imported package in a child
+    process in `cwd`."""
+    return run_python(["-m", "diamond_bottleneck", *args], cwd)
+
+
+@pytest.fixture
+def cli(tmp_path, monkeypatch, capsys):
+    """`cli(argv)` runs the command line in this process, in tmp_path, and
+    returns (returncode, stdout, stderr) of that run; argparse's exit becomes
+    the return code."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv: list[str]) -> CliRun:
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        return CliRun(code, *capsys.readouterr())
+
+    return run
 
 
 def parse_csv(data: bytes) -> list[dict[str, float | None]]:

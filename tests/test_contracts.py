@@ -1,7 +1,8 @@
 """Cross-scheme contracts beyond the preset grids: over SNR from -60 to 150 dB
 and budgets from 0 to 60 bits, every lower bound stays at or below the upper
-bound, every rate is nonnegative and symmetric under c1 <-> c2, and every rate
-is monotone along short ladders of budget and of SNR.
+bound, the upper bound stays at or below the cut-set bound c1 + c2, every
+rate is nonnegative and symmetric under c1 <-> c2, and every rate is
+monotone along short ladders of budget and of SNR.
 
 Each point runs the scheme cold, as `bound` does.  The `mmse` expression is
 not a valid lower bound yet (ROADMAP item 2): its strict xfails carry an
@@ -60,6 +61,15 @@ def assert_nondecreasing(values):
 def test_below_upper_bound(scheme, snr_db, c1, c2):
     got = rates(snr_db, c1, c2, ("ub", scheme))
     assert got[scheme] <= got["ub"] + TOL
+
+
+@FEW
+@given(SNR_DB, BUDGET, BUDGET)
+@example(40.0, 1e-300, 1e-300)
+@example(150.0, 1e-12, 1e-12)
+def test_upper_bound_within_cut_set(snr_db, c1, c2):
+    # no tolerance: at budgets this small any slack would hide the overshoot
+    assert rate(snr_db, c1, c2, "ub") <= c1 + c2
 
 
 @pytest.mark.parametrize("scheme", with_mmse_xfail("mmse is -0.9045 bits at -9.36 dB, C = 5"))

@@ -6,14 +6,12 @@ import dataclasses
 import inspect
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import diamond_bottleneck
-from conftest import _child_env
+from conftest import run_python
 from diamond_bottleneck.cli import build_parser
 from diamond_bottleneck.qci import qci_lower_bounds
 from diamond_bottleneck.sweeps import SweepSpec, compute_point
@@ -104,10 +102,8 @@ def test_readme_commands_parse():
 
 def test_cli_leaves_verify_unimported():
     # bound and sweep should not pay for importing the oracle checks
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, diamond_bottleneck.cli; print('diamond_bottleneck.verify' in sys.modules)"],
-        env=_child_env(), capture_output=True, text=True, timeout=120,
+    result = run_python(
+        ["-c", "import sys, diamond_bottleneck.cli; print('diamond_bottleneck.verify' in sys.modules)"]
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
@@ -120,9 +116,6 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
     # demo_rate_curves writes its CSV files into the directory it is given
-    result = subprocess.run(
-        [sys.executable, str(demo), str(tmp_path)], cwd=tmp_path, env=_child_env(),
-        capture_output=True, text=True, timeout=600,
-    )
+    result = run_python([str(demo), str(tmp_path)], tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout

@@ -2,18 +2,15 @@
 command-line front end."""
 
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import _child_env, parse_csv, run_cli
+from conftest import parse_csv, run_cli, run_python
 
 import diamond_bottleneck.qci as qci
 import diamond_bottleneck.sweeps as sweeps
 import diamond_bottleneck.verify as verify
-from diamond_bottleneck.cli import main
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.sweeps import (
@@ -308,11 +305,26 @@ class TestRenderRows:
         assert all(row["rho_db"] == 20.0 for row in rows)
 
 
+def assert_exits_2(result, message: str = "error:") -> None:
+    """The run exited 2 with nothing on stdout, named `message` on stderr,
+    and wrote nothing into its working directory but its config."""
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert message in result.stderr
+    assert [path.name for path in Path.cwd().iterdir() if path.suffix != ".cfg"] == []
+
+
+@pytest.fixture
+def no_point_evaluated(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(sweeps, "compute_point", unreachable)
+
+
 class TestCommandLine:
-    def test_bound_prints_single_row(self, tmp_path):
-        result = run_cli(
-            ["bound", "--snr-db", "10", "--c1", "2", "--scheme", "ub,tci"], tmp_path
-        )
+    def test_bound_prints_single_row(self, cli):
+        result = cli(["bound", "--snr-db", "10", "--c1", "2", "--scheme", "ub,tci"])
         assert result.returncode == 0, result.stderr
         rows = parse_csv(result.stdout.encode())
         assert len(rows) == 1
@@ -320,28 +332,28 @@ class TestCommandLine:
         assert rows[0]["c_bits"] == 2.0
         assert rows[0]["tci"] <= rows[0]["ub"] + 1e-9
 
-    def test_bound_defaults(self, tmp_path):
-        result = run_cli(["bound", "--scheme", "ub"], tmp_path)
+    def test_bound_defaults(self, cli):
+        result = cli(["bound", "--scheme", "ub"])
         assert result.returncode == 0, result.stderr
         rows = parse_csv(result.stdout.encode())
         assert rows[0]["rho_db"] == 0.0  # unit noise by default
         assert rows[0]["c_bits"] == 10.0
 
-    def test_bound_sigma2_flag(self, tmp_path):
+    def test_bound_sigma2_flag(self, cli):
         # a noise power X is --snr-db 10*log10(1/X); --sigma2 is no flag
-        result = run_cli(["bound", "--sigma2", "0.01", "--scheme", "ub"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
-        assert "unrecognized arguments: --sigma2 0.01" in result.stderr
+        assert_exits_2(
+            cli(["bound", "--sigma2", "0.01", "--scheme", "ub"]),
+            "unrecognized arguments: --sigma2 0.01",
+        )
 
-    def test_bound_c2_defaults_to_c1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        outputs = []
-        for extra in ([], ["--c2", "4"], ["--c2", "6"]):
-            assert main(["bound", "--c1", "4", "--scheme", "ub,tci", *extra]) == 0
-            outputs.append(capsys.readouterr())
+    def test_bound_c2_defaults_to_c1(self, cli):
+        outputs = [
+            cli(["bound", "--c1", "4", "--scheme", "ub,tci", *extra])
+            for extra in ([], ["--c2", "4"], ["--c2", "6"])
+        ]
+        assert [result.returncode for result in outputs] == [0, 0, 0]
         assert outputs[0] == outputs[1]
-        assert outputs[0].out != outputs[2].out
+        assert outputs[0].stdout != outputs[2].stdout
 
     @pytest.mark.parametrize(
         "command, flags, lines",
@@ -353,15 +365,13 @@ class TestCommandLine:
         ],
         ids=["flags", "flag-and-file", "file", "budget-sweep"],
     )
-    def test_sigma2_and_snr_db_together_exit_2(self, tmp_path, command, flags, lines):
+    def test_sigma2_and_snr_db_together_exit_2(self, cli, tmp_path, command, flags, lines):
         # --snr-db is the one noise input: --sigma2 is neither a flag nor a
         # config key, beside --snr-db or not
         (tmp_path / "run.cfg").write_text(lines)
-        result = run_cli([command, *flags, "--config", "run.cfg", "--scheme", "ub"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
+        result = cli([command, *flags, "--config", "run.cfg", "--scheme", "ub"])
+        assert_exits_2(result)
         assert "sigma2" in result.stderr.splitlines()[-1]
-        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "args, config",
@@ -374,43 +384,51 @@ class TestCommandLine:
         ],
         ids=["sigma2", "preset-as-sweep", "sweep", "c2", "c2-in-config"],
     )
-    def test_removed_spelling_exits_2(self, tmp_path, args, config):
+    def test_removed_spelling_exits_2(self, cli, tmp_path, args, config):
         # --snr-db is the one noise flag, --preset the one sweep selector, and
         # no sweep reads a second budget
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)
             args = [*args, "--config", "run.cfg"]
-        result = run_cli([*args, "--scheme", "ub", "--out", "o.csv"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
-        assert "error:" in result.stderr
-        assert not list(tmp_path.glob("*.csv"))
+        assert_exits_2(cli([*args, "--scheme", "ub", "--out", "o.csv"]))
+
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["bound", "--out", ""], None, "argument --out: invalid path value: ''"),
+            (["sweep", "--preset", "fig2", "--stop", "2", "--out", ""], None,
+             "argument --out: invalid path value: ''"),
+            (["bound", "--config", ""], None, "argument --config: invalid path value: ''"),
+            (["bound"], "out =\n", "error: run.cfg:1: out = '' is not a valid path"),
+            (["sweep", "--preset", "fig2", "--stop", "2"], "out =\n",
+             "error: run.cfg:1: out = '' is not a valid path"),
+        ],
+        ids=["bound-out", "sweep-out", "config", "bound-out-in-config", "sweep-out-in-config"],
+    )
+    def test_empty_path_exits_2(self, cli, tmp_path, no_point_evaluated, args, config, message):
+        # an empty path is an error: never stdout, a preset's file name or no
+        # config instead
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            args = [*args, "--config", "run.cfg"]
+        assert_exits_2(cli([*args, "--scheme", "ub"]), message)
 
     @pytest.mark.parametrize(
         "schemes", [["--scheme", "ub,ub"], ["--scheme", "ub,tci", "--scheme", "ub"]]
     )
-    def test_repeated_scheme_exits_2(self, tmp_path, monkeypatch, capsys, schemes):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bound", "--snr-db", "10", *schemes]) == 2
-        assert main(["sweep", "--preset", "fig2", "--stop", "2", *schemes]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("error: scheme 'ub' is given twice") == 2
-        assert not list(tmp_path.iterdir())
+    def test_repeated_scheme_exits_2(self, cli, schemes):
+        for command in (["bound", "--snr-db", "10"], ["sweep", "--preset", "fig2", "--stop", "2"]):
+            result = cli([*command, *schemes])
+            assert_exits_2(result)
+            assert result.stderr.count("error: scheme 'ub' is given twice") == 1
 
-    def test_overlong_sweep_axis_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_overlong_sweep_axis_exits_2(self, cli, no_point_evaluated):
         # a step whose point count overflows; a merely huge count (step
         # 1e-300) is left to test_point_count_bounded, which lists no axis
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a point was evaluated")
-
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sweeps, "compute_point", unreachable)
-        assert main(["sweep", "--preset", "fig2", "--step", "5e-324"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "error: snr_db_range has more than" in err
-        assert not list(tmp_path.iterdir())
+        assert_exits_2(
+            cli(["sweep", "--preset", "fig2", "--step", "5e-324"]),
+            "error: snr_db_range has more than",
+        )
 
     @pytest.mark.parametrize(
         "args",
@@ -422,48 +440,32 @@ class TestCommandLine:
         ],
         ids=["bound-high", "bound-low", "fig3-snr", "fig2-stop"],
     )
-    def test_out_of_range_snr_exits_2(self, tmp_path, monkeypatch, capsys, args):
+    def test_out_of_range_snr_exits_2(self, cli, no_point_evaluated, args):
         # 10^(dB/10) overflows or underflows: rejected before any point
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a point was evaluated")
-
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sweeps, "compute_point", unreachable)
-        assert main([*args, "--scheme", "ub", "--out", "o.csv"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "dB is out of range" in err
-        assert not list(tmp_path.iterdir())
+        assert_exits_2(cli([*args, "--scheme", "ub", "--out", "o.csv"]), "dB is out of range")
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
-    def test_zero_setting_exits_2(self, tmp_path, flag):
+    def test_zero_setting_exits_2(self, cli, flag):
         # rejected before the first check runs: nothing is printed;
         # --quad-order and --samples are no flags of verify at all
-        result = run_cli(["verify", flag, "0"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
-        assert "error:" in result.stderr
+        assert_exits_2(cli(["verify", flag, "0"]))
 
-    def test_bound_zero_tol_exits_2(self, tmp_path):
-        result = run_cli(["bound", "--scheme", "ub", "--tol", "0"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
-        assert "error:" in result.stderr
+    def test_bound_zero_tol_exits_2(self, cli):
+        assert_exits_2(cli(["bound", "--scheme", "ub", "--tol", "0"]))
 
-    def test_seed_zero_accepted(self, stubbed_checks, capsys):
-        assert main(["verify", "--seed", "0"]) == 0
+    def test_seed_zero_accepted(self, stubbed_checks, cli):
+        result = cli(["verify", "--seed", "0"])
+        assert result.returncode == 0
         assert stubbed_checks == {"seed": 101}  # solver_vs_grid's offset
-        assert capsys.readouterr().out.endswith("10/10 checks passed\n")
+        assert result.stdout.endswith("10/10 checks passed\n")
 
     @pytest.mark.parametrize("key, value", [("seed", -1)])
-    def test_verify_rejects_one_below_oracle_limit(self, stubbed_checks, capsys, key, value):
+    def test_verify_rejects_one_below_oracle_limit(self, stubbed_checks, cli, key, value):
         with pytest.raises(InvalidArgument):
             verify.verify(**{key: value})
-        flag = "--" + key.replace("_", "-")
-        assert main(["verify", flag, str(value)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error:")
+        result = cli(["verify", "--" + key.replace("_", "-"), str(value)])
+        assert_exits_2(result)
+        assert result.stderr.startswith("error:")
         assert stubbed_checks == {}  # rejected before the first check ran
 
     def test_verify_accepts_oracle_limits(self, stubbed_checks, capsys):
@@ -483,26 +485,21 @@ class TestCommandLine:
             ["verify", "--quad-order", "64"],
         ],
     )
-    def test_flag_a_subcommand_does_not_read_exits_2(self, tmp_path, args):
-        result = run_cli(args, tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
-        assert not list(tmp_path.iterdir())
+    def test_flag_a_subcommand_does_not_read_exits_2(self, cli, args):
+        assert_exits_2(cli(args))
 
-    def test_bound_out_writes_csv(self, tmp_path):
-        result = run_cli(
-            ["bound", "--scheme", "ub", "--c1", "3", "--out", "point.csv"], tmp_path
-        )
+    def test_bound_out_writes_csv(self, cli, tmp_path):
+        result = cli(["bound", "--scheme", "ub", "--c1", "3", "--out", "point.csv"])
         assert result.returncode == 0, result.stderr
         rows = parse_csv((tmp_path / "point.csv").read_bytes())
         assert rows[0]["c_bits"] == 3.0
 
-    def test_config_file_with_flag_override(self, tmp_path):
+    def test_config_file_with_flag_override(self, cli, tmp_path):
         (tmp_path / "run.cfg").write_text(
             "# sample configuration\nsnr-db = 20\nc1 = 3  # overridden below\n"
             "scheme = ub,tci\n"
         )
-        result = run_cli(["bound", "--config", "run.cfg", "--c1", "4"], tmp_path)
+        result = cli(["bound", "--config", "run.cfg", "--c1", "4"])
         assert result.returncode == 0, result.stderr
         rows = parse_csv(result.stdout.encode())
         assert rows[0]["rho_db"] == 20.0
@@ -521,49 +518,40 @@ class TestCommandLine:
             ("bound", "c1 = ten", "c1 = 'ten' is not a valid float"),
         ],
     )
-    def test_config_key_checked_like_a_flag(self, tmp_path, command, line, message):
+    def test_config_key_checked_like_a_flag(self, cli, tmp_path, command, line, message):
         (tmp_path / "run.cfg").write_text(f"# checked line by line\n{line}\n")
-        result = run_cli([command, "--config", "run.cfg"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
-        assert f"error: run.cfg:2: {message}" in result.stderr
+        assert_exits_2(cli([command, "--config", "run.cfg"]), f"error: run.cfg:2: {message}")
 
     @pytest.mark.parametrize(
         "first, second",
         [("c1 = 3", "c1 = 4"), ("snr-db = 20", "snr_db = 30"), ("scheme = ub", "scheme = tci")],
         ids=["c1", "snr_db", "scheme"],
     )
-    def test_config_key_given_twice_exits_2(self, tmp_path, monkeypatch, capsys, first, second):
-        monkeypatch.chdir(tmp_path)
+    def test_config_key_given_twice_exits_2(self, cli, tmp_path, first, second):
         (tmp_path / "run.cfg").write_text(f"{first}\n# between\n{second}\n")
-        assert main(["bound", "--config", "run.cfg"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "set twice, at run.cfg:1 and run.cfg:3" in err
+        assert_exits_2(cli(["bound", "--config", "run.cfg"]), "set twice, at run.cfg:1 and run.cfg:3")
 
-    def test_malformed_config_line(self, tmp_path):
+    def test_malformed_config_line(self, cli, tmp_path):
         (tmp_path / "bad.cfg").write_text("this is not a pair\n")
-        result = run_cli(["bound", "--config", "bad.cfg"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert "error:" in result.stderr
+        assert_exits_2(cli(["bound", "--config", "bad.cfg"]))
 
-    def test_missing_config_file(self, tmp_path):
-        result = run_cli(["bound", "--config", "nope.cfg"], tmp_path)
+    def test_missing_config_file(self, cli):
+        result = cli(["bound", "--config", "nope.cfg"])
         assert result.returncode == 1, result.stderr
         assert "error:" in result.stderr
-        # a child that cannot import the package also exits 1
+        # the exit 1 is the missing file's, not a failed import's
         assert "No module named" not in result.stderr
 
     def test_unknown_scheme_exits_2(self, tmp_path):
+        # the one case run as `python -m diamond_bottleneck`: main's return
+        # value must reach the exit status through __main__'s sys.exit
         result = run_cli(["bound", "--scheme", "magic"], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "unknown scheme" in result.stderr
 
-    def test_nonfinite_rate_leaves_cells_empty(self, tmp_path):
+    def test_nonfinite_rate_leaves_cells_empty(self, cli):
         # mmse evaluates to NaN at -80 dB; the cell fails like an exception
-        result = run_cli(
-            ["bound", "--snr-db", "-80", "--c1", "5", "--scheme", "ub,mmse"], tmp_path
-        )
+        result = cli(["bound", "--snr-db", "-80", "--c1", "5", "--scheme", "ub,mmse"])
         assert result.returncode == 0, result.stderr
         row = parse_csv(result.stdout.encode())[0]
         assert row["mmse"] is None and row["mmse_halfwidth"] is None
@@ -579,35 +567,26 @@ class TestCommandLine:
             ["--preset", "fig2", "--stop", "inf"],
         ],
     )
-    def test_nonfinite_sweep_axis_exits_2(self, tmp_path, axis):
-        result = run_cli(["sweep", *axis, "--scheme", "ub", "--out", "o.csv"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert "must be finite" in result.stderr
+    def test_nonfinite_sweep_axis_exits_2(self, cli, axis):
+        result = cli(["sweep", *axis, "--scheme", "ub", "--out", "o.csv"])
+        assert_exits_2(result, "must be finite")  # no point was evaluated
         assert "Traceback" not in result.stderr
-        assert not (tmp_path / "o.csv").exists()  # no point was evaluated
 
-    def test_sweep_needs_mode(self, tmp_path, monkeypatch, capsys):
+    def test_sweep_needs_mode(self, cli):
         # --preset is the only selector: axis flags alone pick no axis
-        monkeypatch.chdir(tmp_path)
-        assert main(["sweep"]) == 2
-        assert main(["sweep", "--stop", "10", "--scheme", "ub", "--out", "o.csv"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("error: sweep needs --preset fig2 or fig3\n") == 2
-        assert not list(tmp_path.iterdir())
+        for args in ([], ["--stop", "10", "--scheme", "ub", "--out", "o.csv"]):
+            result = cli(["sweep", *args])
+            assert_exits_2(result)
+            assert result.stderr.count("error: sweep needs --preset fig2 or fig3\n") == 1
 
-    def test_sweep_unknown_preset(self, tmp_path):
-        result = run_cli(["sweep", "--preset", "fig9"], tmp_path)
-        assert result.returncode == 2, result.stderr
+    def test_sweep_unknown_preset(self, cli):
+        assert_exits_2(cli(["sweep", "--preset", "fig9"]))
 
-    def test_custom_budget_sweep(self, tmp_path):
-        result = run_cli(
-            [
-                "sweep", "--preset", "fig3", "--start", "2", "--stop", "4",
-                "--step", "1", "--scheme", "ub", "--out", "o.csv",
-            ],
-            tmp_path,
-        )
+    def test_custom_budget_sweep(self, cli, tmp_path):
+        result = cli([
+            "sweep", "--preset", "fig3", "--start", "2", "--stop", "4",
+            "--step", "1", "--scheme", "ub", "--out", "o.csv",
+        ])
         assert result.returncode == 0, result.stderr
         assert "wrote o.csv" in result.stdout
         rows = parse_csv((tmp_path / "o.csv").read_bytes())
@@ -627,7 +606,7 @@ class TestCommandLine:
         ids=["preset", "snr", "budget"],
     )
     def test_sweep_mode_rejects_flags_it_does_not_read(
-        self, tmp_path, source, mode, unread, message
+        self, cli, tmp_path, source, mode, unread, message
     ):
         if source == "flag":
             extra = [arg for key, value in unread.items() for arg in (f"--{key}", value)]
@@ -636,20 +615,14 @@ class TestCommandLine:
                 "".join(f"{key} = {value}\n" for key, value in unread.items())
             )
             extra = ["--config", "run.cfg"]
-        result = run_cli(["sweep", *mode, *extra, "--out", "o.csv"], tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert f"error: {message}" in result.stderr
-        assert not (tmp_path / "o.csv").exists()
+        assert_exits_2(cli(["sweep", *mode, *extra, "--out", "o.csv"]), f"error: {message}")
 
-    def test_custom_axes_start_from_the_presets(
-        self, tmp_path, monkeypatch, capsys, fig2_runs, fig3_run
-    ):
+    def test_custom_axes_start_from_the_presets(self, cli, tmp_path, fig2_runs, fig3_run):
         # an axis or fixed-input flag changes only what it gives, and writes
         # sweep.csv, so a custom curve never overwrites the preset's file
-        monkeypatch.chdir(tmp_path)
-
         def written(args, name):
-            assert main(["sweep", *args]) == 0
+            result = cli(["sweep", *args])
+            assert result.returncode == 0 and result.stderr == "", result.stderr
             return (tmp_path / name).read_bytes()
 
         two = ["--scheme", "ub,tci"]
@@ -660,19 +633,13 @@ class TestCommandLine:
         assert head.splitlines() == fig2_runs[0].splitlines()[:7]
         assert (tmp_path / "fig2.csv").read_bytes() == fig2
         assert sorted(path.name for path in tmp_path.iterdir()) == ["fig2.csv", "sweep.csv"]
-        assert capsys.readouterr().err == ""
 
-    def test_custom_snr_sweep_rejects_unequal_budgets(self, tmp_path):
+    def test_custom_snr_sweep_rejects_unequal_budgets(self, cli):
         # sweep has no --c2: both budgets of an snr sweep are --c1
-        result = run_cli(
-            ["sweep", "--preset", "fig2", "--c1", "4", "--c2", "6"], tmp_path
-        )
-        assert result.returncode == 2, result.stderr
+        assert_exits_2(cli(["sweep", "--preset", "fig2", "--c1", "4", "--c2", "6"]))
 
-    def test_repeatable_scheme_flag(self, tmp_path):
-        result = run_cli(
-            ["bound", "--scheme", "ub", "--scheme", "tci", "--c1", "2"], tmp_path
-        )
+    def test_repeatable_scheme_flag(self, cli):
+        result = cli(["bound", "--scheme", "ub", "--scheme", "tci", "--c1", "2"])
         assert result.returncode == 0, result.stderr
         rows = parse_csv(result.stdout.encode())
         assert set(rows[0]) == {
@@ -680,6 +647,7 @@ class TestCommandLine:
         }
 
     def test_verify_passes(self, tmp_path):
+        # a full verify, independent of this process's imports and warnings
         result = run_cli(["verify"], tmp_path)
         assert result.returncode == 0, result.stderr
         assert "PASS" in result.stdout
@@ -687,12 +655,10 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("module", ["diamond_bottleneck", "diamond_bottleneck.cli"])
     def test_import_does_not_load_scipy(self, module, tmp_path):
+        # a fresh interpreter: this process has imported scipy already
         code = (f"import sys, {module}; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        result = subprocess.run(
-            [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
-            capture_output=True, text=True, timeout=120,
-        )
+        result = run_python(["-c", code], tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
@@ -705,24 +671,20 @@ class TestCommandLine:
             "mmse_rate(SystemConfig(1e-4, 10.0, 10.0), SolverSettings())\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
-            capture_output=True, text=True, timeout=120,
-        )
+        result = run_python(["-c", code], tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-    def test_verify_passes_at_a_coarse_tolerance(self, monkeypatch, capsys):
+    def test_verify_passes_at_a_coarse_tolerance(self, cli, monkeypatch):
         # --tol loosens upper_bound's bisection and water_level's residual
         # limit with it; solver_vs_grid reads no tolerance and is stubbed to
         # spare its lattices
         monkeypatch.setattr(verify, "_check_solver_vs_grid", lambda seed, count: (True, "stub"))
-        code = main(["verify", "--tol", "1e-3"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert out.endswith("10/10 checks passed\n")
+        result = cli(["verify", "--tol", "1e-3"])
+        assert result.returncode == 0, result.stdout
+        assert result.stdout.endswith("10/10 checks passed\n")
 
-    def test_verify_detects_seeded_fault(self, stubbed_checks, monkeypatch, capsys):
+    def test_verify_detects_seeded_fault(self, stubbed_checks, monkeypatch, cli):
         def crash():
             raise RuntimeError("synthetic crash")
 
@@ -730,8 +692,9 @@ class TestCommandLine:
             verify, "_check_one_relay", lambda seed, count: (False, "synthetic miss")
         )
         monkeypatch.setattr(verify, "_check_mmse_calibration", crash)
-        assert main(["verify"]) == 1
-        lines = capsys.readouterr().out.splitlines()
+        result = cli(["verify"])
+        assert result.returncode == 1
+        lines = result.stdout.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [
             "FAIL  one_relay_reduction    synthetic miss",
             "FAIL  mmse_calibration       raised RuntimeError: synthetic crash",
