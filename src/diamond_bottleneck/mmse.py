@@ -94,8 +94,8 @@ def _gain_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     numerics._log_rule over [0, inf), Gauss-Legendre in t = ln g on
     [-45, 4], with the density e^-g folded into its weights.  Nodes at every
-    scale of g resolve the integrands' features near g = noise_power from
-    -60 to 150 dB.  The arrays are shared by every caller and read-only.
+    scale of g resolve the integrands' features near g = noise_power over
+    sweeps.SNR_DB_BOX.  The arrays are shared by every caller and read-only.
     """
     gains, jacobian = _log_rule(order, 0.0)
     weights = jacobian * np.exp(-gains)

@@ -54,16 +54,24 @@ _MODES = ("snr_sweep", "budget_sweep")
 _MAX_POINTS = 100_000
 
 
+# The input box of bound and sweep, ends included: SNR in dB, each budget in
+# bits.  Every invariant is tested on it (tests/test_contracts.py); outside
+# it some results are wrong or missing.  The library takes a wider range.
+SNR_DB_BOX = (-60.0, 150.0)
+BUDGET_BOX = (0.0, 60.0)
+
+
 def db_to_linear(db: float) -> float:
-    """10^(dB/10), checked to be a finite normal float so that its
-    reciprocal, the noise power, is finite too: about -3076 to 3082 dB."""
-    try:
-        linear = 10.0 ** (db / 10.0)
-        if sys.float_info.min <= linear < math.inf:
-            return linear
-    except OverflowError:
-        pass
-    raise InvalidArgument(f"SNR {db:g} dB is out of range (about -3076 to 3082 dB)")
+    """10^(dB/10)."""
+    return 10.0 ** (db / 10.0)
+
+
+def check_in_box(snr_db: float, c1: float, c2: float) -> None:
+    """Raise InvalidArgument unless the point lies in the input box; NaN does not."""
+    for name, value, unit in (("SNR", snr_db, "dB"), ("c1", c1, "bits"), ("c2", c2, "bits")):
+        low, high = SNR_DB_BOX if unit == "dB" else BUDGET_BOX
+        if not low <= value <= high:
+            raise InvalidArgument(f"{name} {value:g} {unit} is outside [{low:g}, {high:g}] {unit}")
 
 
 def check_schemes(schemes: tuple[str, ...]) -> None:
@@ -116,13 +124,9 @@ class SweepSpec:
         if self.mode == "snr_sweep":
             self._check_range(self.snr_db_range, "snr_db_range")
             self._need(self.fixed_c, "fixed_c")
-            snr_db = self.snr_db_range[:2]
         else:
             self._check_range(self.budget_range, "budget_range")
             self._need(self.fixed_snr_db, "fixed_snr_db")
-            snr_db = (self.fixed_snr_db,)
-        for db in snr_db:  # rejected here, before any point is evaluated
-            db_to_linear(db)
 
     @staticmethod
     def _need(value, name: str) -> None:
@@ -175,8 +179,9 @@ def _steps(rng: tuple[float, float, float]) -> float:
 
 
 def _axis(rng: tuple[float, float, float]) -> list[float]:
-    start, _, step = rng
-    return [start + k * step for k in range(math.floor(_steps(rng)) + 1)]
+    """start + k * step up to stop, each clamped to stop: _steps' slack may pass it."""
+    start, stop, step = rng
+    return [min(start + k * step, stop) for k in range(math.floor(_steps(rng)) + 1)]
 
 
 def sweep_points(spec: SweepSpec) -> list[tuple[float, float, float]]:
@@ -249,10 +254,13 @@ def _cell(value: float | None) -> str:
 
 
 def render_points(
-    points: Iterable[tuple], schemes: tuple[str, ...], settings: SolverSettings
+    points: list[tuple[float, float, float]], schemes: tuple[str, ...], settings: SolverSettings
 ) -> list[str]:
     """Header plus one CSV line per (snr_db, c1, c2) point, each from its point
-    alone; the schemes are as check_schemes accepts them."""
+    alone; the schemes are as check_schemes accepts them.  Every point is
+    checked against the input box before the first is evaluated."""
+    for point in points:
+        check_in_box(*point)
     diag_columns = [_DIAGNOSTIC_COLUMN[s] for s in schemes]
     lines = [",".join(["rho_db", "c_bits", *schemes, *diag_columns])]
     for snr_db, c1, c2 in points:

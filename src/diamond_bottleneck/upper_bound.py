@@ -64,17 +64,18 @@ def upper_bound(config: SystemConfig, settings: SolverSettings) -> UpperBoundRes
     budgets push nu far below float-epsilon scale.  A zero total budget is
     degenerate, not an error: rate 0 with an infinite water level.
 
-    The bisection stops on an absolute budget residual, so at a total budget
-    no larger than that residual the level may spend several times the
-    budget; the rate is capped at the cut-set value c1 + c2, itself an
-    upper bound.
+    The bisection stops on a budget residual of abs_tol relative to the
+    total, below 1 bit, and absolute from 1 bit up, so a budget of 1e-12
+    bits gets its level too.  The rate is capped at the cut-set value
+    c1 + c2, itself an upper bound.
     """
     total = config.c1 + config.c2
     if total == 0.0:
         return UpperBoundResult(rate=0.0, nu=math.inf, constraint_residual=0.0)
+    scale = min(1.0, total)  # x / 1.0 is exact: from 1 bit up nothing moves
 
     def gap(log_nu: float) -> float:
-        return budget_integral(math.exp(log_nu), config.noise_power) - total
+        return (budget_integral(math.exp(log_nu), config.noise_power) - total) / scale
 
     lo, hi = 1e-12, 1.0
     for _ in range(200):

@@ -37,6 +37,7 @@ from .numerics import (
     integrate_semiinfinite,
 )
 from .qci import build_grid, qci_lower_bound
+from .sweeps import BUDGET_BOX, SNR_DB_BOX
 from .tci import tci_rate
 from .upper_bound import budget_integral, rate_at_level, upper_bound
 
@@ -137,18 +138,18 @@ def _check_solver_vs_grid(seed: int, count: int):
         oracle = maxmin_grid_oracle(*snrs, *budgets, density)
         worst_gap = max(worst_gap, abs(value - oracle))
         worst_under = max(worst_under, oracle - value)
-    # SNR from -60 to 150 dB and budgets to 60 bits, on a fixed lattice: too
-    # coarse to bound the gap, but the solver must still never fall below it.
+    # Over the input box, on a fixed lattice: too coarse to bound the gap,
+    # but the solver must still never fall below it.
     wide_under = 0.0
     for _ in range(10):
-        snrs = tuple(10.0 ** rng.uniform(-6.0, 15.0, 2))
-        budgets = tuple(rng.uniform(0.0, 60.0, 2))
+        snrs = tuple(10.0 ** rng.uniform(SNR_DB_BOX[0] / 10, SNR_DB_BOX[1] / 10, 2))
+        budgets = tuple(rng.uniform(*BUDGET_BOX, 2))
         value = fixed_rate(SnrPair(*snrs), budgets).rate
         wide_under = max(wide_under, maxmin_grid_oracle(*snrs, *budgets, 2000) - value)
     ok = worst_gap <= 1e-3 and worst_under <= 1e-6 and wide_under <= 1e-9
     return ok, (
         f"max gap {worst_gap:.2e} (limit 1e-3), undershoot {worst_under:.2e} (limit 1e-6) "
-        f"over {count} instances, to 150 dB {wide_under:.2e} (limit 1e-9)"
+        f"over {count} instances, to {SNR_DB_BOX[1]:g} dB {wide_under:.2e} (limit 1e-9)"
     )
 
 

@@ -1,8 +1,10 @@
-"""Cross-scheme contracts beyond the preset grids: over SNR from -60 to 150 dB
-and budgets from 0 to 60 bits, every lower bound stays at or below the upper
-bound, the upper bound stays at or below the cut-set bound c1 + c2, every
-rate is nonnegative and symmetric under c1 <-> c2, and every rate is
-monotone along short ladders of budget and of SNR.
+"""Cross-scheme contracts beyond the preset grids: over the input box of
+`bound` and `sweep` (sweeps.SNR_DB_BOX in dB, sweeps.BUDGET_BOX in bits,
+with an explicit example at each edge), every lower bound stays at or below
+the upper bound, the upper bound stays at or below the cut-set bound
+c1 + c2 and spends the budget to 1e-6 of min(1, c1 + c2) bits, every rate
+is nonnegative and symmetric under c1 <-> c2, and every rate is monotone
+along short ladders of budget and of SNR.
 
 Each point runs the scheme cold, as `bound` does.  The `mmse` expression is
 not a valid lower bound yet (ROADMAP item 2): its strict xfails carry an
@@ -16,17 +18,19 @@ from hypothesis import strategies as st
 
 from diamond_bottleneck.channel import SystemConfig
 from diamond_bottleneck.numerics import SolverSettings
-from diamond_bottleneck.sweeps import SCHEMES, compute_point
+from diamond_bottleneck.sweeps import BUDGET_BOX, SCHEMES, SNR_DB_BOX, compute_point
 
 SETTINGS = SolverSettings()
 TOL = 1e-9
 
-SNR_DB = st.floats(-60.0, 150.0)
-BUDGET = st.floats(0.0, 60.0)
-# Ladders climb three rungs and stay inside the same box.
-LADDER_SNR_DB = st.floats(-60.0, 140.0)
-LADDER_BUDGET = st.floats(0.0, 50.0)
+SNR_DB = st.floats(*SNR_DB_BOX)
+BUDGET = st.floats(*BUDGET_BOX)
+# Ladders climb two rungs of at most 5 and stay inside the same box.
+LADDER_SNR_DB = st.floats(SNR_DB_BOX[0], SNR_DB_BOX[1] - 10.0)
+LADDER_BUDGET = st.floats(BUDGET_BOX[0], BUDGET_BOX[1] - 10.0)
 RUNG = st.floats(0.01, 5.0)
+LOW_DB, HIGH_DB = SNR_DB_BOX
+LOW_C, HIGH_C = BUDGET_BOX
 
 # 60 draws per scheme and property keep the whole suite near 11 s; the cold
 # QCI ascent dominates.
@@ -40,11 +44,15 @@ def with_mmse_xfail(reason):
     return [*VALID, pytest.param("mmse", marks=pytest.mark.xfail(strict=True, reason=reason))]
 
 
-def rates(snr_db, c1, c2, schemes):
+def results(snr_db, c1, c2, schemes):
     config = SystemConfig(noise_power=10.0 ** (-snr_db / 10.0), c1=c1, c2=c2)
-    results = {r.scheme: r.rate for r in compute_point(config, schemes, SETTINGS)}
-    assert None not in results.values(), results
-    return results
+    got = {r.scheme: r for r in compute_point(config, schemes, SETTINGS)}
+    assert None not in [r.rate for r in got.values()], got
+    return got
+
+
+def rates(snr_db, c1, c2, schemes):
+    return {scheme: r.rate for scheme, r in results(snr_db, c1, c2, schemes).items()}
 
 
 def rate(snr_db, c1, c2, scheme):
@@ -58,6 +66,8 @@ def assert_nondecreasing(values):
 @pytest.mark.parametrize("scheme", LOWER_BOUNDS)
 @FEW
 @given(SNR_DB, BUDGET, BUDGET)
+@example(LOW_DB, LOW_C, HIGH_C)
+@example(HIGH_DB, HIGH_C, LOW_C)
 def test_below_upper_bound(scheme, snr_db, c1, c2):
     got = rates(snr_db, c1, c2, ("ub", scheme))
     assert got[scheme] <= got["ub"] + TOL
@@ -70,6 +80,17 @@ def test_below_upper_bound(scheme, snr_db, c1, c2):
 def test_upper_bound_within_cut_set(snr_db, c1, c2):
     # no tolerance: at budgets this small any slack would hide the overshoot
     assert rate(snr_db, c1, c2, "ub") <= c1 + c2
+
+
+@FEW
+@given(SNR_DB, BUDGET, BUDGET)
+@example(40.0, 1e-300, 1e-300)
+@example(150.0, 1e-12, 1e-12)
+@example(LOW_DB, HIGH_C, HIGH_C)
+def test_water_level_spends_the_budget(snr_db, c1, c2):
+    # relative below 1 bit, so a tiny budget is not lost in an absolute stop
+    residual = results(snr_db, c1, c2, ("ub",))["ub"].diagnostic
+    assert abs(residual) <= 1e-6 * min(1.0, c1 + c2)
 
 
 @pytest.mark.parametrize("scheme", with_mmse_xfail("mmse is -0.9045 bits at -9.36 dB, C = 5"))

@@ -29,6 +29,7 @@ from diamond_bottleneck.numerics import (
     exp_integral_e1,
     integrate_semiinfinite,
 )
+from diamond_bottleneck.sweeps import BUDGET_BOX, SNR_DB_BOX
 from diamond_bottleneck.verify import (
     _MIN_GRID,
     _check_solver_vs_grid,
@@ -307,9 +308,11 @@ class TestLargeBudgets:
             _maxmin_batch(rho, 0.0, c, 0.0)
 
 
-# SNR from -60 to 150 dB, log-uniform, plus a silent relay; budgets 0..60 bits.
-SNRS = st.one_of(st.just(0.0), st.floats(-6.0, 15.0).map(lambda e: 10.0**e))
-BUDGETS = st.floats(0.0, 60.0)
+# SNR over the input box, log-uniform, plus a silent relay; budgets over the box.
+SNRS = st.one_of(
+    st.just(0.0), st.floats(SNR_DB_BOX[0] / 10, SNR_DB_BOX[1] / 10).map(lambda e: 10.0**e)
+)
+BUDGETS = st.floats(*BUDGET_BOX)
 
 
 class TestMaxMinInvariants:
@@ -332,11 +335,12 @@ class TestMaxMinInvariants:
 
 
 def _random_lanes(seed, n=5000):
-    """SNRs log-uniform from -60 to 150 dB, budgets uniform in [0, 60] bits."""
+    """SNRs log-uniform and budgets uniform over the input box."""
     rng = np.random.default_rng(seed)
+    low, high = SNR_DB_BOX[0] / 10, SNR_DB_BOX[1] / 10
     return (
-        10.0 ** rng.uniform(-6.0, 15.0, n), 10.0 ** rng.uniform(-6.0, 15.0, n),
-        rng.uniform(0.0, 60.0, n), rng.uniform(0.0, 60.0, n),
+        10.0 ** rng.uniform(low, high, n), 10.0 ** rng.uniform(low, high, n),
+        rng.uniform(*BUDGET_BOX, n), rng.uniform(*BUDGET_BOX, n),
     )
 
 
@@ -383,8 +387,8 @@ class TestSlopes:
         assert np.array_equal(slope1, slope2)
 
     def test_one_relay_closed_form(self):
-        rho = 10.0 ** np.linspace(-6.0, 15.0, 22)
-        c = np.linspace(0.0, 60.0, 22)
+        rho = 10.0 ** np.linspace(SNR_DB_BOX[0] / 10, SNR_DB_BOX[1] / 10, 22)
+        c = np.linspace(*BUDGET_BOX, 22)
         closed = rho * 2.0**-c / (1.0 + rho * 2.0**-c)
         for dead_budget in (0.0, 7.0):
             _, _, _, slope1, slope2 = _maxmin_batch(rho, 0.0, c, dead_budget)

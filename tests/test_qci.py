@@ -368,10 +368,11 @@ QCI_FLOOR = Path(__file__).parent / "data" / "qci_floor.csv"
 def floor_rows():
     """(recorded row, allocation now) for every row of QCI_FLOOR."""
     pairs = []
-    for row in csv.DictReader(QCI_FLOOR.open()):
-        snr_db, c1, c2 = (float(row[key]) for key in ("snr_db", "c1", "c2"))
-        config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
-        pairs.append((row, qci_lower_bound(int(row["J"]), config, SETTINGS)))
+    with QCI_FLOOR.open() as handle:
+        for row in csv.DictReader(handle):
+            snr_db, c1, c2 = (float(row[key]) for key in ("snr_db", "c1", "c2"))
+            config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
+            pairs.append((row, qci_lower_bound(int(row["J"]), config, SETTINGS)))
     return pairs
 
 
@@ -413,7 +414,8 @@ class TestLockStep:
     def test_floor_points_match_solo_ascents(self, monkeypatch):
         # every point of QCI_FLOOR
         shapes = counted_kernel(monkeypatch)
-        rows = list(csv.DictReader(QCI_FLOOR.open()))
+        with QCI_FLOOR.open() as handle:
+            rows = list(csv.DictReader(handle))
         points = 0
         for (_, *point), group in itertools.groupby(
             rows, key=lambda row: (row["case"], row["snr_db"], row["c1"], row["c2"])

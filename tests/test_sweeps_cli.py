@@ -2,6 +2,8 @@
 command-line front end."""
 
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,16 +14,21 @@ import diamond_bottleneck.qci as qci
 import diamond_bottleneck.sweeps as sweeps
 import diamond_bottleneck.verify as verify
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
+from diamond_bottleneck.mmse import MmseResult
 from diamond_bottleneck.numerics import SolverSettings
 from diamond_bottleneck.sweeps import (
     _DIAGNOSTIC_COLUMN,
+    BUDGET_BOX,
     SCHEMES,
+    SNR_DB_BOX,
     SweepSpec,
+    check_in_box,
     compute_point,
     db_to_linear,
     fig2_spec,
     fig3_spec,
     render_points,
+    render_rows,
     run_sweep,
     sweep_points,
     _cell,
@@ -41,7 +48,16 @@ def snr_spec(schemes, snr_db_range=(0.0, 60.0, 2.0)):
     )
 
 
+def refusal(name: str, value: float, unit: str) -> str:
+    """The message that refuses `value` of input `name`, outside the box."""
+    low, high = SNR_DB_BOX if unit == "dB" else BUDGET_BOX
+    return f"{name} {value:g} {unit} is outside [{low:g}, {high:g}] {unit}"
+
+
 class TestDbConversion:
+    """db_to_linear is the conversion alone; check_in_box decides the input
+    box, whose ends are both included."""
+
     def test_round_numbers(self):
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
@@ -52,15 +68,15 @@ class TestDbConversion:
             assert 10.0 * math.log10(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
     def test_in_range_bits_kept(self):
-        for db in (-3076.0, -300.0, -60.0, 0.0, 13.5, 150.0, 3082.0):
+        for db in (SNR_DB_BOX[0], -7.0, 0.0, 13.5, SNR_DB_BOX[1]):
+            check_in_box(db, *BUDGET_BOX)
+            check_in_box(db, *BUDGET_BOX[::-1])
             assert db_to_linear(db) == 10.0 ** (db / 10.0)
 
     @pytest.mark.parametrize("db", [3083.0, 4000.0, -3077.0, -4000.0, math.inf, -math.inf, math.nan])
     def test_out_of_range_raises(self, db):
-        # 10^(dB/10) overflows, or is too small for its reciprocal, the noise
-        # power, to be finite
-        with pytest.raises(InvalidArgument, match="out of range"):
-            db_to_linear(db)
+        with pytest.raises(InvalidArgument, match=re.escape(refusal("SNR", db, "dB"))):
+            check_in_box(db, 10.0, 10.0)
 
 
 class TestSweepSpecValidation:
@@ -120,19 +136,20 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidArgument, match="points"):
             snr_spec(("ub",), rng)
 
-    def test_snr_out_of_range(self):
-        # each end of the SNR axis, and a budget sweep's SNR, through db_to_linear
-        for rng in [(0.0, 4000.0, 2.0), (-4000.0, 0.0, 2.0)]:
-            with pytest.raises(InvalidArgument, match="4000 dB is out of range"):
-                snr_spec(("ub",), rng)
-        with pytest.raises(InvalidArgument, match="4000 dB is out of range"):
-            SweepSpec(
+    def test_snr_out_of_range(self, no_point_evaluated):
+        # each end of the SNR axis, and a budget sweep's SNR: the spec is
+        # built, and its rows are refused before any point is evaluated
+        for rng in [(0.0, 4000.0, 4000.0), (-4000.0, 0.0, 4000.0)]:
+            with pytest.raises(InvalidArgument, match="4000 dB is outside"):
+                render_rows(snr_spec(("ub",), rng))
+        with pytest.raises(InvalidArgument, match="4000 dB is outside"):
+            render_rows(SweepSpec(
                 mode="budget_sweep", schemes=("ub",), settings=SETTINGS, output_path="x",
                 budget_range=(0.0, 25.0, 1.0), fixed_snr_db=4000.0,
-            )
+            ))
 
     def test_largest_point_count_accepted(self):
-        # on a budget axis: an SNR axis this long would leave the dB range
+        # listed only: the input box would refuse most of these budgets
         spec = SweepSpec(
             mode="budget_sweep", schemes=("ub",), settings=SETTINGS, output_path="x",
             budget_range=(0.0, sweeps._MAX_POINTS - 1.0, 1.0), fixed_snr_db=20.0,
@@ -164,6 +181,24 @@ class TestSweepPoints:
         points = sweep_points(spec)
         assert len(points) == 11
         assert points[-1][0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            replace(fig2_spec(), snr_db_range=(*SNR_DB_BOX, 0.07)),
+            replace(fig3_spec(), budget_range=(5.5, BUDGET_BOX[1], 1.09)),
+        ],
+        ids=["snr", "budget"],
+    )
+    def test_axis_never_steps_past_stop(self, spec):
+        # start + k * step rounds to just past stop on these axes; the last
+        # point is stop itself, so an axis that ends at the box's edge stays in
+        points = sweep_points(spec)
+        axis = [point[0 if spec.mode == "snr_sweep" else 1] for point in points]
+        stop = (spec.snr_db_range or spec.budget_range)[1]
+        assert axis[-1] == stop and max(axis) == stop
+        for point in points:
+            check_in_box(*point)
 
 
 class TestCellFormat:
@@ -431,18 +466,44 @@ class TestCommandLine:
         )
 
     @pytest.mark.parametrize(
-        "args",
+        "args, value",
         [
-            ["bound", "--snr-db", "4000"],
-            ["bound", "--snr-db", "-4000"],
-            ["sweep", "--preset", "fig3", "--snr-db", "4000"],
-            ["sweep", "--preset", "fig2", "--stop", "4000"],
+            (["bound", "--snr-db", "150.5"], 150.5),
+            (["bound", "--snr-db", "-100"], -100.0),
+            (["sweep", "--preset", "fig3", "--snr-db", "-61"], -61.0),
+            (["sweep", "--preset", "fig2", "--stop", "152"], 152.0),
         ],
         ids=["bound-high", "bound-low", "fig3-snr", "fig2-stop"],
     )
-    def test_out_of_range_snr_exits_2(self, cli, no_point_evaluated, args):
-        # 10^(dB/10) overflows or underflows: rejected before any point
-        assert_exits_2(cli([*args, "--scheme", "ub", "--out", "o.csv"]), "dB is out of range")
+    def test_out_of_range_snr_exits_2(self, cli, no_point_evaluated, args, value):
+        # outside the input box: rejected before any point is evaluated
+        assert_exits_2(
+            cli([*args, "--scheme", "ub", "--out", "o.csv"]),
+            f"error: {refusal('SNR', value, 'dB')}\n",
+        )
+
+    @pytest.mark.parametrize(
+        "args, config, key, value",
+        [
+            (["bound", "--c1", "61"], None, "c1", 61.0),
+            (["bound", "--c2", "61"], None, "c2", 61.0),
+            (["bound", "--c1", "nan"], None, "c1", math.nan),
+            (["bound", "--c2", "-1"], None, "c2", -1.0),
+            (["sweep", "--preset", "fig2", "--c1", "61"], None, "c1", 61.0),
+            (["sweep", "--preset", "fig3", "--stop", "61"], None, "c1", 61.0),
+            (["bound"], "c2 = 61\n", "c2", 61.0),
+        ],
+        ids=["bound-c1", "bound-c2", "bound-nan", "bound-negative", "fig2-budget", "fig3-stop",
+             "config"],
+    )
+    def test_out_of_range_budget_exits_2(
+        self, cli, tmp_path, no_point_evaluated, args, config, key, value
+    ):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            args = [*args, "--config", "run.cfg"]
+        result = cli([*args, "--scheme", "ub", "--out", "o.csv"])
+        assert_exits_2(result, f"error: {refusal(key, value, 'bits')}\n")
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
     def test_zero_setting_exits_2(self, cli, flag):
@@ -549,9 +610,12 @@ class TestCommandLine:
         assert result.returncode == 2, result.stderr
         assert "unknown scheme" in result.stderr
 
-    def test_nonfinite_rate_leaves_cells_empty(self, cli):
-        # mmse evaluates to NaN at -80 dB; the cell fails like an exception
-        result = cli(["bound", "--snr-db", "-80", "--c1", "5", "--scheme", "ub,mmse"])
+    def test_nonfinite_rate_leaves_cells_empty(self, cli, monkeypatch):
+        # a NaN rate fails its cell like an exception (inside the input box
+        # mmse returns none, so it is stubbed to)
+        nan = MmseResult(math.nan, math.nan, (5.0, 5.0))
+        monkeypatch.setattr(sweeps, "mmse_rate", lambda config, settings: nan)
+        result = cli(["bound", "--snr-db", "10", "--c1", "5", "--scheme", "ub,mmse"])
         assert result.returncode == 0, result.stderr
         row = parse_csv(result.stdout.encode())[0]
         assert row["mmse"] is None and row["mmse_halfwidth"] is None

@@ -12,6 +12,7 @@ from diamond_bottleneck.channel import SnrPair, SystemConfig
 from diamond_bottleneck.errors import DomainError
 from diamond_bottleneck.fixed_rate import fixed_rate
 from diamond_bottleneck.numerics import SolverSettings, _e1_scaled, _maxmin_batch
+from diamond_bottleneck.sweeps import SNR_DB_BOX
 from diamond_bottleneck.tci import (
     THRESHOLD_GRID,
     TciPoint,
@@ -179,7 +180,7 @@ def scalar_tci_best(config):
     return max(points, key=lambda point: point.rate)
 
 
-@pytest.mark.parametrize("snr_db", range(-60, 151, 15))
+@pytest.mark.parametrize("snr_db", range(int(SNR_DB_BOX[0]), int(SNR_DB_BOX[1]) + 1, 15))
 @pytest.mark.parametrize("c1, c2", [(10.0, 10.0), (0.5, 25.0), (3.0, 0.0), (60.0, 7.5)])
 def test_cached_statistics_change_no_bit(snr_db, c1, c2):
     config = SystemConfig(10.0 ** (-snr_db / 10.0), c1, c2)
