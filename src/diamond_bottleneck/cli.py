@@ -3,10 +3,9 @@
 Three subcommands: `bound` evaluates the requested schemes at a single
 operating point and `sweep` along a preset's curve, both through one CSV
 row function; `verify` runs the oracle self-checks.  Each input has one
-flag (the noise only `--snr-db`), and each subcommand and preset accepts
-only the flags it reads.  Flags override values from an optional
-key=value config file, whose keys are checked like the flags; everything
-else falls back to `bound`'s defaults or the preset's.
+flag (the noise only `--snr-db`), spelt out in full, and each subcommand
+and preset accepts only the flags it reads.  Inputs that no flag gives
+fall back to `bound`'s defaults or the preset's.
 """
 
 from __future__ import annotations
@@ -40,19 +39,18 @@ _BOUND_DEFAULTS = {"snr_db": 0.0, "c1": 10.0}
 
 
 def path(text: str) -> str:
-    """A file path from a flag or a config line.  An empty one is an error,
-    never a request for the default; argparse's message names this type
-    ("invalid path value")."""
+    """A file path from a flag.  An empty one is an error, never a request
+    for the default; argparse's message names this type ("invalid path
+    value")."""
     if not text:
         raise InvalidArgument("empty path")
     return text
 
 
-# Every flag by its key, the flag's name with '_' for '-'.  A config-file
-# value goes through the same type as its flag.
+# Every flag by its key, the flag's name with '_' for '-'.
 _FLAGS = {
-    "config": dict(type=path, help="key=value config file; flags override it"),
-    "tol": dict(type=float, help="absolute solver tolerance (default 1e-9)"),
+    "tol": dict(type=float,
+                help=f"absolute solver tolerance (default {SolverSettings().abs_tol:g})"),
     "snr_db": dict(type=float, help=f"SNR in dB (default: {_BOUND_DEFAULTS['snr_db']:g} "
                                     "for bound, the preset's for --preset fig3)"),
     "c1": dict(type=float, help=f"budget of link 1 in bits (default: {_BOUND_DEFAULTS['c1']:g} "
@@ -68,48 +66,11 @@ _FLAGS = {
     "step": dict(type=float, help="axis step (default: the preset's)"),
     "seed": dict(type=int, help="RNG seed of the checks' random instances (default 0)"),
 }
-_BOUND_FLAGS = ("config", "tol", "snr_db", "c1", "c2", "scheme", "out")
+_BOUND_FLAGS = ("tol", "snr_db", "c1", "c2", "scheme", "out")
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
-
-
-def _load_config_file(path: str, command: str) -> dict:
-    """The file's key=value lines, each key a flag of the command and each
-    value converted as that flag's would be."""
-    keys = [key for key in _COMMANDS[command][2] if key != "config"]
-    values = {}
-    first_seen = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise InvalidArgument(f"{where}: expected key=value, got {raw.strip()!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            key = key.replace("-", "_")
-            if key not in keys:
-                raise InvalidArgument(
-                    f"{where}: {key!r} is not a {command} key; valid: {', '.join(keys)}"
-                )
-            if key in first_seen:
-                raise InvalidArgument(f"{key} is set twice, at {first_seen[key]} and {where}")
-            first_seen[key] = where
-            spec = _FLAGS[key]
-            if spec.get("action") == "append":
-                values[key] = [value]
-                continue
-            convert = spec.get("type", str)
-            try:
-                values[key] = convert(value)
-            except ValueError:
-                raise InvalidArgument(
-                    f"{where}: {key} = {value!r} is not a valid {convert.__name__}"
-                ) from None
-    return values
 
 
 def _settings(values: dict) -> SolverSettings:
@@ -175,12 +136,12 @@ _COMMANDS = {
     "sweep": (
         "write a preset's CSV over its SNR or budget axis",
         _cmd_sweep,
-        ("config", "tol", "snr_db", "c1", "scheme", "out", "preset", *_AXIS_KEYS),
+        ("tol", "snr_db", "c1", "scheme", "out", "preset", *_AXIS_KEYS),
     ),
     "verify": (
         "run the oracle self-checks",
         _cmd_verify,
-        ("config", "tol", "seed"),
+        ("tol", "seed"),
     ),
 }
 
@@ -192,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _, keys) in _COMMANDS.items():
-        sub = commands.add_parser(command, help=summary)
+        sub = commands.add_parser(command, help=summary, allow_abbrev=False)
         for key in keys:
             sub.add_argument(_flag(key), dest=key, **_FLAGS[key])
     return parser
@@ -201,11 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _, handler, keys = _COMMANDS[args.command]
+    values = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     try:
-        values = {} if args.config is None else _load_config_file(args.config, args.command)
-        values.update(
-            (key, getattr(args, key)) for key in keys if getattr(args, key) is not None
-        )
         return handler(values)
     except InvalidArgument as error:
         print(f"error: {error}", file=sys.stderr)

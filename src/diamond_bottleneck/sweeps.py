@@ -258,7 +258,8 @@ def render_points(
 ) -> list[str]:
     """Header plus one CSV line per (snr_db, c1, c2) point, each from its point
     alone; the schemes are as check_schemes accepts them.  Every point is
-    checked against the input box before the first is evaluated."""
+    checked against the input box before the first is evaluated.  The
+    c_bits column is c1 alone: a row does not show c2."""
     for point in points:
         check_in_box(*point)
     diag_columns = [_DIAGNOSTIC_COLUMN[s] for s in schemes]

@@ -451,30 +451,10 @@ class TestGridOracle:
             assert fast == pytest.approx(brute, abs=1e-12)
 
 
-# (rho1, rho2, c1, c2, value, r1, r2) with the results as float.hex, recorded
-# from the closed-form candidate kernel.  The kernel is a fixed
-# floating-point schedule, so any change of its operations or of their order
-# shows here as a changed bit.
-PINNED_MAXMIN = [
-    (0.001, 0.001, 1.0, 1.0, '0x1.79d0ecabe7800p-10', '0x1.ffa191ce0c6f8p-1', '0x1.ffa185bb9d9ccp-1'),
-    (0.001, 5.0, 30.0, 0.5, '0x1.9ec698d7876edp-2', '0x1.dffa17fb01650p+4', '0x1.8acda1a07d3cbp-4'),
-    (0.5, 2.0, 3.0, 7.0, '0x1.c20c0f26e095fp+0', '0x1.66fd12b8d545fp+1', '0x1.5bfe72d9dd378p+2'),
-    (1.0, 1.0, 1.0, 1.0, '0x1.86bf2c918364bp-1', '0x1.3ca069b73e4dap-1', '0x1.3ca069b73e4dap-1'),
-    (10.0, 10.0, 30.0, 30.0, '0x1.191bba82d333bp+2', '0x1.bcdc88afa5999p+4', '0x1.bcdc88afa5999p+4'),
-    (37.5, 0.2, 4.25, 12.0, '0x1.efaa260e7f826p+1', '0x1.47fa9e342e204p-1', '0x1.7795cc991d3d6p+3'),
-    (1000.0, 1000.0, 10.0, 10.0, '0x1.5ce9a0dc72c52p+3', '0x1.23165f238d3aep+2', '0x1.23165f238d3aep+2'),
-    (25000.0, 300.0, 0.75, 22.0, '0x1.1f197fa8931f6p+3', '0x1.7ddfab5c2a04fp-7', '0x1.b887086c95d61p+3'),
-    (1e6, 1e6, 20.0, 5.0, '0x1.494892818615ap+4', '0x1.1addb5f9e7a9ap+1', '0x1.1addb5f9e7a9ap+1'),
-    (3e7, 1e9, 15.0, 15.0, '0x1.cf271f3a63f85p+4', '0x1.9cd9b9c49cdd7p-10', '0x1.0d26d5eb4f53ep+0'),
-    (1e9, 1e9, 30.0, 30.0, '0x1.ee5b4fa8ece93p+4', '0x1.d1a4b0571316bp+3', '0x1.d1a4b0571316bp+3'),
-    (1e9, 0.004, 25.0, 2.0, '0x1.8f4e148b86ea2p+4', '0x1.8734ef1c9363cp-5', '0x1.fee50fceacc2cp+0'),
-    (8.0, 3.0, 0.0, 6.0, '0x1.ef14c7605d606p+0', '0x0.0p+0', '0x1.043ace27e8a7ep+2'),
-    (0.0, 50.0, 9.0, 9.0, '0x1.626e9372ecb75p+2', '0x0.0p+0', '0x1.bb22d91a26915p+1'),
-]
-
-# The values of the same instances, as float.hex, from the K-probe section
-# search with the cancellation-free inner solve that preceded the candidate
-# kernel.  The two agree to a few ulps.
+# The values of the 14 pinned instances of OUTPUT_RECORD (rows 2,000 to
+# 2,013), as float.hex, from the K-probe section search with the
+# cancellation-free inner solve that preceded the candidate kernel.  The two
+# agree to a few ulps.
 PREVIOUS_MAXMIN_VALUES = [
     '0x1.79d0ecabe7a5bp-10',  # 0.001, 0.001, 1.0, 1.0
     '0x1.9ec698d7876edp-2',  # 0.001, 5.0, 30.0, 0.5
@@ -507,11 +487,12 @@ K_PROBE_RECORD = Path(__file__).parent / "data" / "maxmin_kprobe.csv"
 # All five kernel outputs (value, r1, r2, slope1, slope2) as float.hex,
 # recorded with the kernel of commit 57608f6, before its fixed cost per call
 # was cut, which changed no floating-point operation on any lane.  Rows: the
-# 2,000 inputs of maxmin_kprobe.csv, the 14 PINNED_MAXMIN instances, then 20
-# hand-picked lanes of every masked class: a relay dead (SNR 0), a zero
-# budget facing a live relay (the right-derivative slope), SNR 0 with
-# positive budgets, no relay live, zero budgets, one or both budgets above
-# the 1,000-bit cap, and one NaN or +-inf input per position.
+# 2,000 inputs of maxmin_kprobe.csv, 14 pinned instances (SNRs 0 and 1e-3 to
+# 1e9, budgets 0 to 30 bits), then 20 hand-picked lanes of every masked
+# class: a relay dead (SNR 0), a zero budget facing a live relay (the
+# right-derivative slope), SNR 0 with positive budgets, no relay live, zero
+# budgets, one or both budgets above the 1,000-bit cap, and one NaN or +-inf
+# input per position.
 OUTPUT_RECORD = Path(__file__).parent / "data" / "maxmin_outputs.csv"
 
 
@@ -543,22 +524,9 @@ class TestMaxMinKernelBits:
             outputs = _maxmin_batch(*inputs[:, lane])
             assert [float(x).hex() for x in outputs] == recorded[lane]
 
-    def test_pinned_instances_batched(self):
-        inputs = np.array([case[:4] for case in PINNED_MAXMIN]).T
-        value, r1, r2 = _maxmin_batch(*inputs)[:3]
-        got = [(v.hex(), a.hex(), b.hex()) for v, a, b in zip(
-            value.tolist(), r1.tolist(), r2.tolist()
-        )]
-        assert got == [case[4:] for case in PINNED_MAXMIN]
-
-    def test_pinned_instances_one_at_a_time(self):
-        for case in PINNED_MAXMIN:
-            value, r1, r2 = _maxmin_batch(*case[:4])[:3]
-            assert (float(value).hex(), float(r1).hex(), float(r2).hex()) == case[4:]
-
     def test_values_near_previous_kernel(self):
-        inputs = np.array([case[:4] for case in PINNED_MAXMIN]).T
-        value = _maxmin_batch(*inputs)[0]
+        inputs, _ = self.recorded_outputs()
+        value = _maxmin_batch(*inputs[:, 2000:2014])[0]
         previous = np.array([float.fromhex(h) for h in PREVIOUS_MAXMIN_VALUES])
         assert np.max(np.abs(value - previous)) <= 2e-14
 

@@ -37,11 +37,11 @@ def test_root_exports_library_api():
         assert hasattr(diamond_bottleneck, name)
 
 
-POINT_FLAGS = {"--config", "--tol", "--snr-db", "--c1", "--scheme", "--out"}
+POINT_FLAGS = {"--tol", "--snr-db", "--c1", "--scheme", "--out"}
 COMMAND_FLAGS = {
     "bound": POINT_FLAGS | {"--c2"},
     "sweep": POINT_FLAGS | {"--preset", "--start", "--stop", "--step"},
-    "verify": {"--config", "--tol", "--seed"},
+    "verify": {"--tol", "--seed"},
 }
 
 
@@ -68,11 +68,32 @@ def test_settings_and_flags_are_only_those_read():
     for name, parser in commands.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == COMMAND_FLAGS[name], name
-    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [7, 10, 3]
+    assert [len(COMMAND_FLAGS[name]) for name in ("bound", "sweep", "verify")] == [6, 9, 2]
     assert [field.name for field in dataclasses.fields(SweepSpec)] == [
         "mode", "schemes", "settings", "output_path",
         "snr_db_range", "budget_range", "fixed_c", "fixed_snr_db",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the longest prefix of each flag, which argparse would otherwise
+        # take for it (bound's --c too, which it would call ambiguous)
+        *(pytest.param([command, flag[:-1], "1"], id=f"{command} {flag} prefix")
+          for command, flags in COMMAND_FLAGS.items() for flag in sorted(flags)),
+        # no subcommand reads a config file, even one that exists
+        *(pytest.param([command, "--config", "run.cfg"], id=f"{command} --config")
+          for command in COMMAND_FLAGS),
+    ],
+)
+def test_undeclared_spelling_exits_2(cli, tmp_path, argv):
+    (tmp_path / "run.cfg").write_text("tol = 1e-6\n")
+    result = cli(argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: unrecognized arguments: {shlex.join(argv[1:])}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def readme_commands() -> list[list[str]]:

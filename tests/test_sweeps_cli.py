@@ -342,11 +342,11 @@ class TestRenderRows:
 
 def assert_exits_2(result, message: str = "error:") -> None:
     """The run exited 2 with nothing on stdout, named `message` on stderr,
-    and wrote nothing into its working directory but its config."""
+    and wrote nothing into its working directory."""
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert message in result.stderr
-    assert [path.name for path in Path.cwd().iterdir() if path.suffix != ".cfg"] == []
+    assert list(Path.cwd().iterdir()) == []
 
 
 @pytest.fixture
@@ -391,62 +391,44 @@ class TestCommandLine:
         assert outputs[0].stdout != outputs[2].stdout
 
     @pytest.mark.parametrize(
-        "command, flags, lines",
+        "args",
         [
-            ("bound", ["--sigma2", "0.01", "--snr-db", "10"], ""),
-            ("bound", ["--snr-db", "10"], "sigma2 = 0.01\n"),
-            ("bound", [], "snr-db = 10\nsigma2 = 0.01\n"),
-            ("sweep", ["--preset", "fig3", "--sigma2", "0.01"], "snr_db = 10\n"),
+            ["bound", "--sigma2", "0.01", "--snr-db", "10"],
+            ["sweep", "--preset", "fig3", "--snr-db", "10", "--sigma2", "0.01"],
         ],
-        ids=["flags", "flag-and-file", "file", "budget-sweep"],
+        ids=["flags", "budget-sweep"],
     )
-    def test_sigma2_and_snr_db_together_exit_2(self, cli, tmp_path, command, flags, lines):
-        # --snr-db is the one noise input: --sigma2 is neither a flag nor a
-        # config key, beside --snr-db or not
-        (tmp_path / "run.cfg").write_text(lines)
-        result = cli([command, *flags, "--config", "run.cfg", "--scheme", "ub"])
+    def test_sigma2_and_snr_db_together_exit_2(self, cli, args):
+        # --snr-db is the one noise input: --sigma2 is no flag, beside
+        # --snr-db or not
+        result = cli([*args, "--scheme", "ub"])
         assert_exits_2(result)
         assert "sigma2" in result.stderr.splitlines()[-1]
 
     @pytest.mark.parametrize(
-        "args, config",
+        "args",
         [
-            (["sweep", "--sigma2", "0.01"], None),
-            (["sweep", "--sweep", "fig2"], None),
-            (["sweep", "--sweep", "snr"], None),
-            (["sweep", "--preset", "fig2", "--c2", "10"], None),
-            (["sweep", "--preset", "fig2"], "c2 = 10\n"),
+            ["sweep", "--sigma2", "0.01"],
+            ["sweep", "--sweep", "fig2"],
+            ["sweep", "--sweep", "snr"],
+            ["sweep", "--preset", "fig2", "--c2", "10"],
         ],
-        ids=["sigma2", "preset-as-sweep", "sweep", "c2", "c2-in-config"],
+        ids=["sigma2", "preset-as-sweep", "sweep", "c2"],
     )
-    def test_removed_spelling_exits_2(self, cli, tmp_path, args, config):
+    def test_removed_spelling_exits_2(self, cli, args):
         # --snr-db is the one noise flag, --preset the one sweep selector, and
         # no sweep reads a second budget
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            args = [*args, "--config", "run.cfg"]
         assert_exits_2(cli([*args, "--scheme", "ub", "--out", "o.csv"]))
 
     @pytest.mark.parametrize(
-        "args, config, message",
-        [
-            (["bound", "--out", ""], None, "argument --out: invalid path value: ''"),
-            (["sweep", "--preset", "fig2", "--stop", "2", "--out", ""], None,
-             "argument --out: invalid path value: ''"),
-            (["bound", "--config", ""], None, "argument --config: invalid path value: ''"),
-            (["bound"], "out =\n", "error: run.cfg:1: out = '' is not a valid path"),
-            (["sweep", "--preset", "fig2", "--stop", "2"], "out =\n",
-             "error: run.cfg:1: out = '' is not a valid path"),
-        ],
-        ids=["bound-out", "sweep-out", "config", "bound-out-in-config", "sweep-out-in-config"],
+        "args",
+        [["bound", "--out", ""], ["sweep", "--preset", "fig2", "--stop", "2", "--out", ""]],
+        ids=["bound-out", "sweep-out"],
     )
-    def test_empty_path_exits_2(self, cli, tmp_path, no_point_evaluated, args, config, message):
-        # an empty path is an error: never stdout, a preset's file name or no
-        # config instead
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            args = [*args, "--config", "run.cfg"]
-        assert_exits_2(cli([*args, "--scheme", "ub"]), message)
+    def test_empty_path_exits_2(self, cli, no_point_evaluated, args):
+        # an empty path is an error: never stdout or a preset's file name
+        # instead
+        assert_exits_2(cli([*args, "--scheme", "ub"]), "argument --out: invalid path value: ''")
 
     @pytest.mark.parametrize(
         "schemes", [["--scheme", "ub,ub"], ["--scheme", "ub,tci", "--scheme", "ub"]]
@@ -483,25 +465,18 @@ class TestCommandLine:
         )
 
     @pytest.mark.parametrize(
-        "args, config, key, value",
+        "args, key, value",
         [
-            (["bound", "--c1", "61"], None, "c1", 61.0),
-            (["bound", "--c2", "61"], None, "c2", 61.0),
-            (["bound", "--c1", "nan"], None, "c1", math.nan),
-            (["bound", "--c2", "-1"], None, "c2", -1.0),
-            (["sweep", "--preset", "fig2", "--c1", "61"], None, "c1", 61.0),
-            (["sweep", "--preset", "fig3", "--stop", "61"], None, "c1", 61.0),
-            (["bound"], "c2 = 61\n", "c2", 61.0),
+            (["bound", "--c1", "61"], "c1", 61.0),
+            (["bound", "--c2", "61"], "c2", 61.0),
+            (["bound", "--c1", "nan"], "c1", math.nan),
+            (["bound", "--c2", "-1"], "c2", -1.0),
+            (["sweep", "--preset", "fig2", "--c1", "61"], "c1", 61.0),
+            (["sweep", "--preset", "fig3", "--stop", "61"], "c1", 61.0),
         ],
-        ids=["bound-c1", "bound-c2", "bound-nan", "bound-negative", "fig2-budget", "fig3-stop",
-             "config"],
+        ids=["bound-c1", "bound-c2", "bound-nan", "bound-negative", "fig2-budget", "fig3-stop"],
     )
-    def test_out_of_range_budget_exits_2(
-        self, cli, tmp_path, no_point_evaluated, args, config, key, value
-    ):
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config)
-            args = [*args, "--config", "run.cfg"]
+    def test_out_of_range_budget_exits_2(self, cli, no_point_evaluated, args, key, value):
         result = cli([*args, "--scheme", "ub", "--out", "o.csv"])
         assert_exits_2(result, f"error: {refusal(key, value, 'bits')}\n")
 
@@ -555,53 +530,13 @@ class TestCommandLine:
         rows = parse_csv((tmp_path / "point.csv").read_bytes())
         assert rows[0]["c_bits"] == 3.0
 
-    def test_config_file_with_flag_override(self, cli, tmp_path):
-        (tmp_path / "run.cfg").write_text(
-            "# sample configuration\nsnr-db = 20\nc1 = 3  # overridden below\n"
-            "scheme = ub,tci\n"
-        )
-        result = cli(["bound", "--config", "run.cfg", "--c1", "4"])
-        assert result.returncode == 0, result.stderr
-        rows = parse_csv(result.stdout.encode())
-        assert rows[0]["rho_db"] == 20.0
-        assert rows[0]["c_bits"] == 4.0
-        assert set(rows[0]) == {
-            "rho_db", "c_bits", "ub", "tci", "ub_residual", "tci_threshold",
-        }
-
-    @pytest.mark.parametrize(
-        "command, line, message",
-        [
-            ("bound", "snrdb = 40", "'snrdb' is not a bound key"),
-            ("bound", "seed = 3", "'seed' is not a bound key"),
-            ("verify", "c1 = 5", "'c1' is not a verify key"),
-            ("verify", "seed = 1.5", "seed = '1.5' is not a valid int"),
-            ("bound", "c1 = ten", "c1 = 'ten' is not a valid float"),
-        ],
-    )
-    def test_config_key_checked_like_a_flag(self, cli, tmp_path, command, line, message):
-        (tmp_path / "run.cfg").write_text(f"# checked line by line\n{line}\n")
-        assert_exits_2(cli([command, "--config", "run.cfg"]), f"error: run.cfg:2: {message}")
-
-    @pytest.mark.parametrize(
-        "first, second",
-        [("c1 = 3", "c1 = 4"), ("snr-db = 20", "snr_db = 30"), ("scheme = ub", "scheme = tci")],
-        ids=["c1", "snr_db", "scheme"],
-    )
-    def test_config_key_given_twice_exits_2(self, cli, tmp_path, first, second):
-        (tmp_path / "run.cfg").write_text(f"{first}\n# between\n{second}\n")
-        assert_exits_2(cli(["bound", "--config", "run.cfg"]), "set twice, at run.cfg:1 and run.cfg:3")
-
-    def test_malformed_config_line(self, cli, tmp_path):
-        (tmp_path / "bad.cfg").write_text("this is not a pair\n")
-        assert_exits_2(cli(["bound", "--config", "bad.cfg"]))
-
-    def test_missing_config_file(self, cli):
-        result = cli(["bound", "--config", "nope.cfg"])
+    def test_unwritable_out_exits_1(self, cli):
+        # an I/O failure is exit 1, reported on one line
+        result = cli(["bound", "--scheme", "ub", "--out", "missing/x.csv"])
         assert result.returncode == 1, result.stderr
-        assert "error:" in result.stderr
-        # the exit 1 is the missing file's, not a failed import's
-        assert "No module named" not in result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: [Errno 2] No such file or directory")
+        assert result.stderr.count("\n") == 1
 
     def test_unknown_scheme_exits_2(self, tmp_path):
         # the one case run as `python -m diamond_bottleneck`: main's return
@@ -657,7 +592,6 @@ class TestCommandLine:
         assert [row["c_bits"] for row in rows] == [2.0, 3.0, 4.0]
         assert all(row["rho_db"] == 40.0 for row in rows)  # default SNR
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize(
         "mode, unread, message",
         [
@@ -669,16 +603,8 @@ class TestCommandLine:
         ],
         ids=["preset", "snr", "budget"],
     )
-    def test_sweep_mode_rejects_flags_it_does_not_read(
-        self, cli, tmp_path, source, mode, unread, message
-    ):
-        if source == "flag":
-            extra = [arg for key, value in unread.items() for arg in (f"--{key}", value)]
-        else:
-            (tmp_path / "run.cfg").write_text(
-                "".join(f"{key} = {value}\n" for key, value in unread.items())
-            )
-            extra = ["--config", "run.cfg"]
+    def test_sweep_mode_rejects_flags_it_does_not_read(self, cli, mode, unread, message):
+        extra = [arg for key, value in unread.items() for arg in (f"--{key}", value)]
         assert_exits_2(cli(["sweep", *mode, *extra, "--out", "o.csv"]), f"error: {message}")
 
     def test_custom_axes_start_from_the_presets(self, cli, tmp_path, fig2_runs, fig3_run):
