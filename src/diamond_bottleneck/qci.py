@@ -1,24 +1,25 @@
 """Quantized channel inversion lower bound.
 
 Each relay inverts its channel, rounds the resulting inverse-gain noise
-level up to a fixed quantile grid by injecting artificial noise, spends
-header bits on the grid index, and splits the leftover budget across grid
-cells.  Every cell rate is a max-min solve, which reduces to the one-relay
-closed form where a relay is dead; the split itself is a concave allocation
-problem solved by projected gradient ascent, with the exact gradient that
-the max-min kernel's slopes give and a Barzilai-Borwein step length per
-relay.  Every ascent starts from the one-relay water-filling split of each
-relay's residual, and stops after three consecutive gains below abs_tol, so
-its result depends on its operating point alone.  Each step projects onto
-the budget set exactly, by a plain loop over the at most J - 1 breakpoints
-of the spend curve.
+level up to the j/J quantile of the inverse squared gain by injecting
+artificial noise, spends log2 J header bits on the cell index, and splits
+the leftover budget across the J cells.  Every cell rate is a max-min
+solve, which reduces to the one-relay closed form where a relay is dead;
+the split itself is a concave allocation problem solved by projected
+gradient ascent, with the exact gradient that the max-min kernel's slopes
+give and a Barzilai-Borwein step length per relay.  Every ascent starts
+from the one-relay water-filling split of each relay's residual, and stops
+after three consecutive gains below abs_tol, so its result depends on its
+operating point alone.  Each step projects onto the budget set exactly, by
+a plain loop over the at most J - 1 breakpoints of the spend curve.
 
-The ascent is a generator that asks for one evaluation at a time, and one
-driver runs any number of them in lock-step: each round sends the J x J
-cell lanes of every live ascent's request to the max-min kernel in one
-call.  The kernel is elementwise, so each ascent takes the same steps, bit
-for bit, as it does alone; qci_lower_bound is the one-ascent case, and
-qci_lower_bounds runs the cell counts of one point together.
+The ascent is a generator in the kernel's terms: each evaluation yields
+the kernel's four inputs on its J x J cell lanes (_lanes) and is sent the
+kernel's value and slopes there (reduced by _reduce).  One driver runs any
+number of ascents in lock-step, one kernel call per round over every live
+ascent's lanes.  The kernel is elementwise, so each ascent takes the same
+steps, bit for bit, as it does alone; qci_lower_bound is the one-ascent
+case, and qci_lower_bounds runs the cell counts of one point together.
 """
 
 from __future__ import annotations
@@ -39,25 +40,6 @@ _MAX_ITER = 200  # the allocation ascent's iteration cap
 
 
 @dataclass(frozen=True)
-class QuantizationGrid:
-    """Quantile levels for the inverse squared gain, with derived SNRs.
-
-    levels       b_1 <= ... <= b_{J-1} < b_J = +inf, at the j/J quantiles, so
-                 every cell has probability 1/J
-    snr_levels   1/(b_j sigma^2), exactly 0 for the infinite level
-    header_bits  entropy of the cell index, log2(J) for uniform cells
-    """
-
-    levels: tuple[float, ...]
-    snr_levels: tuple[float, ...]
-    header_bits: float
-
-    @property
-    def size(self) -> int:
-        return len(self.levels)
-
-
-@dataclass(frozen=True)
 class QciAllocation:
     """Optimized per-cell budget split and the value it achieves.
 
@@ -73,51 +55,42 @@ class QciAllocation:
     feasible: bool
 
 
-def build_grid(J: int, config: SystemConfig) -> QuantizationGrid:
-    """Quantile grid with J cells: levels at j/J quantiles, last level infinite."""
+def cell_snrs(J: int, config: SystemConfig) -> np.ndarray:
+    """SNR of each of the J cells, the dead cell's 0 last.
+
+    Cell j < J rounds the inverse squared gain up to its j/J quantile b_j,
+    so it has probability 1/J and SNR 1/(b_j sigma^2); the last cell holds
+    the inverse gains above every level, and its relay is dead.
+    """
     if J < 2:
         raise InvalidArgument(f"need at least 2 quantization cells, got {J}")
-    levels = tuple(xi_quantile(j / J) for j in range(1, J)) + (math.inf,)
-    snr_levels = tuple(1.0 / (b * config.noise_power) for b in levels[:-1]) + (0.0,)
-    return QuantizationGrid(levels=levels, snr_levels=snr_levels, header_bits=math.log2(J))
+    return np.array([1.0 / (xi_quantile(j / J) * config.noise_power) for j in range(1, J)] + [0.0])
 
 
-class _Objective:
-    """The J x J cell lanes of one allocation problem, flat.
+def _lanes(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Live-cell values of relay 1 and relay 2 (J - 1 each) on the flat J x J
+    cell lanes: lane j1 J + j2 is cell (j1, j2) and holds x1[j1] and x2[j2],
+    and the dead cell, last, holds 0.  The kernel takes the cell SNRs and
+    the cell budgets in this layout."""
+    J = x1.size + 1
+    lanes1, lanes2 = np.zeros((J, J)), np.zeros((J, J))
+    lanes1[:-1] = x1[:, None]
+    lanes2[:, :-1] = x2
+    return lanes1.ravel(), lanes2.ravel()
 
-    Lane j1 J + j2 is cell (j1, j2): relay 1's cell j1, relay 2's cell j2,
-    the dead cell last, a lane with SNR 0 and budget 0.  The kernel's slopes
-    give the gradient: a live cell's budget enters only its row (or column)
-    of the rate matrix.
-    """
 
-    def __init__(self, grid: QuantizationGrid):
-        self.J = grid.size
-        self.m = self.J - 1
-        self.cell_weight = 1.0 / self.J**2
-        rho = np.asarray(grid.snr_levels)
-        self.rho1 = np.repeat(rho, self.J)
-        self.rho2 = np.tile(rho, self.J)
-
-    def lanes(self, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Kernel inputs (rho1, rho2, c1, c2) at live-cell budgets c1, c2."""
-        lane_c1 = np.zeros((self.J, self.J))
-        lane_c1[:-1] = c1[:, None]
-        lane_c2 = np.zeros((self.J, self.J))
-        lane_c2[:, :-1] = c2
-        return self.rho1, self.rho2, lane_c1.ravel(), lane_c2.ravel()
-
-    def reduce(
-        self, value: np.ndarray, slope1: np.ndarray, slope2: np.ndarray,
-    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Mean rate, rate matrix, and the gradient in c1 and c2 from this
-        problem's kernel outputs."""
-        J, m = self.J, self.m
-        rates = value.reshape(J, J)
-        total = float(rates.sum()) * self.cell_weight
-        g1 = slope1.reshape(J, J)[:m].sum(axis=1) * self.cell_weight
-        g2 = slope2.reshape(J, J)[:, :m].sum(axis=0) * self.cell_weight
-        return total, rates, g1, g2
+def _reduce(J: int, value: np.ndarray, slope1: np.ndarray, slope2: np.ndarray) -> tuple:
+    """Mean rate, (J, J) rate matrix, and the gradient in the live-cell
+    budgets c1 and c2, from the kernel's outputs on the J x J lanes.  Every
+    cell has probability 1/J^2, and a live cell's budget enters only its
+    row (or column) of the rate matrix, so the kernel's slopes give the
+    gradient."""
+    cell_weight = 1.0 / J**2
+    rates = value.reshape(J, J)
+    total = float(rates.sum()) * cell_weight
+    g1 = slope1.reshape(J, J)[:-1].sum(axis=1) * cell_weight
+    g2 = slope2.reshape(J, J)[:, :-1].sum(axis=0) * cell_weight
+    return total, rates, g1, g2
 
 
 def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:
@@ -157,8 +130,8 @@ def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:
 def _ascent(
     J: int, config: SystemConfig, settings: SolverSettings,
 ) -> Generator[tuple, tuple, QciAllocation]:
-    """Build the J-cell grid, then split the post-header budgets across its
-    cells to maximize the mean rate.
+    """Split the post-header budgets across the J cells to maximize the
+    mean rate.
 
     Projected gradient ascent on a concave objective: the exact gradient
     from the kernel's slopes, a Barzilai-Borwein trial step per relay
@@ -168,10 +141,11 @@ def _ascent(
     improving step exists.  Every accepted step raises the value, so the
     result is never below the start.
 
-    A generator, driven by _lock_step: it yields (objective, c1, c2) for
-    each evaluation it needs, is sent objective.reduce of the kernel's
-    outputs at those lanes, and returns the allocation.  The grid is built
-    on the first step, so a bad J fails this ascent only.
+    A generator, driven by _lock_step: for each evaluation it needs it
+    yields the kernel inputs (rho1, rho2, c1, c2) of its J x J cell lanes,
+    is sent the kernel's (value, slope1, slope2) on those lanes, and
+    returns the allocation.  The cell SNRs are formed on the first step,
+    so a bad J fails this ascent only.
 
     The ascent starts from each relay's one-relay water-filling split
     (Cover and Thomas, Elements of Information Theory, 9.4): c_i = max(0,
@@ -179,33 +153,30 @@ def _ascent(
     the one-relay slopes rho_i 2^-c_i / (1 + rho_i 2^-c_i) and costs no
     kernel call.
     """
-    grid = build_grid(J, config)
+    rho = cell_snrs(J, config)
     m = J - 1
-    residual1 = config.c1 - grid.header_bits
-    residual2 = config.c2 - grid.header_bits
+    # the cell index, uniform over J cells, costs log2(J) header bits
+    residual1, residual2 = (budget - math.log2(J) for budget in config.budgets)
     if residual1 < 0.0 or residual2 < 0.0:
-        return QciAllocation(
-            c=np.zeros((2, J)),
-            rates=np.zeros((J, J)),
-            lower_bound=0.0,
-            iterations=0,
-            feasible=False,
-        )
+        return QciAllocation(c=np.zeros((2, J)), rates=np.zeros((J, J)), lower_bound=0.0,
+                             iterations=0, feasible=False)
 
     # each live cell spends its budget over J: the relays' budget sets are
     # {c >= 0, sum(c) <= budget}
     budget1, budget2 = J * residual1, J * residual2
-    objective = _Objective(grid)
+    # the dead cell's SNR is 0, as its budget is, so one layout serves both
+    rho_lanes = _lanes(rho[:m], rho[:m])
     # log2 rho, lifted so that every cell holds at least budget / m,
     # overspends; the projection's shift theta is one water level, so the
     # projection is the water-filling split.
-    log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
+    log_rho = np.log2(rho[:m])
     lifted = log_rho - log_rho.min()
     c1, c2 = (_project_budget(lifted + budget / m, budget) for budget in (budget1, budget2))
 
     # Every evaluation also yields the gradient, so an accepted candidate
     # brings the next iteration's gradient along.
-    best, rates, g1, g2 = yield objective, c1, c2
+    reply = yield (*rho_lanes, *_lanes(c1, c2))
+    best, rates, g1, g2 = _reduce(J, *reply)
     step1 = step2 = 2.0 * J
     stalls = 0
     last_gain = math.inf
@@ -219,7 +190,8 @@ def _ascent(
             gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
             if gap <= 0.0:
                 break
-            cand_value, cand_rates, cand_g1, cand_g2 = yield objective, cand1, cand2
+            reply = yield (*rho_lanes, *_lanes(cand1, cand2))
+            cand_value, cand_rates, cand_g1, cand_g2 = _reduce(J, *reply)
             if cand_value >= best + _ARMIJO_SLOPE * gap:
                 moved = True
                 break
@@ -251,27 +223,21 @@ def _ascent(
                 f"allocation ascent still improving by more than 1e-6 after {_MAX_ITER} iterations"
             )
 
-    c_full = np.zeros((2, J))
-    c_full[0, :m] = c1
-    c_full[1, :m] = c2
-    return QciAllocation(
-        c=c_full,
-        rates=rates,
-        lower_bound=best,
-        iterations=iterations,
-        feasible=True,
-    )
+    c = np.zeros((2, J))
+    c[0, :m], c[1, :m] = c1, c2
+    return QciAllocation(c=c, rates=rates, lower_bound=best, iterations=iterations, feasible=True)
 
 
 def _lock_step(ascents: Sequence[Generator]) -> list[QciAllocation | Exception]:
-    """Run the ascents together: one kernel call per round carries every
-    live ascent's pending request.
+    """Run the ascents together: each round concatenates every live ascent's
+    pending lanes into one kernel call and sends each ascent the outputs on
+    its own lanes.
 
     An ascent leaves the batch when it returns, or when it raises; its
     exception then stands in its place in the result and the others go on.
     """
     outcomes: list[QciAllocation | Exception | None] = [None] * len(ascents)
-    requests: dict[int, tuple[_Objective, np.ndarray, np.ndarray]] = {}
+    requests: dict[int, tuple[np.ndarray, ...]] = {}
 
     def advance(k: int, reply) -> None:
         try:
@@ -286,33 +252,31 @@ def _lock_step(ascents: Sequence[Generator]) -> list[QciAllocation | Exception]:
     while requests:
         batch = list(requests.items())
         requests.clear()
-        lanes = [objective.lanes(c1, c2) for _, (objective, c1, c2) in batch]
-        value, _, _, slope1, slope2 = _maxmin_batch(*map(np.concatenate, zip(*lanes)))
+        value, _, _, slope1, slope2 = _maxmin_batch(
+            *map(np.concatenate, zip(*(lanes for _, lanes in batch)))
+        )
         start = 0
-        for (k, (objective, _, _)), lane in zip(batch, lanes):
-            stop = start + lane[0].size
-            advance(k, objective.reduce(value[start:stop], slope1[start:stop], slope2[start:stop]))
+        for k, lanes in batch:
+            stop = start + lanes[0].size
+            advance(k, (value[start:stop], slope1[start:stop], slope2[start:stop]))
             start = stop
     return outcomes
-
-
-def _raised(outcome: QciAllocation | Exception) -> QciAllocation:
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def qci_lower_bounds(
     cells: Sequence[int], config: SystemConfig, settings: SolverSettings,
 ) -> list[QciAllocation | Exception]:
-    """Grid construction plus allocation for each cell count, in lock-step.
+    """The allocation of each cell count, in lock-step.
 
     Entry k of the result is cell count k's allocation, or the exception
-    that its construction or ascent raised.
+    that its ascent raised.
     """
     return _lock_step([_ascent(J, config, settings) for J in cells])
 
 
 def qci_lower_bound(J: int, config: SystemConfig, settings: SolverSettings) -> QciAllocation:
-    """Grid construction plus allocation in one call."""
-    return _raised(qci_lower_bounds([J], config, settings)[0])
+    """The allocation of one cell count."""
+    (outcome,) = qci_lower_bounds([J], config, settings)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .channel import SystemConfig
 from .errors import DomainError, InvalidArgument
@@ -255,36 +255,44 @@ def _cell(value: float | None) -> str:
 
 def render_points(
     points: list[tuple[float, float, float]], schemes: tuple[str, ...], settings: SolverSettings
-) -> list[str]:
+) -> Iterator[str]:
     """Header plus one CSV line per (snr_db, c1, c2) point, each from its point
     alone; the schemes are as check_schemes accepts them.  Every point is
-    checked against the input box before the first is evaluated.  The
+    checked against the input box in this call; the lines are computed as
+    they are read, so a caller opens its output between the two.  The
     c_bits column is c1 alone: a row does not show c2."""
     for point in points:
         check_in_box(*point)
+    return _lines(points, schemes, settings)
+
+
+def _lines(points, schemes: tuple[str, ...], settings: SolverSettings) -> Iterator[str]:
     diag_columns = [_DIAGNOSTIC_COLUMN[s] for s in schemes]
-    lines = [",".join(["rho_db", "c_bits", *schemes, *diag_columns])]
+    yield ",".join(["rho_db", "c_bits", *schemes, *diag_columns])
     for snr_db, c1, c2 in points:
         config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)
         results = compute_point(config, schemes, settings)
         rates = [_cell(r.rate) for r in results]
         diags = [_cell(r.diagnostic) for r in results]
-        lines.append(",".join([_cell(snr_db), _cell(c1), *rates, *diags]))
-    return lines
+        yield ",".join([_cell(snr_db), _cell(c1), *rates, *diags])
 
 
-def render_rows(spec: SweepSpec) -> list[str]:
+def render_rows(spec: SweepSpec) -> Iterator[str]:
     """Header plus one CSV line per sweep point, in sweep order."""
     return render_points(sweep_points(spec), spec.schemes, spec.settings)
 
 
-def write_csv(path: str, lines: list[str]) -> str:
-    """Write the lines, each ended by a newline; returns the path."""
+def write_csv(path: str, lines: Iterable[str]) -> str:
+    """Open the file, then write the lines as they come, each ended by a
+    newline; returns the path.  Given render_points' lines, an unwritable
+    path fails before the first point is evaluated."""
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
     return path
 
 
 def run_sweep(spec: SweepSpec) -> str:
-    """Run the sweep and write its CSV; returns the output path."""
+    """Check the sweep's points, open its CSV, then evaluate and write them
+    row by row; returns the output path."""
     return write_csv(spec.output_path, render_rows(spec))

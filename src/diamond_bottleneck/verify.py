@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .channel import SnrPair, SystemConfig
+from .channel import SnrPair, SystemConfig, xi_quantile
 from .errors import InvalidArgument
 from .fixed_rate import fixed_rate
 from .mmse import calibrate
@@ -36,7 +36,7 @@ from .numerics import (
     exp_integral_e1,
     integrate_semiinfinite,
 )
-from .qci import build_grid, qci_lower_bound
+from .qci import cell_snrs, qci_lower_bound
 from .sweeps import BUDGET_BOX, SNR_DB_BOX
 from .tci import tci_rate
 from .upper_bound import budget_integral, rate_at_level, upper_bound
@@ -165,12 +165,12 @@ def _check_one_relay(seed: int, count: int):
 
 
 def _check_quantiles():
-    # level b_j of the J-cell grid holds P(1/g <= b_j) = P(g >= 1/b_j) = j/J
+    # the j/J quantile b_j of the inverse squared gain holds
+    # P(1/g <= b_j) = P(g >= 1/b_j) = j/J
     worst = 0.0
     for J in (2, 4, 8):
-        levels = build_grid(J, SystemConfig(1.0, 1.0, 1.0)).levels[:-1]
-        for j, level in enumerate(levels, start=1):
-            mass = integrate_semiinfinite(lambda g: np.exp(-g), 1.0 / level)
+        for j in range(1, J):
+            mass = integrate_semiinfinite(lambda g: np.exp(-g), 1.0 / xi_quantile(j / J))
             worst = max(worst, abs(mass - j / J))
     return worst <= 1e-9, f"max abs err {worst:.2e}"
 
@@ -244,34 +244,34 @@ def _check_water_level(settings: SolverSettings, seed: int, count: int):
 
 
 def _check_qci_feasibility(settings: SolverSettings):
-    # Each allocation has a header of exactly log2(J) bits, spends at most
-    # each relay's residual (every cell has probability 1/J), gives no cell
-    # a negative budget and the dead cell none, and is no worse than the
-    # uniform split, a feasible point that spends each whole residual.
+    # Each allocation is feasible, spends at most each relay's residual
+    # after log2(J) header bits (every cell has probability 1/J), gives no
+    # cell a negative budget and the dead cell none, and is no worse than
+    # the uniform split, a feasible point that spends each whole residual.
     worst_spend = worst_shortfall = -math.inf
     exact = True
     for J, noise_power, c1, c2 in (
         (4, 0.01, 6.0, 5.0), (2, 1e-2, 4.0, 4.0), (4, 1e-3, 6.0, 4.0), (8, 1e-4, 10.0, 7.0)
     ):
         config = SystemConfig(noise_power, c1, c2)
-        grid = build_grid(J, config)
+        rho = cell_snrs(J, config)
         allocation = qci_lower_bound(J, config, settings)
-        residuals = np.array(config.budgets) - grid.header_bits
+        residuals = np.array(config.budgets) - math.log2(J)
         worst_spend = max(worst_spend, float(np.max(allocation.c.sum(axis=1) / J - residuals)))
         exact = bool(
-            exact and allocation.feasible and grid.header_bits == math.log2(J)
+            exact and allocation.feasible
             and np.all(allocation.c >= 0.0) and not np.any(allocation.c[:, -1])
         )
         split = [(r * J / (J - 1),) * (J - 1) + (0.0,) for r in residuals]
         uniform = sum(
-            fixed_rate(SnrPair(grid.snr_levels[j1], grid.snr_levels[j2]), (b1, b2)).rate
+            fixed_rate(SnrPair(rho[j1], rho[j2]), (b1, b2)).rate
             for j1, b1 in enumerate(split[0]) for j2, b2 in enumerate(split[1])
         ) / J**2
         worst_shortfall = max(worst_shortfall, uniform - allocation.lower_bound)
     ok = exact and worst_spend <= 1e-9 and worst_shortfall <= 1e-9
     return ok, (
         f"overspend {worst_spend:.2e} (limit 1e-9), shortfall against the uniform split "
-        f"{worst_shortfall:.2e} (limit 1e-9), header, signs and dead cell "
+        f"{worst_shortfall:.2e} (limit 1e-9), feasibility, signs and dead cell "
         f"{'exact' if exact else 'WRONG'}, over 4 allocations"
     )
 

@@ -1,5 +1,5 @@
-"""Quantized-inversion scheme: grid construction, cell rates, and the
-budget-allocation ascent."""
+"""Quantized-inversion scheme: cell SNRs, cell rates, the
+budget-allocation ascent and the lock-step driver."""
 
 import csv
 import importlib
@@ -12,16 +12,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diamond_bottleneck.channel import SnrPair, SystemConfig
+from diamond_bottleneck.channel import SnrPair, SystemConfig, xi_quantile
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.fixed_rate import fixed_rate
 from diamond_bottleneck.numerics import SolverSettings, _maxmin_batch
 from diamond_bottleneck.qci import (
     QciAllocation,
     _ascent,
-    _Objective,
+    _lanes,
+    _lock_step,
     _project_budget,
-    build_grid,
+    _reduce,
+    cell_snrs,
     qci_lower_bound,
     qci_lower_bounds,
 )
@@ -37,41 +39,47 @@ LOG2_4_3 = 0.41503749927884
 
 
 class TestBuildGrid:
+    """The J cells: quantile levels, cell SNRs and the log2 J header."""
+
     def test_levels_are_quarter_quantiles(self):
-        grid = build_grid(4, SystemConfig(1.0, 5.0, 5.0))
-        assert grid.size == 4
-        assert grid.levels[0] == pytest.approx(XI_QUARTER, abs=1e-12)
-        assert grid.levels[1] == pytest.approx(XI_HALF, abs=1e-12)
-        assert grid.levels[2] == pytest.approx(XI_THREE_QUARTER, abs=1e-12)
-        assert grid.levels[3] == math.inf
+        levels = [xi_quantile(j / 4) for j in (1, 2, 3)]
+        assert levels == pytest.approx([XI_QUARTER, XI_HALF, XI_THREE_QUARTER], abs=1e-12)
+        # at unit noise each live cell's SNR is its level's inverse, exactly
+        rho = cell_snrs(4, SystemConfig(1.0, 5.0, 5.0))
+        assert rho.tolist() == [1.0 / level for level in levels] + [0.0]
 
     def test_snr_levels(self):
-        grid = build_grid(4, SystemConfig(1.0, 5.0, 5.0))
+        rho = cell_snrs(4, SystemConfig(1.0, 5.0, 5.0))
         # 1/(level * noise) = -ln(j/J) at unit noise
-        assert grid.snr_levels[0] == pytest.approx(math.log(4.0), abs=1e-12)
-        assert grid.snr_levels[1] == pytest.approx(math.log(2.0), abs=1e-12)
-        assert grid.snr_levels[2] == pytest.approx(-math.log(0.75), abs=1e-12)
-        assert grid.snr_levels[3] == 0.0
+        assert rho[0] == pytest.approx(math.log(4.0), abs=1e-12)
+        assert rho[1] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert rho[2] == pytest.approx(-math.log(0.75), abs=1e-12)
+        assert rho[3] == 0.0
 
     def test_noise_scaling(self):
-        unit = build_grid(4, SystemConfig(1.0, 5.0, 5.0))
-        scaled = build_grid(4, SystemConfig(1e-4, 5.0, 5.0))
-        assert scaled.levels == unit.levels
-        for a, b in zip(scaled.snr_levels[:-1], unit.snr_levels[:-1]):
-            assert a == pytest.approx(1e4 * b, rel=1e-12)
+        unit = cell_snrs(4, SystemConfig(1.0, 5.0, 5.0))
+        scaled = cell_snrs(4, SystemConfig(1e-4, 5.0, 5.0))
+        assert scaled[:-1] == pytest.approx(1e4 * unit[:-1], rel=1e-12)
+        assert scaled[-1] == 0.0
 
     def test_uniform_probs(self):
-        # P(1/g <= b_j) = exp(-1/b_j) = j/J: every cell has probability 1/J
+        # P(1/g <= b_j) = exp(-1/b_j) = j/J, and 1/b_j = rho_j sigma^2: every
+        # cell has probability 1/J, the dead cell (rho 0) holding the rest
         for J in (2, 4, 8):
-            grid = build_grid(J, SystemConfig(0.01, 5.0, 5.0))
-            cdf = [math.exp(-1.0 / level) for level in grid.levels]
+            config = SystemConfig(0.01, 5.0, 5.0)
+            cdf = np.exp(-cell_snrs(J, config) * config.noise_power)
             assert cdf == pytest.approx([j / J for j in range(1, J + 1)], abs=1e-15)
 
     def test_header_bits_exact(self):
-        config = SystemConfig(0.01, 5.0, 5.0)
-        assert build_grid(2, config).header_bits == 1.0
-        assert build_grid(4, config).header_bits == 2.0
-        assert build_grid(8, config).header_bits == 3.0
+        # the header is log2(J) bits exactly: a link budget of log2(J) is
+        # feasible with nothing left to split, one ulp less is not
+        for J in (2, 4, 8):
+            header = math.log2(J)
+            assert header == J.bit_length() - 1
+            fits = qci_lower_bound(J, SystemConfig(0.01, header, 5.0), SETTINGS)
+            assert fits.feasible and np.all(fits.c[0] == 0.0)
+            short = SystemConfig(0.01, 5.0, math.nextafter(header, 0.0))
+            assert not qci_lower_bound(J, short, SETTINGS).feasible
 
     def test_budget_feasible_flag(self):
         # feasible exactly when the header fits both link budgets
@@ -83,50 +91,51 @@ class TestBuildGrid:
         config = SystemConfig(0.01, 5.0, 5.0)
         for J in (1, 0, -3):
             with pytest.raises(InvalidArgument):
-                build_grid(J, config)
+                cell_snrs(J, config)
 
 
 @pytest.fixture(scope="module")
-def unit_snr_grid():
+def unit_snrs():
     # noise ln2 makes the median-level SNR exactly 1
-    return build_grid(2, SystemConfig(math.log(2.0), 5.0, 5.0))
+    return cell_snrs(2, SystemConfig(math.log(2.0), 5.0, 5.0))
 
 
-def evaluate(grid, c1, c2):
-    """Mean rate, rate matrix and gradient of the allocation objective at
-    live-cell budgets c1, c2: one kernel call on its flat J x J lanes."""
-    objective = _Objective(grid)
-    lanes = objective.lanes(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float))
+def evaluate(rho, c1, c2):
+    """Mean rate, rate matrix and gradient of the allocation objective of
+    the cells with SNRs rho at live-cell budgets c1, c2: one kernel call on
+    their flat J x J lanes."""
+    m = rho.size - 1
+    lanes = _lanes(rho[:m], rho[:m]) + _lanes(np.asarray(c1, float), np.asarray(c2, float))
     value, _, _, slope1, slope2 = _maxmin_batch(*lanes)
-    return objective.reduce(value, slope1, slope2)
+    return _reduce(rho.size, value, slope1, slope2)
 
 
-def rate_matrix(grid, c1, c2):
+def rate_matrix(rho, c1, c2):
     """Rate matrix of the allocation objective at live-cell budgets c1, c2."""
-    return evaluate(grid, c1, c2)[1]
+    return evaluate(rho, c1, c2)[1]
 
 
 class TestCellRate:
     """Cells of the rate matrix that the allocation objective builds."""
 
-    def test_dead_dead_is_zero(self, unit_snr_grid):
-        assert rate_matrix(unit_snr_grid, [3.0], [3.0])[1, 1] == 0.0
+    def test_dead_dead_is_zero(self, unit_snrs):
+        assert rate_matrix(unit_snrs, [3.0], [3.0])[1, 1] == 0.0
 
-    def test_single_live_relay_closed_form(self, unit_snr_grid):
-        assert unit_snr_grid.snr_levels[0] == pytest.approx(1.0, abs=1e-12)
-        rates = rate_matrix(unit_snr_grid, [1.0], [7.0])
+    def test_single_live_relay_closed_form(self, unit_snrs):
+        assert unit_snrs[0] == pytest.approx(1.0, abs=1e-12)
+        rates = rate_matrix(unit_snrs, [1.0], [7.0])
         assert rates[0, 1] == pytest.approx(LOG2_4_3, abs=1e-10)
         # mirrored edge uses the second budget
-        assert rate_matrix(unit_snr_grid, [7.0], [1.0])[1, 0] == pytest.approx(
+        assert rate_matrix(unit_snrs, [7.0], [1.0])[1, 0] == pytest.approx(
             LOG2_4_3, abs=1e-10
         )
 
     def test_edge_is_closed_form_whatever_the_dead_budget(self):
-        grid = build_grid(4, SystemConfig(0.01, 6.0, 6.0))
+        rho_cells = cell_snrs(4, SystemConfig(0.01, 6.0, 6.0))
         c1 = [1.0, 2.0, 3.0]
-        rates = rate_matrix(grid, c1, [5.0, 1.0, 9.0])
+        rates = rate_matrix(rho_cells, c1, [5.0, 1.0, 9.0])
         for j, c in enumerate(c1):
-            rho = grid.snr_levels[j]
+            rho = rho_cells[j]
             closed = math.log2(1.0 + rho) - math.log2(1.0 + rho * 2.0**-c)
             assert rates[j, 3] == pytest.approx(closed, abs=1e-12)
             # the dead relay's SNR is 0, so its budget cannot move the cell
@@ -135,16 +144,21 @@ class TestCellRate:
                 assert float(value) == rates[j, 3]
 
     def test_interior_matches_maxmin_solver(self):
-        grid = build_grid(4, SystemConfig(0.01, 6.0, 6.0))
+        rho = cell_snrs(4, SystemConfig(0.01, 6.0, 6.0))
         c1, c2 = [2.0, 0.5, 1.0], [3.0, 4.0, 1.5]
-        rates = rate_matrix(grid, c1, c2)
+        rates = rate_matrix(rho, c1, c2)
         for j1 in range(3):
             for j2 in range(3):
-                rho = SnrPair(grid.snr_levels[j1], grid.snr_levels[j2])
-                assert rates[j1, j2] == fixed_rate(rho, (c1[j1], c2[j2])).rate
+                assert rates[j1, j2] == fixed_rate(SnrPair(rho[j1], rho[j2]), (c1[j1], c2[j2])).rate
 
-    def test_zero_budgets_zero_rate(self, unit_snr_grid):
-        assert np.all(rate_matrix(unit_snr_grid, [0.0], [0.0]) == 0.0)
+    def test_zero_budgets_zero_rate(self, unit_snrs):
+        assert np.all(rate_matrix(unit_snrs, [0.0], [0.0]) == 0.0)
+
+    def test_lane_layout(self):
+        # lane j1 J + j2 is cell (j1, j2); the dead cell, last, holds 0
+        lanes1, lanes2 = _lanes(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        assert lanes1.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
+        assert lanes2.tolist() == [3.0, 4.0, 0.0, 3.0, 4.0, 0.0, 3.0, 4.0, 0.0]
 
 
 def counted_kernel(monkeypatch):
@@ -167,10 +181,10 @@ def solo_evaluations(J, config):
     count, reply = 0, None
     try:
         while True:
-            objective, c1, c2 = ascent.send(reply)
+            lanes = ascent.send(reply)
             count += 1
-            value, _, _, slope1, slope2 = _maxmin_batch(*objective.lanes(c1, c2))
-            reply = objective.reduce(value, slope1, slope2)
+            value, _, _, slope1, slope2 = _maxmin_batch(*lanes)
+            reply = value, slope1, slope2
     except StopIteration as stop:
         return count, stop.value
 
@@ -186,11 +200,10 @@ def test_one_kernel_call_per_evaluation(monkeypatch, J):
     assert set(shapes) == {(J * J,)}
 
 
-def cell_value(grid, j1, j2, c1, c2):
+def cell_value(rho, j1, j2, c1, c2):
     """Rate of cell (j1, j2) at cell budgets c1, c2 by the scalar solver; the
     dead cell has SNR 0."""
-    rho = SnrPair(grid.snr_levels[j1], grid.snr_levels[j2])
-    return fixed_rate(rho, (c1, c2)).rate
+    return fixed_rate(SnrPair(rho[j1], rho[j2]), (c1, c2)).rate
 
 
 def uniform_split_value(J, config):
@@ -198,14 +211,14 @@ def uniform_split_value(J, config):
     post-header budget.  Any feasible split lower-bounds the optimum, so an
     ascent that reaches the optimum does at least this well, whatever its
     start."""
-    grid = build_grid(J, config)
+    rho = cell_snrs(J, config)
     m = J - 1
-    share1 = (config.c1 - grid.header_bits) * J / m
-    share2 = (config.c2 - grid.header_bits) * J / m
+    share1 = (config.c1 - math.log2(J)) * J / m
+    share2 = (config.c2 - math.log2(J)) * J / m
     total = 0.0
     for j1 in range(J):
         for j2 in range(J):
-            total += cell_value(grid, j1, j2, share1, share2)
+            total += cell_value(rho, j1, j2, share1, share2)
     return total / J**2
 
 
@@ -227,24 +240,21 @@ class TestOptimizeAllocation:
 
     def test_constraints_respected(self):
         config = SystemConfig(1e-3, 6.0, 4.0)
-        grid = build_grid(4, config)
         result = qci_lower_bound(4, config, SETTINGS)
         assert result.feasible
-        # every cell has probability 1/4
-        assert float(result.c[0].sum()) / 4 <= config.c1 - grid.header_bits + 1e-9
-        assert float(result.c[1].sum()) / 4 <= config.c2 - grid.header_bits + 1e-9
+        # every cell has probability 1/4, and the header takes 2 bits
+        assert float(result.c[0].sum()) / 4 <= config.c1 - 2.0 + 1e-9
+        assert float(result.c[1].sum()) / 4 <= config.c2 - 2.0 + 1e-9
         assert np.all(result.c >= 0.0)
         assert np.all(result.c[:, -1] == 0.0)
 
     def test_rates_matrix_consistency(self):
         config = SystemConfig(1e-3, 5.0, 5.0)
-        grid = build_grid(4, config)
+        rho = cell_snrs(4, config)
         result = qci_lower_bound(4, config, SETTINGS)
-        assert result.lower_bound == pytest.approx(
-            float(result.rates.sum()) / grid.size**2, abs=1e-12
-        )
+        assert result.lower_bound == pytest.approx(float(result.rates.sum()) / 16, abs=1e-12)
         for j1, j2 in [(0, 0), (1, 2), (0, 3), (3, 1), (3, 3)]:
-            expected = cell_value(grid, j1, j2, result.c[0, j1], result.c[1, j2])
+            expected = cell_value(rho, j1, j2, result.c[0, j1], result.c[1, j2])
             assert result.rates[j1, j2] == pytest.approx(expected, abs=1e-9)
 
     def test_beats_uniform_split(self):
@@ -315,11 +325,9 @@ class TestColdStart:
         ],
     )
     def test_water_filling_split(self, monkeypatch, J, config):
-        grid = build_grid(J, config)
-        m = J - 1
-        log_rho = np.log2(np.asarray(grid.snr_levels[:m]))
+        log_rho = np.log2(cell_snrs(J, config)[:-1])
         for c, budget in zip(cold_start(monkeypatch, J, config), config.budgets):
-            residual = budget - grid.header_bits
+            residual = budget - math.log2(J)
             assert np.all(c >= 0.0)
             assert float(c.sum()) / J == pytest.approx(residual, rel=1e-12, abs=1e-12)
             live = c > 0.0
@@ -342,12 +350,11 @@ def test_verify_rejects_an_allocation_below_the_uniform_split(monkeypatch):
 
     def short(J, config, settings):
         # feasible, but spends only 1/J of each residual
-        grid = build_grid(J, config)
-        m = grid.size - 1
-        c = np.zeros((2, grid.size))
+        m = J - 1
+        c = np.zeros((2, J))
         for k, budget in enumerate(config.budgets):
-            c[k, :m] = (budget - grid.header_bits) / m
-        value, rates, _, _ = evaluate(grid, c[0, :m], c[1, :m])
+            c[k, :m] = (budget - math.log2(J)) / m
+        value, rates, _, _ = evaluate(cell_snrs(J, config), c[0, :m], c[1, :m])
         return QciAllocation(c=c, rates=rates, lower_bound=value, iterations=1, feasible=True)
 
     monkeypatch.setattr(importlib.import_module("diamond_bottleneck.verify"), "qci_lower_bound", short)
@@ -433,6 +440,36 @@ class TestLockStep:
             assert [bits(a) for a in together] == [bits(a) for _, a in solo]
             points += 1
         assert points * 3 == len(rows)
+
+    def test_driver_sends_each_ascent_its_own_outputs(self, monkeypatch):
+        # hand-made ascents: one asks for 1 lane and returns after one round,
+        # the other asks for 5 lanes and raises in its second round
+        rng = np.random.default_rng(24)
+
+        def request(n):
+            # the kernel's inputs on n lanes: two SNRs, then two budgets
+            return (*rng.uniform(0.0, 1e3, (2, n)), *rng.uniform(0.0, 12.0, (2, n)))
+
+        asked = [[request(1)], [request(5), request(5)]]
+        sent = [[], []]
+
+        def ascent(k):
+            for lanes in asked[k]:
+                sent[k].append((yield lanes))
+            if k == 1:
+                raise NonConvergent("second round")
+            return "returned"
+
+        shapes = counted_kernel(monkeypatch)
+        outcomes = _lock_step([ascent(0), ascent(1)])
+        assert outcomes[0] == "returned"
+        assert isinstance(outcomes[1], NonConvergent)
+        assert shapes == [(6,), (5,)]
+        for requests, replies in zip(asked, sent):
+            assert len(replies) == len(requests)
+            for lanes, reply in zip(requests, replies):
+                value, _, _, slope1, slope2 = _maxmin_batch(*lanes)
+                assert [a.tobytes() for a in reply] == [a.tobytes() for a in (value, slope1, slope2)]
 
     def test_a_failed_problem_leaves_the_others(self):
         config = SystemConfig(1e-3, 6.0, 5.0)

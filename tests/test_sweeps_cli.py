@@ -302,7 +302,7 @@ class TestRenderRows:
     POINT = [(10.0, 3.0, 3.0)]
 
     def test_header_layout(self):
-        lines = render_points(self.POINT, ("ub", "tci"), SETTINGS)
+        lines = list(render_points(self.POINT, ("ub", "tci"), SETTINGS))
         assert lines[0] == "rho_db,c_bits,ub,tci,ub_residual,tci_threshold"
         assert len(lines) == 2
         cells = lines[1].split(",")
@@ -316,7 +316,7 @@ class TestRenderRows:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(sweeps, "upper_bound", explode)
-        lines = render_points(self.POINT, ("ub", "tci"), SETTINGS)
+        lines = list(render_points(self.POINT, ("ub", "tci"), SETTINGS))
         cells = lines[1].split(",")
         assert cells[2] == "" and cells[4] == ""
         assert cells[3] != "" and cells[5] != ""
@@ -374,13 +374,6 @@ class TestCommandLine:
         assert rows[0]["rho_db"] == 0.0  # unit noise by default
         assert rows[0]["c_bits"] == 10.0
 
-    def test_bound_sigma2_flag(self, cli):
-        # a noise power X is --snr-db 10*log10(1/X); --sigma2 is no flag
-        assert_exits_2(
-            cli(["bound", "--sigma2", "0.01", "--scheme", "ub"]),
-            "unrecognized arguments: --sigma2 0.01",
-        )
-
     def test_bound_c2_defaults_to_c1(self, cli):
         outputs = [
             cli(["bound", "--c1", "4", "--scheme", "ub,tci", *extra])
@@ -389,36 +382,6 @@ class TestCommandLine:
         assert [result.returncode for result in outputs] == [0, 0, 0]
         assert outputs[0] == outputs[1]
         assert outputs[0].stdout != outputs[2].stdout
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["bound", "--sigma2", "0.01", "--snr-db", "10"],
-            ["sweep", "--preset", "fig3", "--snr-db", "10", "--sigma2", "0.01"],
-        ],
-        ids=["flags", "budget-sweep"],
-    )
-    def test_sigma2_and_snr_db_together_exit_2(self, cli, args):
-        # --snr-db is the one noise input: --sigma2 is no flag, beside
-        # --snr-db or not
-        result = cli([*args, "--scheme", "ub"])
-        assert_exits_2(result)
-        assert "sigma2" in result.stderr.splitlines()[-1]
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["sweep", "--sigma2", "0.01"],
-            ["sweep", "--sweep", "fig2"],
-            ["sweep", "--sweep", "snr"],
-            ["sweep", "--preset", "fig2", "--c2", "10"],
-        ],
-        ids=["sigma2", "preset-as-sweep", "sweep", "c2"],
-    )
-    def test_removed_spelling_exits_2(self, cli, args):
-        # --snr-db is the one noise flag, --preset the one sweep selector, and
-        # no sweep reads a second budget
-        assert_exits_2(cli([*args, "--scheme", "ub", "--out", "o.csv"]))
 
     @pytest.mark.parametrize(
         "args",
@@ -480,10 +443,9 @@ class TestCommandLine:
         result = cli([*args, "--scheme", "ub", "--out", "o.csv"])
         assert_exits_2(result, f"error: {refusal(key, value, 'bits')}\n")
 
-    @pytest.mark.parametrize("flag", ["--tol", "--quad-order", "--samples"])
+    @pytest.mark.parametrize("flag", ["--tol"])
     def test_zero_setting_exits_2(self, cli, flag):
-        # rejected before the first check runs: nothing is printed;
-        # --quad-order and --samples are no flags of verify at all
+        # rejected before the first check runs: nothing is printed
         assert_exits_2(cli(["verify", flag, "0"]))
 
     def test_bound_zero_tol_exits_2(self, cli):
@@ -509,34 +471,36 @@ class TestCommandLine:
         assert stubbed_checks == {"seed": 101}
         assert capsys.readouterr().out.endswith("10/10 checks passed\n")
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["bound", "--seed", "3"],
-            ["sweep", "--preset", "fig2", "--samples", "10"],
-            ["verify", "--c1", "5"],
-            ["verify", "--scheme", "ub", "--out", "z.csv"],
-            # verify draws no fading gains and its quadrature order is fixed
-            ["verify", "--samples", "10"],
-            ["verify", "--quad-order", "64"],
-        ],
-    )
-    def test_flag_a_subcommand_does_not_read_exits_2(self, cli, args):
-        assert_exits_2(cli(args))
-
     def test_bound_out_writes_csv(self, cli, tmp_path):
         result = cli(["bound", "--scheme", "ub", "--c1", "3", "--out", "point.csv"])
         assert result.returncode == 0, result.stderr
         rows = parse_csv((tmp_path / "point.csv").read_bytes())
         assert rows[0]["c_bits"] == 3.0
 
-    def test_unwritable_out_exits_1(self, cli):
-        # an I/O failure is exit 1, reported on one line
+    def test_unwritable_out_exits_1(self, cli, no_point_evaluated):
+        # an I/O failure is exit 1, reported on one line; the output is
+        # opened once the point passes the box check, before it is evaluated
         result = cli(["bound", "--scheme", "ub", "--out", "missing/x.csv"])
         assert result.returncode == 1, result.stderr
         assert result.stdout == ""
         assert result.stderr.startswith("error: [Errno 2] No such file or directory")
         assert result.stderr.count("\n") == 1
+
+    def test_unwritable_sweep_out_exits_1(self, cli, no_point_evaluated):
+        # as for bound: all 31 points pass the box check, and none is evaluated
+        result = cli(["sweep", "--preset", "fig2", "--out", "missing/x.csv"])
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize(
+        "args", [["bound", "--snr-db", "-100"], ["sweep", "--preset", "fig2", "--stop", "152"]],
+        ids=["bound", "sweep"],
+    )
+    def test_refused_point_leaves_existing_out_untouched(self, cli, no_point_evaluated, args):
+        Path("o.csv").write_text("kept\n")
+        result = cli([*args, "--out", "o.csv"])
+        assert result.returncode == 2, result.stderr
+        assert Path("o.csv").read_text() == "kept\n"
 
     def test_unknown_scheme_exits_2(self, tmp_path):
         # the one case run as `python -m diamond_bottleneck`: main's return
@@ -758,7 +722,7 @@ class TestRowsStandAlone:
         points = sweep_points(spec)
         assert len(lines) == len(points) + 1
         for line, (snr_db, c1, c2) in zip(lines[1:], points):
-            assert render_points([(snr_db, c1, c2)], SCHEMES, SETTINGS) == [lines[0], line]
+            assert list(render_points([(snr_db, c1, c2)], SCHEMES, SETTINGS)) == [lines[0], line]
 
     def test_fig2(self, fig2_runs):
         self.check(fig2_runs[0], fig2_spec())
