@@ -193,7 +193,7 @@ def _e1_scaled(t: float) -> float:
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) <= 2.0**-52:  # one float spacing; a finer stop can stall
             return h
     raise NonConvergent(f"continued fraction for E1 stalled at t={t}")
 

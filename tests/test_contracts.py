@@ -2,7 +2,8 @@
 `bound` and `sweep` (sweeps.SNR_DB_BOX in dB, sweeps.BUDGET_BOX in bits,
 with an explicit example at each edge), every lower bound stays at or below
 the upper bound, the upper bound stays at or below the cut-set bound
-c1 + c2 and spends the budget to 1e-6 of min(1, c1 + c2) bits, every rate
+c1 + c2 and spends the budget to 1e-6 of min(1, c1 + c2) bits (or one ulp
+of c1 + c2, where that is larger), every rate
 is nonnegative and symmetric under c1 <-> c2, and every rate is monotone
 along short ladders of budget and of SNR.
 
@@ -11,6 +12,8 @@ not a valid lower bound yet (ROADMAP item 2): its strict xfails carry an
 explicit failing example each, so they fail on every run until the formula
 is repaired.
 """
+
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,8 +35,8 @@ RUNG = st.floats(0.01, 5.0)
 LOW_DB, HIGH_DB = SNR_DB_BOX
 LOW_C, HIGH_C = BUDGET_BOX
 
-# 60 draws per scheme and property keep the whole suite near 11 s; the cold
-# QCI ascent dominates.
+# 60 draws per scheme and property: this module takes about 2 s of Tier-1's
+# 19 s on a 2-core host; the cold QCI ascent dominates.
 FEW = settings(max_examples=60)
 
 LOWER_BOUNDS = tuple(scheme for scheme in SCHEMES if scheme != "ub")
@@ -85,12 +88,14 @@ def test_upper_bound_within_cut_set(snr_db, c1, c2):
 @FEW
 @given(SNR_DB, BUDGET, BUDGET)
 @example(40.0, 1e-300, 1e-300)
+@example(40.0, 5e-324, 5e-324)
 @example(150.0, 1e-12, 1e-12)
 @example(LOW_DB, HIGH_C, HIGH_C)
 def test_water_level_spends_the_budget(snr_db, c1, c2):
-    # relative below 1 bit, so a tiny budget is not lost in an absolute stop
+    # relative below 1 bit, so a tiny budget is not lost in an absolute stop;
+    # floored at one ulp of the budget, where the relative limit underflows
     residual = results(snr_db, c1, c2, ("ub",))["ub"].diagnostic
-    assert abs(residual) <= 1e-6 * min(1.0, c1 + c2)
+    assert abs(residual) <= max(1e-6 * min(1.0, c1 + c2), math.ulp(c1 + c2))
 
 
 @pytest.mark.parametrize("scheme", with_mmse_xfail("mmse is -0.9045 bits at -9.36 dB, C = 5"))

@@ -163,6 +163,31 @@ def test_cli_leaves_verify_unimported():
     assert result.stdout.strip() == "False"
 
 
+PROPERTY_FAILS_THEN_PASSES = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_end_the_run(pytestconfig, tmp_path):
+    # reporting a failing @given example imports libcst, which warns; with
+    # every warning an error, that warning used to end the session
+    (tmp_path / "test_two.py").write_text(PROPERTY_FAILS_THEN_PASSES)
+    result = run_python(
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pytestconfig.inipath),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        tmp_path,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout, result.stdout
+
+
 def test_demos_found():
     assert len(DEMOS) == 4
 
