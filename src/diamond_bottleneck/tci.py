@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import DomainError
-from .numerics import _e1_scaled, _maxmin_batch
+from .numerics import _BUDGET_CAP, _e1_scaled, _maxmin_batch
 
 # threshold grid: 0.1 .. 2.0. Zero is excluded because the conditional mean
 # of 1/gain diverges there (and the rate limit is 0 anyway).
@@ -61,7 +61,8 @@ def _threshold_stats(thresholds: tuple[float, ...]) -> tuple[np.ndarray, ...]:
             raise DomainError("threshold must be positive; the conditional mean diverges at 0")
         t = threshold * threshold
         p_active = math.exp(-t)
-        rows.append((p_active, _binary_entropy(p_active), _e1_scaled(t)))
+        # t overflows past a threshold of about 1.3e154, where e^t E1(t) ~ 1/t is 0
+        rows.append((p_active, _binary_entropy(p_active), _e1_scaled(t) if t < math.inf else 0.0))
     columns = tuple(np.array(column) for column in zip(*rows))
     for column in columns:
         column.flags.writeable = False
@@ -82,17 +83,19 @@ def _tci_rows(thresholds: tuple[float, ...], config: SystemConfig) -> list[tuple
     """
     p, header_bits, e1_scaled = _threshold_stats(thresholds)
     cond_noise = config.noise_power * e1_scaled
-    # past about 3,000 dB cond_noise is subnormal or 0 and rho inf: the
-    # kernel then fails the lane, and the sweep reports an empty cell
-    with np.errstate(divide="ignore", over="ignore"):
+    # past about 3,000 dB cond_noise is subnormal or 0 and rho inf: the kernel
+    # then fails the lane, and the sweep reports an empty cell, unless p is 0,
+    # where no lane counts.  Past a threshold of about 26.6 (c - h) / p
+    # overflows, or is 0 / 0 once p is 0: the kernel's budget cap stands in
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rho = 1.0 / cond_noise
-    b1 = np.maximum(config.c1 - header_bits, 0.0) / p
-    b2 = np.maximum(config.c2 - header_bits, 0.0) / p
+        b1, b2 = (np.fmin(np.maximum(c - header_bits, 0.0) / p, _BUDGET_CAP)
+                  for c in config.budgets)
     silent = np.zeros_like(rho)
     only1, only2, both = _maxmin_batch(
         [rho, silent, rho], [silent, rho, rho], [b1, silent, b1], [silent, b2, b2]
     )[0]
-    rate = p * (1.0 - p) * (only1 + only2) + p * p * both
+    rate = np.where(p > 0.0, p * (1.0 - p) * (only1 + only2) + p * p * both, 0.0)
     return list(zip(thresholds, *(a.tolist() for a in (p, header_bits, cond_noise, rho, rate))))
 
 

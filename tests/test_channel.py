@@ -46,6 +46,13 @@ class TestSampleGains:
         gains = sample_gains(np.random.default_rng(1), 100)
         assert gains.shape == (100,)
         assert np.all(gains >= 0.0)
+        assert sample_gains(np.random.default_rng(1), 1).shape == (1,)
+
+    def test_complex_gaussian_route(self):
+        # |s|^2 from one draw of s's real and imaginary parts, N(0, 1/2) each
+        parts = np.random.default_rng(2).normal(0.0, math.sqrt(0.5), size=(5, 2))
+        gains = sample_gains(np.random.default_rng(2), 5)
+        assert np.array_equal(gains, parts[:, 0] ** 2 + parts[:, 1] ** 2)
 
     def test_moments_at_one_million_draws(self):
         gains = sample_gains(np.random.default_rng(14), 1_000_000)

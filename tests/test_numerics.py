@@ -152,6 +152,11 @@ class TestBisect:
         with pytest.raises(BracketError):
             bisect(lambda x: x + 1.0, 0.0, 5.0, SETTINGS)
 
+    def test_rejects_an_empty_interval(self):
+        # lo = hi is no interval, even where g has its root there
+        with pytest.raises(InvalidArgument):
+            bisect(lambda x: x - 2.0, 2.0, 2.0, SETTINGS)
+
     def test_nonconvergent_when_iterations_exhausted(self, monkeypatch):
         monkeypatch.setattr(numerics, "_MAX_ITER", 5)
         with pytest.raises(NonConvergent):

@@ -2,10 +2,12 @@
 and the demo scripts that import past the root."""
 
 import argparse
+import ast
 import dataclasses
 import inspect
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,26 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: diamond-bottleneck {shlex.join(argv)}")
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every import statement of the package, at module level or inside a
+    # function, verify's included: outside the standard library it may name
+    # only what pyproject.toml declares, and that is NumPy alone
+    tomllib = pytest.importorskip("tomllib")
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+        for requirement in tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    }
+    imported = set()
+    for path in (ROOT / "src" / "diamond_bottleneck").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - sys.stdlib_module_names - {"diamond_bottleneck"}
+    assert third_party == declared == {"numpy"}
 
 
 def test_cli_leaves_verify_unimported():

@@ -216,7 +216,7 @@ class TestOptimizeAllocation:
         assert not result.feasible
         assert result.lower_bound == 0.0
         assert result.iterations == 0
-        assert np.all(result.c == 0.0)
+        assert result.c.shape == (2, 8) and np.all(result.c == 0.0)
 
     def test_budget_equal_header(self):
         result = qci_lower_bound(2, SystemConfig(0.01, 1.0, 1.0), SETTINGS)
@@ -267,6 +267,22 @@ class TestOptimizeAllocation:
                 trials.append(float(c1[0]))
                 reply = -0.1 * c1, np.full(c1.shape, -0.1), np.zeros(c1.shape)
         assert trials == pytest.approx([8.0, 7.8, 7.4, 6.6, 5.0, 1.8, 0.0], rel=0.0, abs=1e-12)
+
+    def test_refused_step_is_retried_at_a_quarter(self):
+        # the same on relay 2, but the first candidate reports no gain: it is
+        # refused, a quarter of its step is taken, and as the gradient did
+        # not turn, the next step is twice that quarter
+        ascent = _ascent(2, SystemConfig(1.0, 5.0, 5.0), SETTINGS)
+        lanes, reply = [], None
+        with pytest.raises(StopIteration):
+            while True:
+                _, _, _, c2 = ascent.send(reply)
+                lanes.append(c2)
+                value = -0.1 * (lanes[0] if len(lanes) == 2 else c2)
+                reply = value, np.zeros(c2.shape), np.full(c2.shape, -0.1)
+        trials = [float(c2[0]) for c2 in lanes]
+        assert trials == pytest.approx(
+            [8.0, 7.8, 7.95, 7.85, 7.65, 7.25, 6.45, 4.85, 1.65, 0.0], rel=0.0, abs=1e-12)
 
     def test_nonconvergent_at_tiny_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(importlib.import_module("diamond_bottleneck.qci"), "_MAX_ITER", 1)

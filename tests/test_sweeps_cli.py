@@ -541,33 +541,15 @@ class TestCommandLine:
         }
 
     def test_verify_passes(self, tmp_path):
-        # a full verify, independent of this process's imports and warnings
-        result = run_cli(["verify"], tmp_path)
-        assert result.returncode == 0, result.stderr
-        assert "PASS" in result.stdout
+        # a full verify in an interpreter where importing SciPy fails: the
+        # checks need nothing past the runtime's one dependency, NumPy
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from diamond_bottleneck.cli import main\n"
+                "sys.exit(main(['verify']))")
+        result = run_python(["-c", code], tmp_path)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.endswith("10/10 checks passed\n")
         assert "FAIL" not in result.stdout
-
-    @pytest.mark.parametrize("module", ["diamond_bottleneck", "diamond_bottleneck.cli"])
-    def test_import_does_not_load_scipy(self, module, tmp_path):
-        # a fresh interpreter: this process has imported scipy already
-        code = (f"import sys, {module}; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        result = run_python(["-c", code], tmp_path)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
-
-    def test_quadrature_and_mmse_do_not_load_scipy(self, tmp_path):
-        code = (
-            "import sys, numpy as np\n"
-            "from diamond_bottleneck import SolverSettings, SystemConfig, mmse_rate\n"
-            "from diamond_bottleneck.numerics import integrate_semiinfinite\n"
-            "integrate_semiinfinite(lambda x: np.exp(-x) / x, 0.5)\n"
-            "mmse_rate(SystemConfig(1e-4, 10.0, 10.0), SolverSettings())\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        )
-        result = run_python(["-c", code], tmp_path)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
 
     def test_verify_passes_at_a_coarse_tolerance(self, cli, monkeypatch):
         # --tol loosens upper_bound's bisection and water_level's residual

@@ -90,6 +90,18 @@ class TestTciRate:
         assert point.rate == pytest.approx(expected, abs=1e-9)
         assert point.header_bits == pytest.approx(header, abs=1e-12)
 
+    @pytest.mark.parametrize("noise_power", [1.0, 1e-15])
+    @pytest.mark.parametrize("c", [0.0, 5.0])
+    def test_vanishing_activity_gives_a_vanishing_rate(self, c, noise_power):
+        # past a threshold of about 26.6 the budget per active use (c - h) / p
+        # overflows, from about 27.3 p itself is 0, at 150 dB and 1e150 the
+        # conditional SNR overflows, and from about 1.3e154 threshold^2 does;
+        # every warning is an error in this suite, so none may be raised
+        rates = [tci_rate(threshold, SystemConfig(noise_power, c, c)).rate
+                 for threshold in (26.7, 27.0, 30.0, 1e3, 1e150, 1e200)]
+        assert all(0.0 <= rate <= 1e-300 for rate in rates), rates
+        assert rates == sorted(rates, reverse=True)
+
 
 def test_one_kernel_call_per_threshold_grid(monkeypatch):
     # counted through the module attribute that the benchmark tracer wraps

@@ -4,9 +4,12 @@ once the library value it guards is perturbed, so none of them passes
 vacuously.  The instance counts are small; the perturbation shows on every
 instance."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy.special import exp1
 
 import diamond_bottleneck.verify as verify
 from diamond_bottleneck.numerics import SolverSettings
@@ -23,10 +26,16 @@ def _shift_live_cells(allocation):
 
 # fault: (library name that verify calls, perturbation of its result, check)
 FAULTS = {
-    "e1_vs_scipy": (
+    "e1_vs_reference": (
         # an absolute error far below 1e-12 that is huge next to E1(100)
         "exp_integral_e1",
         lambda value: value + 1e-30,
+        verify._check_e1_reference,
+    ),
+    "e1_vs_reference_above_1e3": (
+        # e^t E1(t) is about 1/t, so this moves only the points past t = 1e3
+        "_e1_scaled",
+        lambda value: value * (1.0 + 1e-11) if value < 1e-3 else value,
         verify._check_e1_reference,
     ),
     "e1_vs_quadrature": (
@@ -86,3 +95,11 @@ def test_check_fails_on_a_perturbed_library_value(monkeypatch, fault):
     monkeypatch.setattr(verify, name, lambda *args: perturb(original(*args)))
     ok, detail = check()
     assert not ok, detail
+
+
+def test_e1_reference_matches_scipy():
+    # the decimal reference that verify checks E1 against, on seeded
+    # log-uniform points up to where E1 nears the smallest normal float
+    for t in 10.0 ** np.random.default_rng(7).uniform(-8.0, math.log10(700.0), 200):
+        reference = math.exp(-t) * verify._e1_scaled_reference(t)
+        assert reference == pytest.approx(exp1(t), rel=1e-13, abs=0.0), t

@@ -1,9 +1,12 @@
 """Mutation audit of the test suite: `python tools/mutate.py`, no arguments.
 
-Makes MUTANTS single-site mutants of src/diamond_bottleneck (SEED fixes the
-sample, which holds a site of every module that has one): < <=, > >=, + -,
-* / and == != swap both ways, an integer constant gains 1, a float constant
-is multiplied by 1.0001, and no mutant leaves a value unchanged.  Once the
+Makes single-site mutants of src/diamond_bottleneck: < <=, > >=, + -, * /
+and == != swap both ways, an integer constant gains 1, a float constant is
+multiplied by 1.0001, and no mutant leaves a value unchanged.  A site is
+named by its module, its line of code, its change and its occurrence (the
+how-manieth site of that module with that code and change), and is drawn
+when a hash of its name and SEED falls in the lowest SHARE of the hash
+range, so an edit elsewhere redraws no site.  Once the
 unmutated suite runs clean, Tier-1 runs against each mutant, without -x and
 with criterion 2 (failing on the unmutated package) deselected, in a
 temporary copy of the checkout per worker; src/ is never written.  One JSON
@@ -11,16 +14,16 @@ record per mutant goes to tools/mutants.jsonl: site, change, outcome
 (killed, survived or timeout) and every failing test id.  Survivors are
 classified by hand in their records; a rerun carries the class "equivalent"
 and its reason over to a mutant that survives again, and marks any other
-survivor "unclassified".
+survivor "unclassified"; both runs key a mutant by its site's name.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import queue
-import random
 import shutil
 import signal
 import subprocess
@@ -34,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src/diamond_bottleneck")
 RECORDS = ROOT / "tools" / "mutants.jsonl"
 SEED = 26
-MUTANTS = 320
+SHARE = 0.36  # about 320 of the 885 sites of the package as first audited
 # a mutant still running after this many baseline times is killed by timeout
 TIMEOUT_FACTOR = 3
 DESELECT = "tests/test_acceptance.py::test_criterion_2_high_snr_saturation"
@@ -66,25 +69,33 @@ def sites() -> list[dict]:
     for path in sorted((ROOT / PACKAGE).glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
+        module = []
         for index, node in enumerate(ast.walk(ast.parse(source))):
             for edit, (field, slot, _, change) in enumerate(_edits(node)):
-                found.append({
+                module.append({
                     "module": path.name, "line": node.lineno, "column": node.col_offset,
                     "end": node.end_col_offset, "change": change, "code": lines[node.lineno - 1].strip(),
                     "node": index, "edit": edit,
                 })
+        seen: dict[tuple, int] = {}
+        for site in sorted(module, key=lambda s: (s["line"], s["column"], s["node"], s["edit"])):
+            name = (site["code"], site["change"])
+            site["occurrence"] = seen[name] = seen.get(name, -1) + 1
+        found += module
     return found
 
 
-def sample() -> list[dict]:
-    candidates = sites()
-    random.Random(SEED).shuffle(candidates)
-    first = {}
-    for site in candidates:
-        first.setdefault(site["module"], site)
-    rest = [site for site in candidates if site not in first.values()]
-    chosen = (list(first.values()) + rest)[:MUTANTS]
-    return sorted(chosen, key=lambda s: (s["module"], s["line"], s["column"], s["change"]))
+def _key(site: dict) -> tuple:
+    return tuple(site[key] for key in ("module", "code", "change", "occurrence"))
+
+
+def drawn(site: dict) -> bool:
+    digest = hashlib.sha256(repr((SEED, *_key(site))).encode()).digest()
+    return int.from_bytes(digest[:8], "big") < SHARE * 2**64
+
+
+def sample(candidates: list[dict]) -> list[dict]:
+    return sorted(filter(drawn, candidates), key=lambda s: (s["module"], s["line"], s["column"], s["change"]))
 
 
 def mutated_source(site: dict) -> str:
@@ -122,12 +133,8 @@ def run_suite(workspace: Path, limit: float | None) -> tuple[str, float, list[st
     return ("killed" if code else "survived"), seconds, failed
 
 
-def _key(record: dict) -> tuple:
-    return tuple(record[key] for key in ("module", "line", "column", "end", "change"))
-
-
 def main() -> int:
-    chosen = sample()
+    chosen = sample(sites())
     previous = {}
     if RECORDS.exists():
         previous = {_key(r): r for r in map(json.loads, RECORDS.read_text().splitlines())}
@@ -156,7 +163,7 @@ def main() -> int:
             finally:
                 target.write_text(original)
                 spaces.put(workspace)
-            record = {key: site[key] for key in ("module", "line", "column", "end", "change", "code")}
+            record = {key: site[key] for key in ("module", "line", "column", "end", "change", "code", "occurrence")}
             record.update(outcome=outcome, seconds=round(seconds, 1), failed=failed)
             if outcome == "survived":
                 old = previous.get(_key(record), {})
