@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, InvalidArgument
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemConfig:
     """Global problem instance: noise power and the two link budgets in bits."""
 
@@ -37,7 +37,7 @@ class SystemConfig:
         return (self.c1, self.c2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnrPair:
     """Per-realization linear SNRs of the two source-relay channels."""
 

@@ -255,7 +255,13 @@ def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Compression rate at the single-relay optimum, where log2(1 + rho u)
     meets c - r: r = log2(1 + (2^c - 1)/(1 + rho)), clamped to c.  Unlike
     c minus the value, it keeps its relative precision when r is tiny."""
-    return np.minimum(np.log1p(np.expm1(c * _LN2) / (1.0 + rho)) / _LN2, c)
+    return _rate_from_growth(np.expm1(c * _LN2), rho, c)
+
+
+def _rate_from_growth(growth: np.ndarray, rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """_one_relay_rate given growth = 2^c - 1, for callers that solve at
+    several SNRs on one budget."""
+    return np.minimum(np.log1p(growth / (1.0 + rho)) / _LN2, c)
 
 
 def _one_relay_slope(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -309,8 +315,9 @@ def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     # K2 = K12 holds on the line r1 = s1 and K1 = K12 on r2 = s2, the
     # one-relay optima; B = K1 at a given r2 is relay 1's one-relay optimum
     # at SNR rho1 / (1 + rho2 u2), and B = K2 likewise.
-    s = _one_relay_rate(rho, c)
-    r_b_k = _one_relay_rate(rho / (1.0 + _snr_used(rho[::-1], s[::-1])), c)
+    growth = np.expm1(c * _LN2)
+    s = _rate_from_growth(growth, rho, c)
+    r_b_k = _rate_from_growth(growth, rho / (1.0 + _snr_used(rho[::-1], s[::-1])), c)
 
     # B = K1 = K2: eliminating rho2 u2 leaves a quadratic in A = rho1 u1,
     # scaled by rho1 rho2 2^-(c1+c2) so that no coefficient overflows.  With
@@ -352,7 +359,7 @@ def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     cand[0, 2] = s[0]
     cand[1, 2] = r_b_k[1]
     cand[0, 3] = -np.log1p(-used1 / rho1) / _LN2
-    cand[1, 3] = _one_relay_rate(rho2 / (1.0 + used1), c2)
+    cand[1, 3] = _rate_from_growth(growth[1], rho2 / (1.0 + used1), c2)
     cand[:, 4] = np.where(x > -0.5, np.log1p(x) / _LN2, np.log2(2.0 * rho / total)) + lift
     return cand
 

@@ -14,12 +14,15 @@ operating point alone.  Each step projects onto the budget set exactly, by
 a plain loop over the at most J - 1 breakpoints of the spend curve.
 
 The ascent is a generator in the kernel's terms: each evaluation yields
-the kernel's four inputs on its J x J cell lanes (_lanes) and is sent the
-kernel's value and slopes there (reduced by _reduce).  One driver runs any
-number of ascents in lock-step, one kernel call per round over every live
-ascent's lanes.  The kernel is elementwise, so each ascent takes the same
-steps, bit for bit, as it does alone; qci_lower_bound is the one-ascent
-case, and qci_lower_bounds runs the cell counts of one point together.
+the kernel's four inputs on its J x J cell lanes (_lanes) as the rows of
+one (4, J^2) block, whose SNR rows it writes once, and is sent the
+kernel's value and slopes there (reduced by _reduce).  One function,
+_lock_step, runs any number of such participants in lock-step, one kernel
+call per round over every live participant's lanes; at a sweep point
+TCI's threshold grid joins the ascents' first round (sweeps.compute_point).
+The kernel is elementwise, so each ascent takes the same steps, bit for
+bit, as it does alone; qci_lower_bound is the one-ascent case, and
+qci_lower_bounds runs the cell counts of one point together.
 """
 
 from __future__ import annotations
@@ -67,16 +70,16 @@ def cell_snrs(J: int, config: SystemConfig) -> np.ndarray:
     return np.array([1.0 / (xi_quantile(j / J) * config.noise_power) for j in range(1, J)] + [0.0])
 
 
-def _lanes(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Live-cell values of relay 1 and relay 2 (J - 1 each) on the flat J x J
-    cell lanes: lane j1 J + j2 is cell (j1, j2) and holds x1[j1] and x2[j2],
-    and the dead cell, last, holds 0.  The kernel takes the cell SNRs and
-    the cell budgets in this layout."""
+def _lanes(x1: np.ndarray, x2: np.ndarray, out: np.ndarray) -> None:
+    """Write the live-cell values of relay 1 and relay 2 (J - 1 each) into
+    out, a contiguous (2, J J) array, on the flat J x J cell lanes: lane
+    j1 J + j2 is cell (j1, j2) and holds x1[j1] and x2[j2].  The dead cell,
+    last, is not written, so it keeps the 0 that out was made with.  The
+    kernel takes the cell SNRs and the cell budgets in this layout."""
     J = x1.size + 1
-    lanes1, lanes2 = np.zeros((J, J)), np.zeros((J, J))
-    lanes1[:-1] = x1[:, None]
-    lanes2[:, :-1] = x2
-    return lanes1.ravel(), lanes2.ravel()
+    cells = out.reshape(2, J, J)  # a view: out is contiguous
+    cells[0, :-1] = x1[:, None]
+    cells[1, :, :-1] = x2
 
 
 def _reduce(J: int, value: np.ndarray, slope1: np.ndarray, slope2: np.ndarray) -> tuple:
@@ -86,11 +89,12 @@ def _reduce(J: int, value: np.ndarray, slope1: np.ndarray, slope2: np.ndarray) -
     row (or column) of the rate matrix, so the kernel's slopes give the
     gradient."""
     cell_weight = 1.0 / J**2
-    rates = value.reshape(J, J)
-    total = float(rates.sum()) * cell_weight
-    g1 = slope1.reshape(J, J)[:-1].sum(axis=1) * cell_weight
-    g2 = slope2.reshape(J, J)[:, :-1].sum(axis=0) * cell_weight
-    return total, rates, g1, g2
+    total = float(value.sum()) * cell_weight
+    g1 = slope1.reshape(J, J)[:-1].sum(axis=1)
+    g2 = slope2.reshape(J, J)[:, :-1].sum(axis=0)
+    g1 *= cell_weight
+    g2 *= cell_weight
+    return total, value.reshape(J, J), g1, g2
 
 
 def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:
@@ -142,10 +146,13 @@ def _ascent(
     result is never below the start.
 
     A generator, driven by _lock_step: for each evaluation it needs it
-    yields the kernel inputs (rho1, rho2, c1, c2) of its J x J cell lanes,
-    is sent the kernel's (value, slope1, slope2) on those lanes, and
-    returns the allocation.  The cell SNRs are formed on the first step,
-    so a bad J fails this ascent only.
+    yields the kernel inputs (rho1, rho2, c1, c2) of its J x J cell lanes
+    as the rows of one (4, J J) block, is sent the kernel's (value, slope1,
+    slope2) on those lanes, and returns the allocation.  The block is the
+    ascent's own: its SNR rows are written once, and its budget rows are
+    rewritten for each evaluation, so a caller reads it before it sends
+    the reply.  The cell SNRs are formed on the first step, so a bad J
+    fails this ascent only.
 
     The ascent starts from each relay's one-relay water-filling split
     (Cover and Thomas, Elements of Information Theory, 9.4): c_i = max(0,
@@ -165,7 +172,9 @@ def _ascent(
     # {c >= 0, sum(c) <= budget}
     budget1, budget2 = J * residual1, J * residual2
     # the dead cell's SNR is 0, as its budget is, so one layout serves both
-    rho_lanes = _lanes(rho[:m], rho[:m])
+    block = np.zeros((4, J * J))
+    _lanes(rho[:m], rho[:m], block[:2])
+    budget_lanes = block[2:]
     # log2 rho, lifted so that every cell holds at least budget / m,
     # overspends; the projection's shift theta is one water level, so the
     # projection is the water-filling split.
@@ -175,7 +184,8 @@ def _ascent(
 
     # Every evaluation also yields the gradient, so an accepted candidate
     # brings the next iteration's gradient along.
-    reply = yield (*rho_lanes, *_lanes(c1, c2))
+    _lanes(c1, c2, budget_lanes)
+    reply = yield block
     best, rates, g1, g2 = _reduce(J, *reply)
     step1 = step2 = 2.0 * J
     stalls = 0
@@ -187,10 +197,12 @@ def _ascent(
         for _ in range(40):
             cand1 = _project_budget(c1 + scale * step1 * g1, budget1)
             cand2 = _project_budget(c2 + scale * step2 * g2, budget2)
-            gap = float(g1 @ (cand1 - c1) + g2 @ (cand2 - c2))
+            s1, s2 = cand1 - c1, cand2 - c2
+            gap = float(g1 @ s1 + g2 @ s2)
             if gap <= 0.0:
                 break
-            reply = yield (*rho_lanes, *_lanes(cand1, cand2))
+            _lanes(cand1, cand2, budget_lanes)
+            reply = yield block
             cand_value, cand_rates, cand_g1, cand_g2 = _reduce(J, *reply)
             if cand_value >= best + _ARMIJO_SLOPE * gap:
                 moved = True
@@ -201,8 +213,8 @@ def _ascent(
         # Barzilai-Borwein length s.s / (-s.y) per relay: the two relays'
         # slopes can differ by orders of magnitude, and one shared length
         # crawls on the flatter relay.  Where a relay's gradient did not
-        # turn, its accepted step is doubled.
-        s1, s2 = cand1 - c1, cand2 - c2
+        # turn, its accepted step is doubled.  s1 and s2 are the accepted
+        # step, as the Armijo gap read it.
         turn1 = -float(s1 @ (cand_g1 - g1))
         turn2 = -float(s2 @ (cand_g2 - g2))
         step1 = float(s1 @ s1) / turn1 if turn1 > 0.0 else 2.0 * scale * step1
@@ -228,36 +240,40 @@ def _ascent(
     return QciAllocation(c=c, rates=rates, lower_bound=best, iterations=iterations, feasible=True)
 
 
-def _lock_step(ascents: Sequence[Generator]) -> list[QciAllocation | Exception]:
-    """Run the ascents together: each round concatenates every live ascent's
-    pending lanes into one kernel call and sends each ascent the outputs on
-    its own lanes.
+def _lock_step(participants: Sequence[Generator]) -> list:
+    """Run the participants together: each yields the kernel's inputs
+    (rho1, rho2, c1, c2) as the rows of one (4, n) block for each
+    evaluation it needs, and each round concatenates every live
+    participant's pending block into one kernel call and sends each its
+    (value, slope1, slope2) on its own lanes.
 
-    An ascent leaves the batch when it returns, or when it raises; its
+    The participants are QCI ascents (_ascent), and at a sweep point also
+    TCI's threshold grid (tci._best_round), which asks for one evaluation.
+    A participant leaves the batch when it returns, or when it raises; its
     exception then stands in its place in the result and the others go on.
     """
-    outcomes: list[QciAllocation | Exception | None] = [None] * len(ascents)
-    requests: dict[int, tuple[np.ndarray, ...]] = {}
+    outcomes: list = [None] * len(participants)
+    requests: dict[int, np.ndarray] = {}
 
     def advance(k: int, reply) -> None:
         try:
-            requests[k] = ascents[k].send(reply)
+            requests[k] = participants[k].send(reply)
         except StopIteration as stop:
             outcomes[k] = stop.value
-        except Exception as error:  # noqa: BLE001 - fails this ascent only
+        except Exception as error:  # noqa: BLE001 - fails this participant only
             outcomes[k] = error
 
-    for k in range(len(ascents)):
+    for k in range(len(participants)):
         advance(k, None)
     while requests:
         batch = list(requests.items())
         requests.clear()
         value, _, _, slope1, slope2 = _maxmin_batch(
-            *map(np.concatenate, zip(*(lanes for _, lanes in batch)))
+            *np.concatenate([block for _, block in batch], axis=1)
         )
         start = 0
-        for k, lanes in batch:
-            stop = start + lanes[0].size
+        for k, block in batch:
+            stop = start + block.shape[1]
             advance(k, (value[start:stop], slope1[start:stop], slope2[start:stop]))
             start = stop
     return outcomes

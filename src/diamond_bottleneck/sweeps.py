@@ -9,6 +9,8 @@ columns of the row are unaffected.  Every row, of a sweep or of `bound`'s
 one point, comes from render_points and from its own point alone, so a
 sweep row equals the row `bound` prints at that point.  No scheme draws
 random numbers, so every run of a spec gives a byte-identical file.
+At a point, the QCI ascents and TCI's threshold grid share their kernel
+calls, one per round (compute_point); ub and mmse run after them.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -26,10 +28,11 @@ from .errors import DomainError, InvalidArgument
 from .mmse import mmse_rate
 from .numerics import SolverSettings
 # bench/tracer.py times each scheme at the sweeps.<function> it calls, and
-# reports a missing one; qci_lower_bound is bound here for that lookup
-# alone, since compute_point runs its cell counts through qci_lower_bounds.
-from .qci import qci_lower_bound, qci_lower_bounds  # noqa: F401
-from .tci import tci_best
+# reports a missing one; qci_lower_bound and tci_best are bound here for that
+# lookup alone, since compute_point runs QCI's ascents and TCI's threshold
+# grid together through _lock_step.
+from .qci import _ascent, _lock_step, qci_lower_bound  # noqa: F401
+from .tci import _best_round, tci_best  # noqa: F401
 from .upper_bound import upper_bound
 
 SCHEMES = ("ub", "qci_J2", "qci_J4", "qci_J8", "tci", "mmse")
@@ -199,9 +202,11 @@ def compute_point(
 ) -> list[BoundResult]:
     """Evaluate the requested schemes at one operating point.
 
-    The quantized schemes' ascents run together, in lock-step, before the
-    rest (qci_lower_bounds); a failure still fails only its own cell, with
-    its warning in scheme order.  Every result depends on this point alone.
+    The quantized schemes' ascents and TCI's threshold grid run together,
+    in lock-step, before the rest (qci._lock_step): TCI's lanes ride the
+    ascents' first kernel call.  A failure still fails only its own cell,
+    with its warning in scheme order.  Every result depends on this point
+    alone.
 
     warm_start is a leftover: the benchmark's workloads still pass
     warm_start=None by keyword.  Any other value raises InvalidArgument,
@@ -212,23 +217,25 @@ def compute_point(
     if warm_start is not None:
         raise InvalidArgument("compute_point has no warm start; pass warm_start=None or omit it")
     schemes = tuple(schemes)
-    quantized = [s for s in dict.fromkeys(schemes) if s in _QCI_CELLS]
-    outcomes = qci_lower_bounds([_QCI_CELLS[s] for s in quantized], config, settings)
-    allocations = dict(zip(quantized, outcomes))
+    rounds = {s: _ascent(_QCI_CELLS[s], config, settings)
+              for s in dict.fromkeys(schemes) if s in _QCI_CELLS}
+    if "tci" in schemes:
+        rounds["tci"] = _best_round(config)
+    outcomes = dict(zip(rounds, _lock_step(list(rounds.values()))))
     results = []
     for scheme in schemes:
         try:
             if scheme == "ub":
                 bound = upper_bound(config, settings)
                 result = BoundResult(scheme, bound.rate, bound.constraint_residual)
-            elif scheme in allocations:
-                allocation = allocations[scheme]
-                if isinstance(allocation, Exception):
-                    raise allocation
-                result = BoundResult(scheme, allocation.lower_bound, allocation.iterations)
-            elif scheme == "tci":
-                point = tci_best(config)
-                result = BoundResult(scheme, point.rate, point.threshold)
+            elif scheme in outcomes:
+                outcome = outcomes[scheme]
+                if isinstance(outcome, Exception):
+                    raise outcome
+                if scheme == "tci":
+                    result = BoundResult(scheme, outcome.rate, outcome.threshold)
+                else:
+                    result = BoundResult(scheme, outcome.lower_bound, outcome.iterations)
             elif scheme == "mmse":
                 outcome = mmse_rate(config, settings)
                 result = BoundResult(scheme, outcome.rate, outcome.error_estimate)

@@ -1,6 +1,7 @@
 """System model: configuration validation, fading draws, and inverse-gain
 quantiles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,15 @@ class TestSystemConfig:
 
     def test_zero_budgets_allowed(self):
         SystemConfig(noise_power=1.0, c1=0.0, c2=0.0)
+
+    @pytest.mark.parametrize("instance", [SystemConfig(0.5, 3.0, 4.0), SnrPair(1.0, 2.0)])
+    def test_slotted(self, instance):
+        # a caller that keeps one config per point, as the benchmark does,
+        # holds no per-instance dict
+        assert not hasattr(instance, "__dict__")
+        field = dataclasses.fields(instance)[-1].name
+        moved = dataclasses.replace(instance, **{field: 7.0})
+        assert getattr(moved, field) == 7.0 and type(moved) is type(instance)
 
 
 class TestSnrPair:
@@ -67,10 +77,17 @@ class TestXiQuantile:
         values = [xi_quantile(float(p)) for p in ps]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize(
+        "p", [0.0, 1.0, -0.1, 1.1, math.nan, -5e-324, math.nextafter(1.0, 2.0)])
     def test_domain(self, p):
         with pytest.raises(DomainError):
             xi_quantile(p)
+
+    @pytest.mark.parametrize("p", [5e-324, math.nextafter(1.0, 0.0)])
+    def test_just_inside_the_domain(self, p):
+        # the smallest subnormal and the largest double below 1
+        quantile = xi_quantile(p)
+        assert math.isfinite(quantile) and quantile > 0.0
 
     def test_inverse_of_tail_probability(self):
         # P(xi <= b) = exp(-1/b) for the inverse of a unit-mean exponential

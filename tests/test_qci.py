@@ -90,8 +90,10 @@ def evaluate(rho, c1, c2):
     the cells with SNRs rho at live-cell budgets c1, c2: one kernel call on
     their flat J x J lanes."""
     m = rho.size - 1
-    lanes = _lanes(rho[:m], rho[:m]) + _lanes(np.asarray(c1, float), np.asarray(c2, float))
-    value, _, _, slope1, slope2 = _maxmin_batch(*lanes)
+    block = np.zeros((4, rho.size**2))
+    _lanes(rho[:m], rho[:m], block[:2])
+    _lanes(np.asarray(c1, float), np.asarray(c2, float), block[2:])
+    value, _, _, slope1, slope2 = _maxmin_batch(*block)
     return _reduce(rho.size, value, slope1, slope2)
 
 
@@ -141,7 +143,10 @@ class TestCellRate:
 
     def test_lane_layout(self):
         # lane j1 J + j2 is cell (j1, j2); the dead cell, last, holds 0
-        lanes1, lanes2 = _lanes(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        # written in place: the dead cell's lanes keep out's 0
+        out = np.zeros((2, 9))
+        _lanes(np.array([1.0, 2.0]), np.array([3.0, 4.0]), out)
+        lanes1, lanes2 = out
         assert lanes1.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
         assert lanes2.tolist() == [3.0, 4.0, 0.0, 3.0, 4.0, 0.0, 3.0, 4.0, 0.0]
 
@@ -276,7 +281,8 @@ class TestOptimizeAllocation:
         lanes, reply = [], None
         with pytest.raises(StopIteration):
             while True:
-                _, _, _, c2 = ascent.send(reply)
+                # the ascent rewrites its block at its next evaluation
+                _, _, _, c2 = ascent.send(reply).copy()
                 lanes.append(c2)
                 value = -0.1 * (lanes[0] if len(lanes) == 2 else c2)
                 reply = value, np.zeros(c2.shape), np.full(c2.shape, -0.1)
@@ -446,8 +452,8 @@ class TestLockStep:
         rng = np.random.default_rng(24)
 
         def request(n):
-            # the kernel's inputs on n lanes: two SNRs, then two budgets
-            return (*rng.uniform(0.0, 1e3, (2, n)), *rng.uniform(0.0, 12.0, (2, n)))
+            # the kernel's inputs on n lanes, one block: two SNRs, then two budgets
+            return np.concatenate([rng.uniform(0.0, 1e3, (2, n)), rng.uniform(0.0, 12.0, (2, n))])
 
         asked = [[request(1)], [request(5), request(5)]]
         sent = [[], []]

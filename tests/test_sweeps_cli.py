@@ -6,12 +6,14 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import parse_csv, run_cli, run_python
 
 import diamond_bottleneck.qci as qci
 import diamond_bottleneck.sweeps as sweeps
+import diamond_bottleneck.tci as tci
 import diamond_bottleneck.verify as verify
 from diamond_bottleneck.errors import InvalidArgument, NonConvergent
 from diamond_bottleneck.mmse import MmseResult
@@ -198,13 +200,13 @@ class TestComputePoint:
         alone = compute_point(config, ("qci_J2",), SETTINGS)
         requested = []
 
-        def spy(cells, config, settings):
-            requested.append(list(cells))
-            return qci.qci_lower_bounds(cells, config, settings)
+        def spy(J, config, settings):
+            requested.append(J)
+            return qci._ascent(J, config, settings)
 
-        monkeypatch.setattr(sweeps, "qci_lower_bounds", spy)
+        monkeypatch.setattr(sweeps, "_ascent", spy)
         results = compute_point(config, ("qci_J3", "qci_J2", "qci_J016"), SETTINGS)
-        assert requested == [[2]]
+        assert requested == [2]
         assert results[1] == alone[0]
         for result in (results[0], results[2]):
             assert result.rate is None and result.diagnostics == {}
@@ -224,6 +226,27 @@ class TestComputePoint:
         err = capsys.readouterr().err
         assert "ub" in err and "synthetic failure" in err
 
+
+    def test_tci_rides_the_first_round(self, monkeypatch):
+        # TCI's threshold lanes join the ascents' first kernel call, so a
+        # point makes no more calls than its QCI ascents alone
+        config = SystemConfig(1.0 / db_to_linear(40.0), 10.0, 10.0)
+        kernel = qci._maxmin_batch
+        lanes = []
+
+        def counted(*args):
+            lanes.append(math.prod(np.broadcast_shapes(*(np.shape(a) for a in args))))
+            return kernel(*args)
+
+        for module in (qci, tci):
+            monkeypatch.setattr(module, "_maxmin_batch", counted)
+        qci.qci_lower_bounds([2, 4, 8], config, SETTINGS)
+        alone = lanes.copy()
+        lanes.clear()
+        compute_point(config, SCHEMES, SETTINGS)
+        assert len(lanes) == len(alone) > 1
+        assert lanes[0] == alone[0] + 3 * len(tci.THRESHOLD_GRID)
+        assert lanes[1:] == alone[1:]
 
     @pytest.mark.parametrize("snr_db, c", [(40.0, 10.0), (60.0, 4.0)])
     def test_lock_step_failure_fails_only_its_cell(self, monkeypatch, capsys, snr_db, c):

@@ -16,6 +16,7 @@ from diamond_bottleneck.sweeps import SNR_DB_BOX
 from diamond_bottleneck.tci import (
     THRESHOLD_GRID,
     TciPoint,
+    _best_round,
     _binary_entropy,
     tci_best,
     tci_rate,
@@ -104,7 +105,8 @@ class TestTciRate:
 
 
 def test_one_kernel_call_per_threshold_grid(monkeypatch):
-    # counted through the module attribute that the benchmark tracer wraps
+    # standalone, tci_best and tci_rate each make one call, counted through
+    # the module attribute that the benchmark tracer wraps
     module = importlib.import_module("diamond_bottleneck.tci")
     lanes = []
 
@@ -113,9 +115,26 @@ def test_one_kernel_call_per_threshold_grid(monkeypatch):
         return _maxmin_batch(*args)
 
     monkeypatch.setattr(module, "_maxmin_batch", counted)
-    tci_best(SystemConfig(1e-4, 10.0, 7.0))
-    assert len(lanes) == 1
-    assert math.prod(lanes[0]) == 3 * len(THRESHOLD_GRID)
+    config = SystemConfig(1e-4, 10.0, 7.0)
+    tci_best(config)
+    tci_rate(0.5, config)
+    assert lanes == [(3 * len(THRESHOLD_GRID),), (3,)]
+
+
+def test_best_round_equals_tci_best_and_yields_outside_its_errstate():
+    # the round's errstate closes before its yield, so the caller's
+    # floating-point settings hold while the round waits for its kernel call
+    config = SystemConfig(1e-4, 10.0, 7.0)
+    outside = np.geterr()
+    participant = _best_round(config)
+    block = next(participant)
+    assert np.geterr() == outside
+    assert block.shape == (4, 3 * len(THRESHOLD_GRID))
+    value, _, _, slope1, slope2 = _maxmin_batch(*block)
+    with pytest.raises(StopIteration) as stop:
+        participant.send((value, slope1, slope2))
+    got, want = dataclasses.astuple(stop.value.value), dataclasses.astuple(tci_best(config))
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestTciBest:
