@@ -21,8 +21,8 @@ _lock_step, runs any number of such participants in lock-step, one kernel
 call per round over every live participant's lanes; at a sweep point
 TCI's threshold grid joins the ascents' first round (sweeps.compute_point).
 The kernel is elementwise, so each ascent takes the same steps, bit for
-bit, as it does alone; qci_lower_bound is the one-ascent case, and
-qci_lower_bounds runs the cell counts of one point together.
+bit, as it does alone; _solo runs one alone (qci_lower_bound, and TCI's
+tci_best and tci_rate), so every QCI and TCI kernel call is made here.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def _lock_step(participants: Sequence[Generator]) -> list:
     participant's pending block into one kernel call and sends each its
     (value, slope1, slope2) on its own lanes.
 
-    The participants are QCI ascents (_ascent), and at a sweep point also
-    TCI's threshold grid (tci._best_round), which asks for one evaluation.
+    The participants are QCI ascents (_ascent) and TCI's threshold grids
+    (tci._grid), which ask for one evaluation.
     A participant leaves the batch when it returns, or when it raises; its
     exception then stands in its place in the result and the others go on.
     """
@@ -279,20 +279,15 @@ def _lock_step(participants: Sequence[Generator]) -> list:
     return outcomes
 
 
-def qci_lower_bounds(
-    cells: Sequence[int], config: SystemConfig, settings: SolverSettings,
-) -> list[QciAllocation | Exception]:
-    """The allocation of each cell count, in lock-step.
-
-    Entry k of the result is cell count k's allocation, or the exception
-    that its ascent raised.
-    """
-    return _lock_step([_ascent(J, config, settings) for J in cells])
+def _solo(participant: Generator):
+    """Run one participant through _lock_step alone: its result, or the
+    exception that it raised, raised again."""
+    (outcome,) = _lock_step([participant])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def qci_lower_bound(J: int, config: SystemConfig, settings: SolverSettings) -> QciAllocation:
     """The allocation of one cell count."""
-    (outcome,) = qci_lower_bounds([J], config, settings)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _solo(_ascent(J, config, settings))

@@ -5,12 +5,12 @@ the requested bounds at every point, and writes one CSV row per point:
 axis columns first, then one rate column per scheme, then one diagnostic
 column per scheme.  Failed schemes, including those that return a
 non-finite rate, leave their cells empty and report on stderr; the other
-columns of the row are unaffected.  Every row, of a sweep or of `bound`'s
-one point, comes from render_points and from its own point alone, so a
-sweep row equals the row `bound` prints at that point.  No scheme draws
-random numbers, so every run of a spec gives a byte-identical file.
-At a point, the QCI ascents and TCI's threshold grid share their kernel
-calls, one per round (compute_point); ub and mmse run after them.
+columns of the row are unaffected.  Every row, of a sweep (run_sweep) or
+of `bound`'s one point, comes from render_points and from its own point
+alone, so a sweep row equals the row `bound` prints at that point.  No
+scheme draws random numbers, so every run of a spec gives a byte-identical
+file.  At a point, the QCI ascents and TCI's threshold grid share one
+kernel call per round (compute_point); ub and mmse run after them.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -284,11 +284,6 @@ def _lines(points, schemes: tuple[str, ...], settings: SolverSettings) -> Iterat
         yield ",".join([_cell(snr_db), _cell(c1), *rates, *diags])
 
 
-def render_rows(spec: SweepSpec) -> Iterator[str]:
-    """Header plus one CSV line per sweep point, in sweep order."""
-    return render_points(sweep_points(spec), spec.schemes, spec.settings)
-
-
 def write_csv(path: str, lines: Iterable[str]) -> str:
     """Open the file, then write the lines as they come, each ended by a
     newline; returns the path.  Given render_points' lines, an unwritable
@@ -302,4 +297,5 @@ def write_csv(path: str, lines: Iterable[str]) -> str:
 def run_sweep(spec: SweepSpec) -> str:
     """Check the sweep's points, open its CSV, then evaluate and write them
     row by row; returns the output path."""
-    return write_csv(spec.output_path, render_rows(spec))
+    lines = render_points(sweep_points(spec), spec.schemes, spec.settings)
+    return write_csv(spec.output_path, lines)

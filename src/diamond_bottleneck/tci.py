@@ -14,11 +14,10 @@ e^t E1(t) of each threshold are computed once, on first use, and cached,
 and every point multiplies in its noise power, with the same product, and
 so the same bits, as computing them afresh.
 
-A grid is evaluated in two steps: _grid_lanes forms its statistics and the
-kernel's inputs on 3 lanes per threshold, and _grid_rows finishes the
-rows from the kernel's values there.  tci_best and tci_rate join the two
-with one kernel call of their own; at a sweep point _best_round yields the
-grid's lanes to qci._lock_step, so they ride the QCI ascents' first call.
+A grid is one participant of qci._lock_step (_grid): it yields the
+kernel's inputs on 3 lanes per threshold once and finishes its rows from
+the kernel's values there.  At a sweep point its lanes ride the QCI
+ascents' first call; tci_best and tci_rate run it alone (qci._solo).
 """
 
 from __future__ import annotations
@@ -32,7 +31,13 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import DomainError
-from .numerics import _BUDGET_CAP, _e1_scaled, _maxmin_batch
+from .numerics import _BUDGET_CAP, _e1_scaled
+from .qci import _solo
+
+# Not called here.  The benchmark's tracer (bench/tracer.py) wraps this
+# attribute of this module by name, and reports it missing otherwise, so it
+# stays until the benchmark drops that boundary.
+from .numerics import _maxmin_batch  # noqa: F401
 
 # threshold grid: 0.1 .. 2.0. Zero is excluded because the conditional mean
 # of 1/gain diverges there (and the rate limit is 0 anyway).
@@ -76,18 +81,24 @@ def _threshold_stats(thresholds: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     return columns
 
 
-def _grid_lanes(thresholds: tuple[float, ...], config: SystemConfig) -> tuple:
-    """The statistics at shared thresholds and the kernel's inputs for all
-    of them: (p_active, header_bits, cond_noise, cond_snr) and a (4, 3 n)
-    block of rows rho1, rho2, c1, c2.
+def _grid(
+    thresholds: tuple[float, ...], config: SystemConfig,
+) -> Generator[np.ndarray, tuple, list[tuple]]:
+    """TciPoint fields at shared thresholds, as a participant of
+    qci._lock_step: it yields the kernel's inputs once, as a (4, 3 n) block
+    of rows rho1, rho2, c1, c2, is sent (value, slope1, slope2) on those
+    lanes, and returns one row per threshold.
 
     With unit-mean exponential gain g and t = threshold^2, the activity
     probability is e^{-t} and E[1/g | g >= t] = e^t E1(t), so the
     conditional noise power is noise_power * e^t * E1(t) and the conditional
     SNR its reciprocal.  The relay-1-only, relay-2-only and two-relay rates
     are three blocks of n lanes, a silent relay being a lane with SNR 0 and
-    budget 0.  A budget below the header cost buys nothing, and never gives
-    a negative exponent.
+    budget 0, and the rate mixes them by the activity probabilities.  A
+    budget below the header cost buys nothing, and never gives a negative
+    exponent.  The block is formed, and its errstate closed, before the
+    yield, so no floating-point setting of its own reaches the round's
+    kernel call.
     """
     p, header_bits, e1_scaled = _threshold_stats(thresholds)
     cond_noise = config.noise_power * e1_scaled
@@ -103,46 +114,24 @@ def _grid_lanes(thresholds: tuple[float, ...], config: SystemConfig) -> tuple:
     block[0, 0] = block[0, 2] = block[1, 1] = block[1, 2] = rho
     block[2, 0] = block[2, 2] = b1
     block[3, 1:] = b2
-    return (p, header_bits, cond_noise, rho), block.reshape(4, -1)
-
-
-def _grid_rows(thresholds: tuple[float, ...], stats: tuple, value: np.ndarray) -> list[tuple]:
-    """TciPoint fields at the thresholds, from _grid_lanes' statistics and
-    the kernel's value on its lanes: the rate mixes the one-active and
-    both-active rates by the activity probabilities."""
-    p = stats[0]
+    value, _, _ = yield block.reshape(4, -1)
     only1, only2, both = value.reshape(3, -1)
     rate = np.where(p > 0.0, p * (1.0 - p) * (only1 + only2) + p * p * both, 0.0)
-    return list(zip(thresholds, *(a.tolist() for a in (*stats, rate))))
-
-
-def _tci_rows(thresholds: tuple[float, ...], config: SystemConfig) -> list[tuple]:
-    """TciPoint fields at shared thresholds, one solver call for all of them."""
-    stats, block = _grid_lanes(thresholds, config)
-    return _grid_rows(thresholds, stats, _maxmin_batch(*block)[0])
-
-
-def _best(rows: list[tuple]) -> TciPoint:
-    """The row of highest rate; ties go to the first."""
-    return TciPoint(*max(rows, key=lambda row: row[-1]))
+    return list(zip(thresholds, *(a.tolist() for a in (p, header_bits, cond_noise, rho, rate))))
 
 
 def _best_round(config: SystemConfig) -> Generator[np.ndarray, tuple, TciPoint]:
-    """tci_best as a participant of qci._lock_step: it yields its kernel
-    block once, is sent (value, slope1, slope2) on those lanes, and returns
-    the best point.  The block is formed, and its errstate closed, before
-    the yield, so no floating-point setting of its own reaches the round's
-    kernel call."""
-    stats, block = _grid_lanes(THRESHOLD_GRID, config)
-    value, _, _ = yield block
-    return _best(_grid_rows(THRESHOLD_GRID, stats, value))
+    """tci_best as a participant of qci._lock_step: the grid's one
+    evaluation, then the row of highest rate; ties go to the first."""
+    rows = yield from _grid(THRESHOLD_GRID, config)
+    return TciPoint(*max(rows, key=lambda row: row[-1]))
 
 
 def tci_rate(threshold: float, config: SystemConfig) -> TciPoint:
     """Bound value at one shared threshold for both relays."""
-    return TciPoint(*_tci_rows((threshold,), config)[0])
+    return TciPoint(*_solo(_grid((threshold,), config))[0])
 
 
 def tci_best(config: SystemConfig) -> TciPoint:
     """Best point over the fixed threshold grid; ties go to the smaller one."""
-    return _best(_tci_rows(THRESHOLD_GRID, config))
+    return _solo(_best_round(config))

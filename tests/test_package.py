@@ -15,7 +15,6 @@ import pytest
 import diamond_bottleneck
 from conftest import run_python
 from diamond_bottleneck.cli import build_parser
-from diamond_bottleneck.qci import qci_lower_bounds
 from diamond_bottleneck.sweeps import SweepSpec, compute_point
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,11 +54,10 @@ def test_settings_and_flags_are_only_those_read():
     # compute_point's warm_start accepts only None
     parameters = {
         function: tuple(inspect.signature(function).parameters)
-        for function in (diamond_bottleneck.qci_lower_bound, qci_lower_bounds, compute_point)
+        for function in (diamond_bottleneck.qci_lower_bound, compute_point)
     }
     assert parameters == {
         diamond_bottleneck.qci_lower_bound: ("J", "config", "settings"),
-        qci_lower_bounds: ("cells", "config", "settings"),
         compute_point: ("config", "schemes", "settings", "warm_start"),
     }
     commands = next(

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diamond_bottleneck.channel import SnrPair, SystemConfig, xi_quantile
-from diamond_bottleneck.errors import InvalidArgument, NonConvergent
+from diamond_bottleneck.errors import DomainError, InvalidArgument, NonConvergent
 from diamond_bottleneck.fixed_rate import fixed_rate
 from diamond_bottleneck.numerics import SolverSettings, _maxmin_batch
 from diamond_bottleneck.qci import (
@@ -23,11 +23,12 @@ from diamond_bottleneck.qci import (
     _lock_step,
     _project_budget,
     _reduce,
+    _solo,
     cell_snrs,
     qci_lower_bound,
-    qci_lower_bounds,
 )
 from diamond_bottleneck.sweeps import db_to_linear
+from diamond_bottleneck.tci import _grid
 from diamond_bottleneck.verify import _check_qci_feasibility
 
 SETTINGS = SolverSettings()
@@ -437,7 +438,7 @@ class TestLockStep:
             cells = [int(row["J"]) for row in group]
             solo = [solo_evaluations(J, config) for J in cells]
             shapes.clear()
-            together = qci_lower_bounds(cells, config, SETTINGS)
+            together = _lock_step([_ascent(J, config, SETTINGS) for J in cells])
             assert len(shapes) == max(count for count, _ in solo)
             assert sum(math.prod(shape) for shape in shapes) == sum(
                 count * J * J for (count, _), J in zip(solo, cells)
@@ -478,9 +479,37 @@ class TestLockStep:
 
     def test_a_failed_problem_leaves_the_others(self):
         config = SystemConfig(1e-3, 6.0, 5.0)
-        bad, good = qci_lower_bounds([1, 4], config, SETTINGS)
+        bad, good = _lock_step([_ascent(J, config, SETTINGS) for J in (1, 4)])
         assert isinstance(bad, InvalidArgument)
         assert bits(good) == bits(qci_lower_bound(4, config, SETTINGS))
+
+    @pytest.mark.parametrize("make, error, before_first_yield", [
+        (lambda config: _grid((0.0,), config), DomainError, True),
+        (lambda config: _ascent(1, config, SETTINGS), InvalidArgument, True),
+        (lambda config: _ascent(4, config, SETTINGS), NonConvergent, False),
+    ], ids=["threshold-0", "one-cell", "iteration-cap"])
+    def test_solo_raises_the_participants_own_exception(
+        self, monkeypatch, make, error, before_first_yield,
+    ):
+        # the exception that the participant raises when driven by hand, of
+        # the same type and with the same message, whether it is raised
+        # before the participant's first yield or after it
+        monkeypatch.setattr(importlib.import_module("diamond_bottleneck.qci"), "_MAX_ITER", 1)
+        config = SystemConfig(1e-4, 8.0, 8.0)
+        participant = make(config)
+        if before_first_yield:
+            with pytest.raises(error) as by_hand:
+                next(participant)
+        else:
+            block = next(participant)
+            with pytest.raises(error) as by_hand:
+                while True:
+                    value, _, _, slope1, slope2 = _maxmin_batch(*block)
+                    block = participant.send((value, slope1, slope2))
+        with pytest.raises(error) as solo:
+            _solo(make(config))
+        assert type(solo.value) is error
+        assert str(solo.value) == str(by_hand.value) != ""
 
 
 @st.composite
@@ -593,7 +622,8 @@ class TestProjectBudgetBits:
             return _project_budget(x, budget)
 
         monkeypatch.setattr(qci, "_project_budget", spy)
-        qci_lower_bounds([2, 4, 8], SystemConfig(1.0 / db_to_linear(30.0), 10.0, 10.0), SETTINGS)
+        config = SystemConfig(1.0 / db_to_linear(30.0), 10.0, 10.0)
+        _lock_step([_ascent(J, config, SETTINGS) for J in (2, 4, 8)])
         assert len(calls) > 20
         for x, budget in calls:
             J = x.size + 1

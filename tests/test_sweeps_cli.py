@@ -29,7 +29,6 @@ from diamond_bottleneck.sweeps import (
     fig2_spec,
     fig3_spec,
     render_points,
-    render_rows,
     run_sweep,
     sweep_points,
 )
@@ -131,17 +130,21 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidArgument, match="points"):
             snr_spec(("ub",), rng)
 
-    def test_snr_out_of_range(self, no_point_evaluated):
+    def test_snr_out_of_range(self, no_point_evaluated, tmp_path):
         # each end of the SNR axis, and a budget sweep's SNR: the spec is
-        # built, and its rows are refused before any point is evaluated
-        for rng in [(0.0, 4000.0, 4000.0), (-4000.0, 0.0, 4000.0)]:
+        # built, and its rows are refused before any point is evaluated or
+        # the file is opened
+        out = str(tmp_path / "out.csv")
+        specs = [replace(snr_spec(("ub",), rng), output_path=out)
+                 for rng in [(0.0, 4000.0, 4000.0), (-4000.0, 0.0, 4000.0)]]
+        specs.append(SweepSpec(
+            mode="budget_sweep", schemes=("ub",), settings=SETTINGS, output_path=out,
+            budget_range=(0.0, 25.0, 1.0), fixed_snr_db=4000.0,
+        ))
+        for spec in specs:
             with pytest.raises(InvalidArgument, match="4000 dB is outside"):
-                render_rows(snr_spec(("ub",), rng))
-        with pytest.raises(InvalidArgument, match="4000 dB is outside"):
-            render_rows(SweepSpec(
-                mode="budget_sweep", schemes=("ub",), settings=SETTINGS, output_path="x",
-                budget_range=(0.0, 25.0, 1.0), fixed_snr_db=4000.0,
-            ))
+                run_sweep(spec)
+        assert list(tmp_path.iterdir()) == []
 
     def test_largest_point_count_accepted(self):
         # listed only: the input box would refuse most of these budgets
@@ -240,7 +243,7 @@ class TestComputePoint:
 
         for module in (qci, tci):
             monkeypatch.setattr(module, "_maxmin_batch", counted)
-        qci.qci_lower_bounds([2, 4, 8], config, SETTINGS)
+        qci._lock_step([qci._ascent(J, config, SETTINGS) for J in (2, 4, 8)])
         alone = lanes.copy()
         lanes.clear()
         compute_point(config, SCHEMES, SETTINGS)

@@ -105,16 +105,21 @@ class TestTciRate:
 
 
 def test_one_kernel_call_per_threshold_grid(monkeypatch):
-    # standalone, tci_best and tci_rate each make one call, counted through
-    # the module attribute that the benchmark tracer wraps
-    module = importlib.import_module("diamond_bottleneck.tci")
+    # standalone, tci_best and tci_rate each make one call, through the
+    # lock-step driver's module attribute, which the benchmark tracer wraps;
+    # tci's own binding is never called
     lanes = []
 
     def counted(*args):
         lanes.append(np.broadcast_shapes(*(np.shape(a) for a in args)))
         return _maxmin_batch(*args)
 
-    monkeypatch.setattr(module, "_maxmin_batch", counted)
+    def unreachable(*args):
+        raise AssertionError("tci called the kernel itself")
+
+    monkeypatch.setattr(importlib.import_module("diamond_bottleneck.qci"), "_maxmin_batch", counted)
+    monkeypatch.setattr(importlib.import_module("diamond_bottleneck.tci"), "_maxmin_batch",
+                        unreachable)
     config = SystemConfig(1e-4, 10.0, 7.0)
     tci_best(config)
     tci_rate(0.5, config)
