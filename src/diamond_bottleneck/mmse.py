@@ -18,7 +18,9 @@ integral e^t E1(t), written below as es(t):
 where U = g/(g+s) is the per-realization estimator gain and V its noise
 variance plus distortion.  E[|estimate|^2] collapses to E[U] because the
 conditional error variance is U (1 - U) * ...; expanding the second moment
-gives U^2 + U s/(g+s) = U.
+gives U^2 + U s/(g+s) = U.  The moments depend on the noise power alone, so
+both relays share one copy of each (MmseCalibration); only the distortion
+D_k, matched to relay k's budget, differs between them.
 
 The expectations are evaluated by the package's one quadrature rule,
 Gauss-Legendre in the log gain t = ln g (see _gain_rule): a tensor rule for
@@ -51,21 +53,19 @@ _ORDERS = (100, 200)
 
 @dataclass(frozen=True)
 class MmseCalibration:
-    """Per-relay second moments and the budget-matched distortions."""
+    """The fading moments, which both relays share, and each relay's
+    budget-matched distortion D_k = est_power / (2^c_k - 1)."""
 
-    est_power: tuple[float, float]
+    est_power: float  # E[U] = E[|estimate|^2]
+    u_var: float  # Var(U)
+    residual: float  # E[V] - D, the part of E[V] that does not depend on the budget
     distortion: tuple[float, float]
-    u_moments: tuple[tuple[float, float], tuple[float, float]]  # (mean, variance)
-    v_mean: tuple[float, float]
-    residual: float  # E[V] - D, the part of v_mean that does not depend on the budget
 
 
 @dataclass(frozen=True)
 class MmseResult:
     rate: float
     error_estimate: float
-    constraint_check: tuple[float, float]
-    degenerate: bool = False
 
 
 def calibrate(config: SystemConfig) -> MmseCalibration:
@@ -79,13 +79,7 @@ def calibrate(config: SystemConfig) -> MmseCalibration:
     residual = s * ((1.0 + s) * es - 1.0)
     d1 = u_mean / math.expm1(config.c1 * _LN2)
     d2 = u_mean / math.expm1(config.c2 * _LN2)
-    return MmseCalibration(
-        est_power=(u_mean, u_mean),
-        distortion=(d1, d2),
-        u_moments=((u_mean, u_var), (u_mean, u_var)),
-        v_mean=(residual + d1, residual + d2),
-        residual=residual,
-    )
+    return MmseCalibration(u_mean, u_var, residual, (d1, d2))
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +107,7 @@ def _rate_at_order(order: int, noise_power: float, cal: MmseCalibration) -> floa
         log2(u1^2 v2 + u2^2 v1 + v1 v2) = log2 v1 + log2 v2
                                           + log2(1 + u1^2/v1 + u2^2/v2)
         log2 v                          = log2 D + log2(1 + q r)
-        log2(u_var g + v_mean)          = log2 D + log2(1 + q (u_var g + residual))
+        log2(u_var g + residual + D)    = log2 D + log2(1 + q (u_var g + residual))
 
     with v = r + D and r = u s/(g+s).  Nothing overflows as a budget goes to
     0 (D to infinity), and log1p keeps small rates to relative precision.
@@ -121,7 +115,7 @@ def _rate_at_order(order: int, noise_power: float, cal: MmseCalibration) -> floa
     gains, weights = _gain_rule(order)
     u = gains / (gains + noise_power)
     r = u * noise_power / (gains + noise_power)
-    spread = cal.u_moments[0][1] * gains + cal.residual
+    spread = cal.u_var * gains + cal.residual
     total = 0.0
     ratios = []
     # Far below 0 dB the closed-form moments cancel and log1p may see an
@@ -139,29 +133,13 @@ def _rate_at_order(order: int, noise_power: float, cal: MmseCalibration) -> floa
 
 
 def mmse_rate(config: SystemConfig, settings: SolverSettings) -> MmseResult:
-    """Bound value with diagnostics.
+    """Bound value and the gap between the rule's two orders.
 
     A zero budget on either link makes the calibrated distortion infinite,
     so the scheme degenerates to rate 0 rather than an evaluation error.
-    The error estimate is the gap between the rule's two orders.  The
-    constraint check repeats the Gaussian description-rate computation
-    log2(1 + est_power / D) per relay, which the calibration makes equal to
-    the budget up to rounding.
     """
     if config.c1 <= 0.0 or config.c2 <= 0.0:
-        return MmseResult(
-            rate=0.0,
-            error_estimate=0.0,
-            constraint_check=(0.0, 0.0),
-            degenerate=True,
-        )
+        return MmseResult(rate=0.0, error_estimate=0.0)
     cal = calibrate(config)
     coarse, rate = (_rate_at_order(order, config.noise_power, cal) for order in _ORDERS)
-    checks = tuple(
-        math.log1p(cal.est_power[k] / cal.distortion[k]) / _LN2 for k in (0, 1)
-    )
-    return MmseResult(
-        rate=rate,
-        error_estimate=abs(rate - coarse),
-        constraint_check=checks,
-    )
+    return MmseResult(rate=rate, error_estimate=abs(rate - coarse))

@@ -352,7 +352,7 @@ def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     )
     x = (rho - rho[::-1] - 1.0) / total  # 2 rho / R - 1
 
-    cand = np.empty((2, 5) + rho1.shape)
+    cand = np.full((2, 5) + rho1.shape, np.nan)  # a row left unset is NaN, not stale memory
     cand[:, 0] = s
     cand[0, 1] = r_b_k[0]
     cand[1, 1] = s[1]

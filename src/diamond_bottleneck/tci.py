@@ -48,9 +48,7 @@ THRESHOLD_GRID = tuple(j / 10.0 for j in range(1, 21))
 class TciPoint:
     threshold: float
     p_active: float
-    header_bits: float
-    cond_noise: float
-    cond_snr: float
+    cond_noise: float  # its reciprocal is the conditional SNR
     rate: float
 
 
@@ -117,7 +115,7 @@ def _grid(
     value, _, _ = yield block.reshape(4, -1)
     only1, only2, both = value.reshape(3, -1)
     rate = np.where(p > 0.0, p * (1.0 - p) * (only1 + only2) + p * p * both, 0.0)
-    return list(zip(thresholds, *(a.tolist() for a in (p, header_bits, cond_noise, rho, rate))))
+    return list(zip(thresholds, *(a.tolist() for a in (p, cond_noise, rate))))
 
 
 def _best_round(config: SystemConfig) -> Generator[np.ndarray, tuple, TciPoint]:

@@ -153,7 +153,7 @@ def test_criterion_7_distributional_oracles():
     power = np.abs(estimate) ** 2
     cal = calibrate(SystemConfig(s2, 5.0, 5.0))
     se = float(power.std(ddof=1)) / math.sqrt(n)
-    worst_z = max(worst_z, abs(float(power.mean()) - cal.est_power[0]) / se)
+    worst_z = max(worst_z, abs(float(power.mean()) - cal.est_power) / se)
 
     ok = worst_z <= 3.0
     _report(

@@ -174,6 +174,39 @@ def test_third_party_imports_are_the_declared_dependencies():
     assert third_party == declared == {"numpy"}
 
 
+# Imported and never read: bench/tracer.py wraps each of these module
+# attributes by name (its BOUNDARIES) and reports one that is missing.
+TRACER_ONLY_IMPORTS = {
+    ("sweeps", "qci_lower_bound"), ("sweeps", "tci_best"), ("tci", "_maxmin_batch"),
+    ("mmse", "sample_gains"), ("mmse", "integrate_semiinfinite"),
+}
+
+
+def test_every_imported_name_is_read():
+    # every name a module imports, at module level or inside a function, is
+    # read in that module, annotations included; the tracer's names are the
+    # only exceptions, and they stay unread.  __init__.py re-exports.
+    unread = set()
+    for path in (ROOT / "src" / "diamond_bottleneck").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                bound = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+                unread.update((path.stem, name) for name in bound - read)
+    assert unread == TRACER_ONLY_IMPORTS
+    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    boundaries = next(ast.literal_eval(node.value) for node in tracer.body
+                      if isinstance(node, ast.Assign)
+                      and getattr(node.targets[0], "id", None) == "BOUNDARIES")
+    assert TRACER_ONLY_IMPORTS <= {(module, attribute) for module, attribute, _ in boundaries}
+
+
 def test_cli_leaves_verify_unimported():
     # bound and sweep should not pay for importing the oracle checks
     result = run_python(

@@ -478,7 +478,7 @@ class TestCommandLine:
     def test_nonfinite_rate_leaves_cells_empty(self, cli, monkeypatch):
         # a NaN rate fails its cell like an exception (inside the input box
         # mmse returns none, so it is stubbed to)
-        nan = MmseResult(math.nan, math.nan, (5.0, 5.0))
+        nan = MmseResult(math.nan, math.nan)
         monkeypatch.setattr(sweeps, "mmse_rate", lambda config, settings: nan)
         result = cli(["bound", "--snr-db", "10", "--c1", "5", "--scheme", "ub,mmse"])
         assert result.returncode == 0, result.stderr

@@ -18,6 +18,7 @@ from diamond_bottleneck.tci import (
     TciPoint,
     _best_round,
     _binary_entropy,
+    _threshold_stats,
     tci_best,
     tci_rate,
 )
@@ -31,9 +32,14 @@ def binary_entropy(p):
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def header_bits(threshold):
+    """The header entropy of one threshold, as the budgets are charged it."""
+    return float(_threshold_stats((threshold,))[1][0])
+
+
 class TestConditionalStats:
-    """The activity probability, header entropy and conditional noise and
-    SNR of a threshold, as tci_rate reports them."""
+    """The activity probability and conditional noise of a threshold, as
+    tci_rate reports them, and its header entropy, as the budgets pay it."""
 
     def test_unit_threshold_unit_noise(self):
         stats = tci_rate(1.0, SystemConfig(1.0, 5.0, 5.0))
@@ -44,13 +50,13 @@ class TestConditionalStats:
     def test_header_is_one_bit_at_half_probability(self):
         stats = tci_rate(HALF_PROB_THRESHOLD, SystemConfig(1.0, 5.0, 5.0))
         assert stats.p_active == pytest.approx(0.5, abs=1e-12)
-        assert stats.header_bits == pytest.approx(1.0, abs=1e-12)
+        assert header_bits(HALF_PROB_THRESHOLD) == pytest.approx(1.0, abs=1e-12)
 
     def test_header_is_zero_at_either_end(self):
         # never active (p = 0) or always active (p = 1, a vanishing
         # threshold): there is nothing to signal
         assert _binary_entropy(0.0) == 0.0
-        assert tci_rate(1e-9, SystemConfig(1.0, 5.0, 5.0)).header_bits == 0.0
+        assert header_bits(1e-9) == 0.0
 
     def test_noise_scales_linearly(self):
         a = tci_rate(0.5, SystemConfig(1.0, 5.0, 5.0))
@@ -58,9 +64,8 @@ class TestConditionalStats:
         assert b.cond_noise == pytest.approx(1e-4 * a.cond_noise, rel=1e-12)
 
     def test_header_never_exceeds_one_bit(self):
-        config = SystemConfig(1.0, 5.0, 5.0)
         for threshold in THRESHOLD_GRID:
-            assert 0.0 < tci_rate(threshold, config).header_bits <= 1.0
+            assert 0.0 < header_bits(threshold) <= 1.0
 
     def test_rejects_nonpositive_threshold(self):
         config = SystemConfig(1.0, 5.0, 5.0)
@@ -89,7 +94,6 @@ class TestTciRate:
         both = fixed_rate(SnrPair(cond_snr, cond_snr), (budget, budget)).rate
         expected = p * (1.0 - p) * 2.0 * only + p * p * both
         assert point.rate == pytest.approx(expected, abs=1e-9)
-        assert point.header_bits == pytest.approx(header, abs=1e-12)
 
     @pytest.mark.parametrize("noise_power", [1.0, 1e-15])
     @pytest.mark.parametrize("c", [0.0, 5.0])
@@ -175,7 +179,7 @@ def scalar_tci_best(config):
         THRESHOLD_GRID, stats, only1.tolist(), only2.tolist(), both.tolist()
     ):
         rate = p * (1.0 - p) * (one1 + one2) + p * p * two
-        points.append(TciPoint(t, p, header, noise, snr, rate))
+        points.append(TciPoint(t, p, noise, rate))
     return max(points, key=lambda point: point.rate)
 
 

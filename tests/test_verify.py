@@ -68,9 +68,15 @@ FAULTS = {
         lambda point: replace(point, cond_noise=point.cond_noise * (1.0 + 1e-6)),
         verify._check_conditional_noise,
     ),
+    "cond_noise_nan": (
+        # a NaN gap fails the check, wherever it falls among the cases
+        "tci_rate",
+        lambda point: replace(point, cond_noise=math.nan) if point.threshold == 1.0 else point,
+        verify._check_conditional_noise,
+    ),
     "est_power": (
         "calibrate",
-        lambda cal: replace(cal, est_power=tuple(p * (1.0 + 1e-6) for p in cal.est_power)),
+        lambda cal: replace(cal, est_power=cal.est_power * (1.0 + 1e-6)),
         verify._check_est_power,
     ),
     "qci_spend": (
