@@ -18,8 +18,8 @@ the kernel's four inputs on its J x J cell lanes (_lanes) as the rows of
 one (4, J^2) block, whose SNR rows it writes once, and is sent the
 kernel's value and slopes there (reduced by _reduce).  One function,
 _lock_step, runs any number of such participants in lock-step, one kernel
-call per round over every live participant's lanes; at a sweep point
-TCI's threshold grid joins the ascents' first round (sweeps.compute_point).
+call per round over every live participant's lanes; every scheme at a
+sweep point is one participant (sweeps.compute_point).
 The kernel is elementwise, so each ascent takes the same steps, bit for
 bit, as it does alone; _solo runs one alone (qci_lower_bound, and TCI's
 tci_best and tci_rate), so every QCI and TCI kernel call is made here.
@@ -47,12 +47,11 @@ class QciAllocation:
     """Optimized per-cell budget split and the value it achieves.
 
     c is a (2, J) matrix of per-cell bit budgets with the dead-cell column
-    pinned at zero; rates is the (J, J) matrix of cell rates at that split;
-    lower_bound is the probability-weighted average of rates.
+    pinned at zero; lower_bound is the mean of the J x J cell rates at that
+    split, every cell having probability 1/J^2.
     """
 
     c: np.ndarray
-    rates: np.ndarray
     lower_bound: float
     iterations: int
     feasible: bool
@@ -83,10 +82,10 @@ def _lanes(x1: np.ndarray, x2: np.ndarray, out: np.ndarray) -> None:
 
 
 def _reduce(J: int, value: np.ndarray, slope1: np.ndarray, slope2: np.ndarray) -> tuple:
-    """Mean rate, (J, J) rate matrix, and the gradient in the live-cell
-    budgets c1 and c2, from the kernel's outputs on the J x J lanes.  Every
-    cell has probability 1/J^2, and a live cell's budget enters only its
-    row (or column) of the rate matrix, so the kernel's slopes give the
+    """Mean rate and the gradient in the live-cell budgets c1 and c2,
+    from the kernel's outputs on the J x J lanes.  Every cell has
+    probability 1/J^2, and a live cell's budget enters only its row (or
+    column) of the J x J cell rates, so the kernel's slopes give the
     gradient."""
     cell_weight = 1.0 / J**2
     total = float(value.sum()) * cell_weight
@@ -94,7 +93,7 @@ def _reduce(J: int, value: np.ndarray, slope1: np.ndarray, slope2: np.ndarray) -
     g2 = slope2.reshape(J, J)[:, :-1].sum(axis=0)
     g1 *= cell_weight
     g2 *= cell_weight
-    return total, value.reshape(J, J), g1, g2
+    return total, g1, g2
 
 
 def _project_budget(x: np.ndarray, budget: float) -> np.ndarray:
@@ -165,8 +164,7 @@ def _ascent(
     # the cell index, uniform over J cells, costs log2(J) header bits
     residual1, residual2 = (budget - math.log2(J) for budget in config.budgets)
     if residual1 < 0.0 or residual2 < 0.0:
-        return QciAllocation(c=np.zeros((2, J)), rates=np.zeros((J, J)), lower_bound=0.0,
-                             iterations=0, feasible=False)
+        return QciAllocation(c=np.zeros((2, J)), lower_bound=0.0, iterations=0, feasible=False)
 
     # each live cell spends its budget over J: the relays' budget sets are
     # {c >= 0, sum(c) <= budget}
@@ -186,7 +184,7 @@ def _ascent(
     # brings the next iteration's gradient along.
     _lanes(c1, c2, budget_lanes)
     reply = yield block
-    best, rates, g1, g2 = _reduce(J, *reply)
+    best, g1, g2 = _reduce(J, *reply)
     step1 = step2 = 2.0 * J
     stalls = 0
     last_gain = math.inf
@@ -203,7 +201,7 @@ def _ascent(
                 break
             _lanes(cand1, cand2, budget_lanes)
             reply = yield block
-            cand_value, cand_rates, cand_g1, cand_g2 = _reduce(J, *reply)
+            cand_value, cand_g1, cand_g2 = _reduce(J, *reply)
             if cand_value >= best + _ARMIJO_SLOPE * gap:
                 moved = True
                 break
@@ -221,7 +219,7 @@ def _ascent(
         step2 = float(s2 @ s2) / turn2 if turn2 > 0.0 else 2.0 * scale * step2
         last_gain = cand_value - best
         c1, c2 = cand1, cand2
-        best, rates = cand_value, cand_rates
+        best = cand_value
         g1, g2 = cand_g1, cand_g2
         if last_gain < settings.abs_tol:
             stalls += 1
@@ -237,7 +235,7 @@ def _ascent(
 
     c = np.zeros((2, J))
     c[0, :m], c[1, :m] = c1, c2
-    return QciAllocation(c=c, rates=rates, lower_bound=best, iterations=iterations, feasible=True)
+    return QciAllocation(c=c, lower_bound=best, iterations=iterations, feasible=True)
 
 
 def _lock_step(participants: Sequence[Generator]) -> list:
@@ -247,8 +245,8 @@ def _lock_step(participants: Sequence[Generator]) -> list:
     participant's pending block into one kernel call and sends each its
     (value, slope1, slope2) on its own lanes.
 
-    The participants are QCI ascents (_ascent) and TCI's threshold grids
-    (tci._grid), which ask for one evaluation.
+    The participants are QCI ascents (_ascent), TCI's threshold grids
+    (tci._grid, one evaluation) and a point's schemes (sweeps._participant).
     A participant leaves the batch when it returns, or when it raises; its
     exception then stands in its place in the result and the others go on.
     """

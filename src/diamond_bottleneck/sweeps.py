@@ -9,8 +9,8 @@ columns of the row are unaffected.  Every row, of a sweep (run_sweep) or
 of `bound`'s one point, comes from render_points and from its own point
 alone, so a sweep row equals the row `bound` prints at that point.  No
 scheme draws random numbers, so every run of a spec gives a byte-identical
-file.  At a point, the QCI ascents and TCI's threshold grid share one
-kernel call per round (compute_point); ub and mmse run after them.
+file.  At a point every scheme is one participant of one qci._lock_step
+call (compute_point); ub and mmse finish before its first kernel call.
 
 The two preset sweeps pin the operating points of the reference curves:
 rate versus SNR at C = 10 bits per relay, and rate versus C at 40 dB.
@@ -21,33 +21,31 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 from .channel import SystemConfig
 from .errors import DomainError, InvalidArgument
 from .mmse import mmse_rate
 from .numerics import SolverSettings
 # bench/tracer.py times each scheme at the sweeps.<function> it calls, and
-# reports a missing one; qci_lower_bound and tci_best are bound here for that
-# lookup alone, since compute_point runs QCI's ascents and TCI's threshold
-# grid together through _lock_step.
+# reports a missing one, so _participant looks upper_bound and mmse_rate up
+# here when it runs; qci_lower_bound and tci_best are bound for that lookup
+# alone, since QCI's ascents and TCI's threshold grid run in _lock_step.
 from .qci import _ascent, _lock_step, qci_lower_bound  # noqa: F401
 from .tci import _best_round, tci_best  # noqa: F401
 from .upper_bound import upper_bound
 
-SCHEMES = ("ub", "qci_J2", "qci_J4", "qci_J8", "tci", "mmse")
-
-_DIAGNOSTIC_COLUMN = {
-    "ub": "ub_residual",
-    "qci_J2": "qci_J2_iters",
-    "qci_J4": "qci_J4_iters",
-    "qci_J8": "qci_J8_iters",
-    "tci": "tci_threshold",
-    "mmse": "mmse_halfwidth",
+# Every scheme in column order: its diagnostic column and, for a quantized
+# scheme, its cell count J.
+_SCHEME_TABLE = {
+    "ub": ("ub_residual", None),
+    "qci_J2": ("qci_J2_iters", 2),
+    "qci_J4": ("qci_J4_iters", 4),
+    "qci_J8": ("qci_J8_iters", 8),
+    "tci": ("tci_threshold", None),
+    "mmse": ("mmse_halfwidth", None),
 }
-
-# The cell count J of each quantized scheme, read from its name in SCHEMES.
-_QCI_CELLS = {s: int(s.removeprefix("qci_J")) for s in SCHEMES if s.startswith("qci_J")}
+SCHEMES = tuple(_SCHEME_TABLE)
 
 _MODES = ("snr_sweep", "budget_sweep")
 
@@ -106,7 +104,7 @@ class BoundResult:
         """The diagnostic keyed by its CSV column name; empty when failed."""
         if self.diagnostic is None:
             return {}
-        return {_DIAGNOSTIC_COLUMN[self.scheme]: self.diagnostic}
+        return {_SCHEME_TABLE[self.scheme][0]: self.diagnostic}
 
 
 @dataclass(frozen=True)
@@ -202,11 +200,10 @@ def compute_point(
 ) -> list[BoundResult]:
     """Evaluate the requested schemes at one operating point.
 
-    The quantized schemes' ascents and TCI's threshold grid run together,
-    in lock-step, before the rest (qci._lock_step): TCI's lanes ride the
-    ascents' first kernel call.  A failure still fails only its own cell,
-    with its warning in scheme order.  Every result depends on this point
-    alone.
+    One qci._lock_step call runs one participant per scheme, in the order
+    given (_participant): TCI's lanes ride the ascents' first kernel call.
+    A failure fails only its own cell, with its warning in scheme order.
+    Every result depends on this point alone.
 
     warm_start is a leftover: the benchmark's workloads still pass
     warm_start=None by keyword.  Any other value raises InvalidArgument,
@@ -217,41 +214,43 @@ def compute_point(
     if warm_start is not None:
         raise InvalidArgument("compute_point has no warm start; pass warm_start=None or omit it")
     schemes = tuple(schemes)
-    rounds = {s: _ascent(_QCI_CELLS[s], config, settings)
-              for s in dict.fromkeys(schemes) if s in _QCI_CELLS}
-    if "tci" in schemes:
-        rounds["tci"] = _best_round(config)
-    outcomes = dict(zip(rounds, _lock_step(list(rounds.values()))))
+    outcomes = _lock_step([_participant(scheme, config, settings) for scheme in schemes])
     results = []
-    for scheme in schemes:
-        try:
-            if scheme == "ub":
-                bound = upper_bound(config, settings)
-                result = BoundResult(scheme, bound.rate, bound.constraint_residual)
-            elif scheme in outcomes:
-                outcome = outcomes[scheme]
-                if isinstance(outcome, Exception):
-                    raise outcome
-                if scheme == "tci":
-                    result = BoundResult(scheme, outcome.rate, outcome.threshold)
-                else:
-                    result = BoundResult(scheme, outcome.lower_bound, outcome.iterations)
-            elif scheme == "mmse":
-                outcome = mmse_rate(config, settings)
-                result = BoundResult(scheme, outcome.rate, outcome.error_estimate)
-            else:
-                raise InvalidArgument(f"unknown scheme {scheme!r}")
-            if not math.isfinite(result.rate):
-                raise DomainError(f"non-finite rate {result.rate}")
-        except Exception as error:  # noqa: BLE001 - row isolation is the contract
+    for scheme, outcome in zip(schemes, outcomes):
+        if isinstance(outcome, Exception):
             print(
                 f"warning: scheme {scheme} failed at noise_power={config.noise_power:g}, "
-                f"c=({config.c1:g}, {config.c2:g}): {error}",
+                f"c=({config.c1:g}, {config.c2:g}): {outcome}",
                 file=sys.stderr,
             )
-            result = BoundResult(scheme, None)
-        results.append(result)
+            outcome = (None, None)
+        results.append(BoundResult(scheme, *outcome))
     return results
+
+
+def _participant(
+    scheme: str, config: SystemConfig, settings: SolverSettings,
+) -> Generator[object, tuple, tuple[float, float]]:
+    """One scheme at one point as a qci._lock_step participant: (rate,
+    diagnostic).  ub and mmse return before their first yield; an unknown
+    scheme raises InvalidArgument, and a non-finite rate DomainError."""
+    if scheme == "ub":
+        bound = upper_bound(config, settings)
+        rate, diagnostic = bound.rate, bound.constraint_residual
+    elif scheme == "mmse":
+        outcome = mmse_rate(config, settings)
+        rate, diagnostic = outcome.rate, outcome.error_estimate
+    elif scheme == "tci":
+        point = yield from _best_round(config)
+        rate, diagnostic = point.rate, point.threshold
+    elif scheme in _SCHEME_TABLE:
+        allocation = yield from _ascent(_SCHEME_TABLE[scheme][1], config, settings)
+        rate, diagnostic = allocation.lower_bound, allocation.iterations
+    else:
+        raise InvalidArgument(f"unknown scheme {scheme!r}")
+    if not math.isfinite(rate):
+        raise DomainError(f"non-finite rate {rate}")
+    return rate, diagnostic
 
 
 def _cell(value: float | None) -> str:
@@ -274,7 +273,7 @@ def render_points(
 
 
 def _lines(points, schemes: tuple[str, ...], settings: SolverSettings) -> Iterator[str]:
-    diag_columns = [_DIAGNOSTIC_COLUMN[s] for s in schemes]
+    diag_columns = [_SCHEME_TABLE[s][0] for s in schemes]
     yield ",".join(["rho_db", "c_bits", *schemes, *diag_columns])
     for snr_db, c1, c2 in points:
         config = SystemConfig(noise_power=1.0 / db_to_linear(snr_db), c1=c1, c2=c2)

@@ -87,20 +87,19 @@ def unit_snrs():
 
 
 def evaluate(rho, c1, c2):
-    """Mean rate, rate matrix and gradient of the allocation objective of
-    the cells with SNRs rho at live-cell budgets c1, c2: one kernel call on
-    their flat J x J lanes."""
+    """The kernel's value and slopes on the flat J x J lanes of the cells
+    with SNRs rho at live-cell budgets c1, c2: one kernel call."""
     m = rho.size - 1
     block = np.zeros((4, rho.size**2))
     _lanes(rho[:m], rho[:m], block[:2])
     _lanes(np.asarray(c1, float), np.asarray(c2, float), block[2:])
     value, _, _, slope1, slope2 = _maxmin_batch(*block)
-    return _reduce(rho.size, value, slope1, slope2)
+    return value, slope1, slope2
 
 
 def rate_matrix(rho, c1, c2):
     """Rate matrix of the allocation objective at live-cell budgets c1, c2."""
-    return evaluate(rho, c1, c2)[1]
+    return evaluate(rho, c1, c2)[0].reshape(rho.size, rho.size)
 
 
 class TestCellRate:
@@ -240,13 +239,16 @@ class TestOptimizeAllocation:
         assert np.all(result.c[:, -1] == 0.0)
 
     def test_rates_matrix_consistency(self):
+        # lower_bound is the mean of the kernel's value on all J^2 cells at
+        # the split it returns, and the cells are the scalar solver's rates
         config = SystemConfig(1e-3, 5.0, 5.0)
         rho = cell_snrs(4, config)
         result = qci_lower_bound(4, config, SETTINGS)
-        assert result.lower_bound == pytest.approx(float(result.rates.sum()) / 16, abs=1e-12)
+        rates = rate_matrix(rho, result.c[0, :3], result.c[1, :3])
+        assert result.lower_bound == pytest.approx(float(rates.sum()) / 16, abs=1e-12)
         for j1, j2 in [(0, 0), (1, 2), (0, 3), (3, 1), (3, 3)]:
             expected = cell_value(rho, j1, j2, result.c[0, j1], result.c[1, j2])
-            assert result.rates[j1, j2] == pytest.approx(expected, abs=1e-9)
+            assert rates[j1, j2] == pytest.approx(expected, abs=1e-9)
 
     def test_beats_uniform_split(self):
         for J, config in [
@@ -360,8 +362,8 @@ def test_verify_rejects_an_allocation_below_the_uniform_split(monkeypatch):
         c = np.zeros((2, J))
         for k, budget in enumerate(config.budgets):
             c[k, :m] = 0.9 * (budget - math.log2(J)) * J / m
-        value, rates, _, _ = evaluate(cell_snrs(J, config), c[0, :m], c[1, :m])
-        return QciAllocation(c=c, rates=rates, lower_bound=value, iterations=1, feasible=True)
+        value, _, _ = _reduce(J, *evaluate(cell_snrs(J, config), c[0, :m], c[1, :m]))
+        return QciAllocation(c=c, lower_bound=value, iterations=1, feasible=True)
 
     monkeypatch.setattr(importlib.import_module("diamond_bottleneck.verify"), "qci_lower_bound", short)
     ok, detail = _check_qci_feasibility(SETTINGS)
@@ -414,7 +416,6 @@ def bits(allocation):
     """Everything a QciAllocation holds, compared bit for bit."""
     return (
         allocation.c.tobytes(),
-        np.asarray(allocation.rates).tobytes(),
         allocation.lower_bound.hex(),
         allocation.iterations,
         allocation.feasible,

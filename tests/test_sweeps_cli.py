@@ -216,18 +216,33 @@ class TestComputePoint:
         err = capsys.readouterr().err
         assert "unknown scheme 'qci_J3'" in err and "unknown scheme 'qci_J016'" in err
 
-    def test_failure_isolated_to_one_cell(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("scheme, function", [("ub", "upper_bound"), ("mmse", "mmse_rate")])
+    def test_failure_isolated_to_one_cell(self, monkeypatch, capsys, scheme, function):
+        # ub and mmse fail in the lock-step's first advance, qci_J3 (unknown)
+        # there too, and qci_J8, capped at 2 iterations, in a later round:
+        # every other cell keeps its value, and the warnings keep scheme order
         def explode(config, settings):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(sweeps, "upper_bound", explode)
-        config = SystemConfig(1e-2, 4.0, 4.0)
-        results = compute_point(config, ("ub", "tci"), SETTINGS)
-        assert results[0].rate is None
-        assert results[0].diagnostic is None and results[0].diagnostics == {}
-        assert results[1].rate is not None
-        err = capsys.readouterr().err
-        assert "ub" in err and "synthetic failure" in err
+        monkeypatch.setattr(qci, "_MAX_ITER", 2)
+        config = SystemConfig(1e-4, 10.0, 10.0)
+        schemes = ("qci_J8", "ub", "qci_J2", "tci", "mmse", "qci_J3")
+        alone = compute_point(config, schemes, SETTINGS)
+        capsys.readouterr()
+        monkeypatch.setattr(sweeps, function, explode)
+        results = compute_point(config, schemes, SETTINGS)
+        k = schemes.index(scheme)
+        assert results[k].rate is None
+        assert results[k].diagnostic is None and results[k].diagnostics == {}
+        assert results[:k] + results[k + 1:] == alone[:k] + alone[k + 1:]
+        assert [r.scheme for r in results if r.rate is None] == ["qci_J8", scheme, "qci_J3"]
+        prefix = "warning: scheme {} failed at noise_power=0.0001, c=(10, 10): "
+        assert capsys.readouterr().err.splitlines() == [
+            prefix.format("qci_J8")
+            + "allocation ascent still improving by more than 1e-6 after 2 iterations",
+            prefix.format(scheme) + "synthetic failure",
+            prefix.format("qci_J3") + "unknown scheme 'qci_J3'",
+        ]
 
 
     def test_tci_rides_the_first_round(self, monkeypatch):
@@ -250,6 +265,18 @@ class TestComputePoint:
         assert len(lanes) == len(alone) > 1
         assert lanes[0] == alone[0] + 3 * len(tci.THRESHOLD_GRID)
         assert lanes[1:] == alone[1:]
+
+    def test_one_lock_step_call_per_point(self, monkeypatch):
+        # every requested scheme, ub and mmse too, is one participant of it
+        calls = []
+
+        def spy(participants):
+            calls.append(len(participants))
+            return qci._lock_step(participants)
+
+        monkeypatch.setattr(sweeps, "_lock_step", spy)
+        compute_point(SystemConfig(1e-2, 4.0, 4.0), SCHEMES, SETTINGS)
+        assert calls == [len(SCHEMES)]
 
     @pytest.mark.parametrize("snr_db, c", [(40.0, 10.0), (60.0, 4.0)])
     def test_lock_step_failure_fails_only_its_cell(self, monkeypatch, capsys, snr_db, c):
@@ -475,17 +502,26 @@ class TestCommandLine:
         assert result.returncode == 2, result.stderr
         assert "unknown scheme" in result.stderr
 
-    def test_nonfinite_rate_leaves_cells_empty(self, cli, monkeypatch):
-        # a NaN rate fails its cell like an exception (inside the input box
-        # mmse returns none, so it is stubbed to)
-        nan = MmseResult(math.nan, math.nan)
-        monkeypatch.setattr(sweeps, "mmse_rate", lambda config, settings: nan)
-        result = cli(["bound", "--snr-db", "10", "--c1", "5", "--scheme", "ub,mmse"])
+    @pytest.mark.parametrize("scheme, column", [("mmse", "mmse_halfwidth"), ("tci", "tci_threshold")])
+    def test_nonfinite_rate_leaves_cells_empty(self, cli, monkeypatch, scheme, column):
+        # a NaN rate fails its cell like an exception, whether its scheme
+        # finishes before the first kernel round (mmse) or in it (tci);
+        # inside the input box neither returns one, so each is stubbed to
+        if scheme == "mmse":
+            nan = MmseResult(math.nan, math.nan)
+            monkeypatch.setattr(sweeps, "mmse_rate", lambda config, settings: nan)
+        else:
+            def nan_round(config):
+                point = yield from tci._best_round(config)
+                return replace(point, rate=math.nan)
+
+            monkeypatch.setattr(sweeps, "_best_round", nan_round)
+        result = cli(["bound", "--snr-db", "10", "--c1", "5", "--scheme", f"ub,{scheme}"])
         assert result.returncode == 0, result.stderr
         row = parse_csv(result.stdout.encode())[0]
-        assert row["mmse"] is None and row["mmse_halfwidth"] is None
+        assert row[scheme] is None and row[column] is None
         assert row["ub"] is not None and row["ub_residual"] is not None
-        assert "warning: scheme mmse failed" in result.stderr
+        assert f"warning: scheme {scheme} failed" in result.stderr
         assert "non-finite rate" in result.stderr
         assert "RuntimeWarning" not in result.stderr
 
@@ -624,19 +660,12 @@ def stubbed_checks(monkeypatch):
     return seen
 
 
-# Every column of the preset CSVs: no scheme draws random numbers, so the
-# seed changes none of them.
-DETERMINISTIC_COLUMNS = (
-    "rho_db", "c_bits", "ub", "qci_J2", "qci_J4", "qci_J8", "tci", "mmse",
-    "ub_residual", "qci_J2_iters", "qci_J4_iters", "qci_J8_iters", "tci_threshold",
-    "mmse_halfwidth",
-)
 # The mmse columns of the presets at seed 7 when mmse was a Monte Carlo
 # estimate: its value and 95% half-width.
 MONTE_CARLO_COLUMNS = ("rho_db", "c_bits", "mmse", "mmse_halfwidth")
 
 
-def select_columns(data: bytes, names: tuple[str, ...] = DETERMINISTIC_COLUMNS) -> bytes:
+def select_columns(data: bytes, names: tuple[str, ...]) -> bytes:
     lines = data.decode("utf-8").splitlines()
     header = lines[0].split(",")
     keep = [header.index(name) for name in names]
@@ -646,17 +675,15 @@ def select_columns(data: bytes, names: tuple[str, ...] = DETERMINISTIC_COLUMNS) 
 
 
 class TestPresetGolden:
-    """The preset columns, byte for byte, against a recording
+    """The preset files, byte for byte, against a recording
     (tests/data/*_deterministic.csv): a speed-up of the solvers must not move
-    a single digit of the curves."""
+    a single digit of the curves, and no column may come or go unseen."""
 
     def test_fig2(self, fig2_runs):
-        golden = (DATA / "fig2_deterministic.csv").read_bytes()
-        assert select_columns(fig2_runs[0]) == golden
+        assert fig2_runs[0] == (DATA / "fig2_deterministic.csv").read_bytes()
 
     def test_fig3(self, fig3_run):
-        golden = (DATA / "fig3_deterministic.csv").read_bytes()
-        assert select_columns(fig3_run[0]) == golden
+        assert fig3_run[0] == (DATA / "fig3_deterministic.csv").read_bytes()
 
 
 class TestRowsStandAlone:
