@@ -101,6 +101,12 @@ _EULER_GAMMA = 0.577215664901532860606512
 # log2(1 + rho) for any SNR under 2^900.
 _BUDGET_CAP = 1000.0
 
+# The max-min kernel's float constants as 0-d arrays.  A ufunc call on a few
+# dozen lanes takes a 0-d array operand about 0.2 us (a third) faster than a
+# Python float, which NumPy converts on every call; on thousands of lanes the
+# two cost the same.  The values, and so the bits, are those of the literals.
+_ZERO, _HALF, _ONE, _TWO, _LN2_0D = (np.array(x) for x in (0.0, 0.5, 1.0, 2.0, _LN2))
+
 _MAX_ITER = 200  # bisect's cap on bisection steps
 
 
@@ -243,37 +249,21 @@ def bisect(
 
 
 def _log2_1p(x: np.ndarray) -> np.ndarray:
-    return np.log1p(x) / _LN2
+    return np.log1p(x) / _LN2_0D
 
 
-def _one_relay_value(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Single-relay compress-and-forward rate log2((1+rho)/(1+rho 2^-c))."""
-    return (np.log1p(rho) - np.log1p(rho * np.exp2(-c))) / _LN2
-
-
-def _one_relay_rate(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _rate_from_growth(growth, rho, c, out=None):
     """Compression rate at the single-relay optimum, where log2(1 + rho u)
-    meets c - r: r = log2(1 + (2^c - 1)/(1 + rho)), clamped to c.  Unlike
-    c minus the value, it keeps its relative precision when r is tiny."""
-    return _rate_from_growth(np.expm1(c * _LN2), rho, c)
-
-
-def _rate_from_growth(growth: np.ndarray, rho: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """_one_relay_rate given growth = 2^c - 1, for callers that solve at
-    several SNRs on one budget."""
-    return np.minimum(np.log1p(growth / (1.0 + rho)) / _LN2, c)
-
-
-def _one_relay_slope(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """d/dc of _one_relay_value: rho 2^-c / (1 + rho 2^-c); at c = 0 it is
-    the right derivative."""
-    kept = rho * np.exp2(-c)
-    return kept / (1.0 + kept)
+    meets c - r, given growth = 2^c - 1: r = log2(1 + growth/(1 + rho)),
+    clamped to c.  Unlike c minus the value, it keeps its relative
+    precision when r is tiny.  Taking growth lets callers solve at several
+    SNRs on one budget."""
+    return np.minimum(np.log1p(growth / (_ONE + rho)) / _LN2_0D, c, out=out)
 
 
 def _snr_used(rho, r):
     """rho (1 - 2^-r): the part of the SNR that compression at rate r keeps."""
-    return rho * -np.expm1(-r * _LN2)
+    return rho * -np.expm1(-r * _LN2_0D)
 
 
 def _branches(c1, c2, r1, r2, used1, used2):
@@ -299,25 +289,31 @@ def _lowest(branches):
     return np.minimum(np.minimum(both, cut1), np.minimum(cut2, cut12))
 
 
-def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _candidates(rho, c, growth, s, low):
     """(r1, r2) stacked in one array of shape (2, 5, n): the points where the
     maximum can sit, for lanes with both SNRs rho = (rho1, rho2) and both
-    budgets c = (c1, c2) positive, each of shape (2, n).
+    budgets c = (c1, c2) positive.  Every argument is a (2, n) pair: with
+    them come each relay's growth = 2^c - 1, one-relay optimum s
+    (_rate_from_growth) and low = rho 2^-c, which the kernel has formed on
+    every lane.
 
     Rows: the vertices K1 = K2 = K12, B = K1 = K12, B = K2 = K12 and
     B = K1 = K2, then the B-K12 tangency p = q (module docstring).  Every
     row is formed in r, never from p, q or alpha beta.  A row may leave the
     box; the caller clips it.  Whatever both relays compute alike is
-    computed once on the (2, n) pair.
+    computed once on the (2, n) pair, and each row, or pair of rows, is
+    written where it is formed.
     """
     rho1, rho2 = rho
     c1, c2 = c
+    cand = np.full((2, 5) + rho1.shape, np.nan)  # a row left unset is NaN, not stale memory
+    rows = cand.reshape(10, -1)  # row k of relay i is rows[5 i + k]
     # K2 = K12 holds on the line r1 = s1 and K1 = K12 on r2 = s2, the
     # one-relay optima; B = K1 at a given r2 is relay 1's one-relay optimum
     # at SNR rho1 / (1 + rho2 u2), and B = K2 likewise.
-    growth = np.expm1(c * _LN2)
-    s = _rate_from_growth(growth, rho, c)
-    r_b_k = _rate_from_growth(growth, rho / (1.0 + _snr_used(rho[::-1], s[::-1])), c)
+    rows[0::5] = s
+    rows[2:7:4] = s  # relay 1's row 2 and relay 2's row 1
+    _rate_from_growth(growth, rho / (_ONE + _snr_used(rho[::-1], s[::-1])), c, out=rows[1::6])
 
     # B = K1 = K2: eliminating rho2 u2 leaves a quadratic in A = rho1 u1,
     # scaled by rho1 rho2 2^-(c1+c2) so that no coefficient overflows.  With
@@ -326,94 +322,113 @@ def _candidates(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
     # 1 + U2 + E1; the one positive root is taken in the form that does not
     # cancel for either sign of b, and hypot keeps b^2 from overflowing.
     top1, top2 = _snr_used(rho, c)
-    low1, low2 = rho * np.exp2(-c)
-    rest2 = 1.0 + top2
+    low1, low2 = low
+    rest2 = _ONE + top2
     lead = rest2 + low1
-    b = (low1 / lead) * low2 + (low1 + low2) / lead + (rest2 / lead) * (1.0 - top1)
-    k = (1.0 + rho2) / lead
-    m = np.abs(b) + np.hypot(b, 2.0 * np.sqrt(top1) * np.sqrt(k))
-    used1 = np.minimum(np.where(b >= 0.0, top1 * (2.0 * k / m), 0.5 * m), top1)
+    b = (low1 / lead) * low2 + (low1 + low2) / lead + (rest2 / lead) * (_ONE - top1)
+    k = (_ONE + rho2) / lead
+    m = np.abs(b) + np.hypot(b, _TWO * np.sqrt(top1) * np.sqrt(k))
+    used1 = np.minimum(np.where(b >= _ZERO, top1 * (_TWO * k / m), _HALF * m), top1)
 
     # B-K12 tangency: p = q = w with alpha beta w^2 + 2 w - R = 0, so
     # w = R / (1 + S), S = sqrt(1 + alpha beta R), and
     # r_k = log2(2 rho_k / R) + log2((1 + S) / 2), all in log2 form:
     # g = log2(alpha beta R).  Near r_k = 0 (rho1 ~ rho2 large, S ~ 1) both
     # terms are small and are taken by log1p.
-    total = 1.0 + rho1 + rho2
+    total = _ONE + rho1 + rho2
     log_rho1, log_rho2 = np.log2(rho)
     g = c1 + c2 + np.log2(total) - log_rho1 - log_rho2
-    t = np.exp2(np.minimum(g, 0.0))
-    half_g = 0.5 * np.maximum(g, 0.0)
+    t = np.exp2(np.minimum(g, _ZERO))
+    half_g = _HALF * np.maximum(g, _ZERO)
     e = np.exp2(-half_g)
     lift = np.where(
-        g > 0.0,
-        half_g - 1.0 + np.log2(e + np.sqrt(e * e + 1.0)),
-        np.log1p(t / (2.0 + 2.0 * np.sqrt(1.0 + t))) / _LN2,
+        g > _ZERO,
+        half_g - _ONE + np.log2(e + np.sqrt(e * e + _ONE)),
+        np.log1p(t / (_TWO + _TWO * np.sqrt(_ONE + t))) / _LN2_0D,
     )
-    x = (rho - rho[::-1] - 1.0) / total  # 2 rho / R - 1
+    x = (rho - rho[::-1] - _ONE) / total  # 2 rho / R - 1
 
-    cand = np.full((2, 5) + rho1.shape, np.nan)  # a row left unset is NaN, not stale memory
-    cand[:, 0] = s
-    cand[0, 1] = r_b_k[0]
-    cand[1, 1] = s[1]
-    cand[0, 2] = s[0]
-    cand[1, 2] = r_b_k[1]
-    cand[0, 3] = -np.log1p(-used1 / rho1) / _LN2
-    cand[1, 3] = _rate_from_growth(growth[1], rho2 / (1.0 + used1), c2)
-    cand[:, 4] = np.where(x > -0.5, np.log1p(x) / _LN2, np.log2(2.0 * rho / total)) + lift
+    np.divide(-np.log1p(-used1 / rho1), _LN2_0D, out=rows[3])
+    _rate_from_growth(growth[1], rho2 / (_ONE + used1), c2, out=rows[8])
+    np.add(np.where(x > -0.5, np.log1p(x) / _LN2_0D, np.log2(_TWO * rho / total)), lift, out=rows[4::5])
     return cand
 
 
-def _kkt_slopes(rho, r, used):
-    """(slopes, valid) at rows 1 to 4 of _candidates, passed as r, where the
-    rates keep the SNRs used: slopes[k] is dvalue/dc_k, the multiplier sum
-    lambda_K1 + lambda_K12 (k = 0) or lambda_K2 + lambda_K12 (k = 1) of each
-    row's tight set, and valid whether all of its multipliers are
-    nonnegative (module docstring); slopes has shape (2, 4, n) and valid
-    (4, n).  Row 0 has none (module docstring).  Every slope is a ratio no
-    larger than 1, or such a ratio times P <= rho1 or Q <= rho2, so none
-    overflows; only PQ may, on a row that is then not valid."""
-    rho1, rho2 = rho
-    used1, used2 = used
-    pq = rho[:, None] * np.exp2(-r)
-    lead = 1.0 + used
-    pk, qk = pq / lead  # P and Q of the module docstring
-    p, q = pq
-    lead1, lead2 = lead
-    cross = pk * qk
-    e1 = 1.0 + rho1
-    e2 = 1.0 + rho2
-    t1 = e1 + used2[0]
-    t2 = e2 + used1[1]
-    den = e1 + rho2 + cross[2]
-    w = 0.5 * (p[3] + q[3])
-    slopes = np.empty_like(r)
-    d1, d2 = slopes
-    np.divide(p[0], t1, out=d1[0])
-    np.multiply(q[0] / e2, (p[0] + lead2[0]) / t1, out=d2[0])
-    np.multiply(p[1] / e1, (q[1] + lead1[1]) / t2, out=d1[1])
-    np.divide(q[1], t2, out=d2[1])
-    np.multiply(pk[2], (q[2] + lead1[2]) / den, out=d1[2])
-    np.multiply(qk[2], (p[2] + lead2[2]) / den, out=d2[2])
-    np.divide(w, lead1[3] + used2[3] + w, out=d1[3])
-    d2[3] = d1[3]
+def _kkt_slopes(rho, cand, used):
+    """(slopes, valid) at rows 1 to 4 of the candidates cand, where the
+    rates keep the SNRs used (both of shape (2, 5, n)): slopes[k] is
+    dvalue/dc_k, the multiplier sum lambda_K1 + lambda_K12 (k = 0) or
+    lambda_K2 + lambda_K12 (k = 1) of each row's tight set, and valid
+    whether all of its multipliers are nonnegative (module docstring);
+    slopes has shape (2, 4, n) and valid (4, n).  Row 0 has none (module
+    docstring).  Every slope is a ratio no larger than 1, or such a ratio
+    times P <= rho1 or Q <= rho2, so none overflows; only PQ may, on a row
+    that is then not valid.
+
+    Rows 1 and 2 of cand, {B, K1, K12} and {B, K2, K12}, mirror each other,
+    as do the two slopes of row 3, so each mirrored pair is formed in one
+    ufunc call on a (2, n) view: in an array of shape (2, 4, n) flattened
+    to (8, n), [0::5] picks relay 1 on the first row and relay 2 on the
+    second, and [4::-3] their partners.
+    """
+    pq = rho[:, None] * np.exp2(-cand[:, 1:])  # p and q of the module docstring
+    lead = _ONE + used[:, 1:]
+    pk_qk = pq / lead  # P and Q
+    cross = pk_qk[0] * pk_qk[1]
+    e = _ONE + rho
+    pairs = pq.reshape(8, -1)
+    own, partner = pairs[0::5], pairs[4::-3]
+    t = e + used.reshape(10, -1)[6::-4]  # 1 + rho + the partner's used SNR
+    slopes = np.empty(pq.shape)
+    flat = slopes.reshape(8, -1)
+    np.divide(own, t, out=flat[0::5])
+    np.multiply(partner / e[::-1], (own + lead.reshape(8, -1)[4::-3]) / t, out=flat[4::-3])
+    den = e[0] + rho[1] + cross[2]
+    np.multiply(pk_qk[:, 2], (pq[::-1, 2] + lead[:, 2]) / den, out=slopes[:, 2])
+    w = _HALF * (pq[0, 3] + pq[1, 3])
+    slopes[:, 3] = w / (lead[0, 3] + used[1, 4] + w)
     valid = np.empty(cross.shape, dtype=bool)
-    np.greater_equal(p[0], q[0], out=valid[0])
-    np.greater_equal(q[1], p[1], out=valid[1])
-    np.less_equal(cross[2], 1.0, out=valid[2])
+    np.greater_equal(own, partner, out=valid[:2])
+    np.less_equal(cross[2], _ONE, out=valid[2])
     valid[3] = True
     return slopes, valid
 
 
-def _zero_budget_slope(rho_live, c_live, rho_zero):
+def _zero_budget_slope(rho_live, s, rho_zero):
     """Right derivative of the value in the budget of a relay with SNR
-    rho_zero > 0 and budget 0, the other relay live (module docstring)."""
-    s = _one_relay_rate(rho_live, c_live)
-    lead = 1.0 + _snr_used(rho_live, s)
+    rho_zero > 0 and budget 0, the other relay live at its one-relay
+    optimum s (module docstring)."""
+    lead = _ONE + _snr_used(rho_live, s)
     a = rho_live * np.exp2(-s) / lead
     b = rho_zero / lead
-    split = (b / (1.0 + rho_zero)) / (1.0 + a) + (a / (1.0 + a)) * (rho_zero / (1.0 + rho_zero))
-    return np.maximum(b / (1.0 + b), split)
+    split = (b / (_ONE + rho_zero)) / (_ONE + a) + (a / (_ONE + a)) * (rho_zero / (_ONE + rho_zero))
+    return np.maximum(b / (_ONE + b), split)
+
+
+def _solve_both(relays, out, both):
+    """Write (value, r1, r2, slope1, slope2) into the rows of out, of shape
+    (n, 5), that the mask both selects: the lanes with both relays live,
+    whose five (2, m) rows of the kernel's relays block (SNR, budget,
+    growth, one-relay rate, rho 2^-c) are passed compressed.  Each lane
+    scores the candidates by the branch minimum, keeps the first best and
+    takes its slopes from the best row whose multipliers are valid; where
+    branches nearly coincide, rows can tie in value to the last bit."""
+    rho, c, growth, rate, kept = relays
+    cand = _candidates(rho, c, growth, rate, kept)
+    cand.clip(_ZERO, c[:, None], out=cand)
+    used = _snr_used(rho[:, None], cand)
+    scores = _lowest(_branches(*c, *cand, *used))
+    d, valid = _kkt_slopes(rho, cand, used)
+    # Row-major flat indices of each lane's first best row; take on a flat
+    # index is much cheaper than indexing with (row, lane) pairs.
+    lane = np.arange(scores.shape[1])
+    best = scores.argmax(axis=0) * lane.size + lane
+    kkt = np.where(valid, scores[1:], -np.inf).argmax(axis=0) * lane.size + lane
+    solved = np.empty((5, lane.size))
+    scores.take(best, out=solved[0])
+    cand.reshape(2, -1).take(best, axis=1, out=solved[1:3])
+    d.reshape(2, -1).take(kkt, axis=1, out=solved[3:])
+    out[both] = solved.T  # a mask on the rows of a transposed view is the cheaper scatter
 
 
 def _maxmin_batch(rho1, rho2, c1, c2):
@@ -433,76 +448,72 @@ def _maxmin_batch(rho1, rho2, c1, c2):
     non-finite input returns NaN in all five, which callers report as a
     failed cell.
 
-    Most of a call's cost is fixed, not per lane, so the two relays'
-    inputs and outputs travel as (2, n) pairs through one ufunc call each,
-    and the five outputs share one (5, n) array.  Every lane still goes
-    through exactly the arithmetic of its class, so no lane's bits depend
-    on the other lanes of the call.
+    Most of a call's cost is fixed, not per lane: on a 2-core host a call
+    takes about 200 us at 16 to 144 lanes and about 2 ms at 2,944.  So the
+    two relays' inputs and outputs travel as (2, n) pairs through one ufunc
+    call each, the five outputs share one (5, n) array, and the float
+    constants are 0-d arrays (_ONE).  Each relay's one-relay solution
+    (rate, value, slope and rho 2^-c) is formed once, on every lane: the
+    one-relay lanes take theirs by a masked copy, with no gather or
+    scatter, and the lanes with both relays live pass theirs on to
+    _candidates.  Every lane still goes through exactly the arithmetic of
+    its class, so no lane's bits depend on the other lanes of the call.
     """
-    arrays = [np.asarray(a, dtype=float) for a in (rho1, rho2, c1, c2)]
-    shape = np.broadcast(*arrays).shape
-    lanes = np.empty((4,) + shape)
-    for k, a in enumerate(arrays):
-        lanes[k] = a
-    lanes = lanes.reshape(4, -1)
+    shape = np.broadcast(rho1, rho2, c1, c2).shape
+    # per relay: SNR, budget, growth 2^c - 1, one-relay rate, rho 2^-c
+    relays = np.empty((10,) + shape)
+    for k, a in enumerate((rho1, rho2, c1, c2)):
+        relays[k] = a  # converted to float, as np.asarray(a, dtype=float) would
+    relays = relays.reshape(5, 2, -1)
+    lanes = relays[:2]
     # count_nonzero is the cheapest any/all test of a small mask
     finite = np.isfinite(lanes)
     any_failed = np.count_nonzero(finite) < finite.size
     if any_failed:
-        failed = ~finite.all(axis=0)
-        lanes[:, failed] = 0.0
-    rho, c = lanes[:2], lanes[2:]
-    out = np.zeros((5, lanes.shape[1]))
+        failed = ~finite.all(axis=(0, 1))
+        lanes[..., failed] = 0.0
+    rho, c, growth, rate, kept = relays
+    out = np.zeros((5, rho.shape[1]))
     value, r, slopes = out[0], out[1:3], out[3:]
 
-    live = (rho > 0.0) & (c > 0.0)
+    positive = rho > _ZERO
+    live = positive & (c > _ZERO)
     capped = c > _BUDGET_CAP
     any_capped = np.count_nonzero(capped)
     if any_capped:
         excess = np.maximum(c - _BUDGET_CAP, 0.0)
         np.minimum(c, _BUDGET_CAP, out=c)
 
-    # only[k]: relay k live, its partner not.  Masking a (2, n) pair picks
-    # relay 1's lanes, then relay 2's, in lane order.
-    only = live & ~live[::-1]
-    if np.count_nonzero(only):
-        rho_o, c_o = rho[only], c[only]
-        value[np.nonzero(only)[1]] = _one_relay_value(rho_o, c_o)
-        r[only] = _one_relay_rate(rho_o, c_o)
-
-    # A relay with SNR whose partner is not live sees the one-relay slope,
-    # at a zero budget too; facing a live partner, a zero budget has its own.
-    slopes[...] = np.where(live[::-1], 0.0, _one_relay_slope(rho, c))
-    rising = only[::-1] & (rho > 0.0)
-    if np.count_nonzero(rising):
-        slopes[rising] = _zero_budget_slope(rho[::-1][rising], c[::-1][rising], rho[rising])
-
+    # A relay with SNR whose partner is not live sees the one-relay slope
+    # rho 2^-c/(1 + rho 2^-c), at a zero budget the right derivative; facing
+    # a live partner, a zero budget has its own.
+    np.multiply(rho, np.exp2(-c), out=kept)
+    np.divide(kept, _ONE + kept, out=slopes)
+    np.copyto(slopes, _ZERO, where=live[::-1])
+    only = live & ~live[::-1]  # only[k]: relay k live, its partner not
+    rising = only[::-1] & positive
     both = live[0] & live[1]
-    if np.count_nonzero(both):
-        lanes_b = lanes.compress(both, axis=1)
-        rho_b, c_b = lanes_b[:2], lanes_b[2:]
-        with np.errstate(over="ignore", divide="ignore"):
-            cand = _candidates(rho_b, c_b)
-        cand.clip(0.0, c_b[:, None], out=cand)
-        used = _snr_used(rho_b[:, None], cand)
-        scores = _lowest(_branches(*c_b, *cand, *used))
-        # Row-major flat indices of each lane's first best row; take on a
-        # flat index is much cheaper than indexing with (row, lane) pairs.
-        lane = np.arange(scores.shape[1])
-        best = scores.argmax(axis=0) * lane.size + lane
-        value[both] = scores.take(best)
-        r[:, both] = cand.reshape(2, -1).take(best, axis=1)
-        # Where branches nearly coincide rows can tie in value to the last
-        # bit; the slopes come from the best row whose multipliers are valid.
-        with np.errstate(over="ignore", invalid="ignore"):
-            d, valid = _kkt_slopes(rho_b, cand[:, 1:], used[:, 1:])
-        kkt = np.where(valid, scores[1:], -np.inf).argmax(axis=0) * lane.size + lane
-        slopes[:, both] = d.reshape(2, -1).take(kkt, axis=1)
+    # What follows is kept only on the lanes of its class, whose inputs
+    # raise no warning; the one-relay solution is formed on every lane.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # r = log2(1 + (2^c - 1)/(1 + rho)) and value log2((1 + rho)/(1 + rho 2^-c))
+        np.expm1(c * _LN2_0D, out=growth)
+        _rate_from_growth(growth, rho, c, out=rate)
+        np.copyto(r, rate, where=only)
+        one_value = (np.log1p(rho) - np.log1p(kept)) / _LN2_0D
+        np.copyto(value, one_value[0], where=only[0])
+        np.copyto(value, one_value[1], where=only[1])
+        if np.count_nonzero(rising):
+            slopes[rising] = _zero_budget_slope(rho[::-1][rising], rate[::-1][rising], rho[rising])
+        if np.count_nonzero(both):
+            _solve_both(relays.compress(both, axis=2), out.T, both)
 
     if any_capped:
         np.add(r, excess, out=r, where=live)
         slopes[capped] = 0.0
-    np.maximum(value, 0.0, out=value)
+    np.maximum(value, _ZERO, out=value)
     if any_failed:
         out[:, failed] = np.nan
+    if len(shape) == 1:
+        return tuple(out)
     return tuple(a.reshape(shape) for a in out)

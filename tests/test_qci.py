@@ -24,6 +24,7 @@ from diamond_bottleneck.qci import (
     _project_budget,
     _reduce,
     _solo,
+    _sum,
     cell_snrs,
     qci_lower_bound,
 )
@@ -630,3 +631,53 @@ class TestProjectBudgetBits:
             J = x.size + 1
             expected = sorted_cumsum_projection(x, np.full(x.size, 1.0 / J), budget / J)
             assert _project_budget(x, budget).tobytes() == expected.tobytes()
+
+    # Non-finite entries, with the output of the argsort-ordered loop that
+    # the value sort replaced, as float.hex: a NaN comes from a failed kernel
+    # lane, an infinity from an overflowing Barzilai-Borwein step.  A plain
+    # sort puts a NaN anywhere, so without its filter the NaN cases fail.
+    NONFINITE = [
+        ([3.0, math.nan, 1.0], 2.0, ["0x1.0000000000000p+1", "nan", "0x0.0p+0"]),
+        (
+            [math.nan, 5.0, 2.0, 4.0],
+            6.0,
+            ["nan", "0x1.aaaaaaaaaaaaap+1", "0x1.5555555555554p-2", "0x1.2aaaaaaaaaaaap+1"],
+        ),
+        ([1.0, 2.0, 3.0, math.nan], 1.0, ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "nan"]),
+        ([math.nan, math.nan, 2.0], 1.0, ["nan", "nan", "0x1.0000000000000p+0"]),
+        (
+            [4.0, 1.0, math.nan, 3.0, 2.0, math.nan, 0.5],
+            5.0,
+            [
+                "0x1.5555555555556p+1", "0x0.0p+0", "nan", "0x1.aaaaaaaaaaaabp+0",
+                "0x1.5555555555556p-1", "nan", "0x0.0p+0",
+            ],
+        ),
+        ([math.nan], 1.0, ["0x0.0p+0"]),
+        ([math.inf, 1.0, 2.0], 3.0, ["0x0.0p+0"] * 3),
+        ([-math.inf, 4.0, 2.0], 3.0, ["0x0.0p+0", "0x1.4000000000000p+1", "0x1.0000000000000p-1"]),
+        ([-math.inf, 4.0, 2.0], 10.0, ["0x0.0p+0", "0x1.0000000000000p+2", "0x1.0000000000000p+1"]),
+        ([math.inf, -math.inf, 1.0], 2.0, ["0x0.0p+0"] * 3),
+        ([2.0, math.inf, math.nan, -math.inf, 5.0], 4.0, ["0x0.0p+0"] * 5),
+        ([math.inf, math.inf], 1.0, ["0x0.0p+0"] * 2),
+    ]
+
+    @pytest.mark.parametrize("x, budget, expected", NONFINITE)
+    def test_nonfinite_entries_keep_the_recorded_bits(self, x, budget, expected):
+        assert [v.hex() for v in _project_budget(np.array(x), budget).tolist()] == expected
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_python_sum_equals_add_reduce(self, m):
+        # _sum stands in for ndarray.sum: left to right from 0.0 below eight
+        # entries, as NumPy adds them, and NumPy's own pairwise sum from there
+        rng = np.random.default_rng(200 + m)
+        for k in range(2000):
+            x = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
+            if k % 3 == 0:
+                x[rng.integers(m)] = -0.0
+            if k % 5 == 0:
+                x[-1] = x[0]  # a tie
+            if k % 7 == 0:
+                x[:] = -0.0
+            expected = np.add.reduce(x)
+            assert np.float64(_sum(x.tolist())).tobytes() == expected.tobytes(), x
